@@ -64,7 +64,7 @@ from .levelrings import (
     localize_c0k,
     vandermonde_det,
 )
-from .rings import CyclotomicNumber, euler_phi
+from .rings import CyclotomicNumber, euler_phi, is_prime
 
 __all__ = [
     "CriterionResult",
@@ -95,17 +95,6 @@ PRODUCT_SPECS = (
     "Cyc(3)*Sym(3)",
     "Sym(3)*Sym(3)",
 )
-
-
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for q in range(2, n + 1):
-        if sieve[q]:
-            out.append(q)
-            for mult in range(q * q, n + 1, q):
-                sieve[mult] = 0
-    return out
 
 
 def named_suite(max_order: int) -> list[FiniteGroup]:
@@ -178,7 +167,7 @@ def criterion_3():
     if subgroup_count(2, 2, 2) != 7:
         return False, f"subgroup_count(2,2,2) = {subgroup_count(2, 2, 2)} != 7"
     cases = 0
-    for p in _primes_upto(625):
+    for p in filter(is_prime, range(626)):
         n = 1
         while p**n <= 625:
             got = subgroup_count(p, n, 1)
@@ -192,7 +181,7 @@ def criterion_3():
 
 
 def _prime_powers_upto(bound: int):
-    for p in _primes_upto(bound):
+    for p in filter(is_prime, range(bound + 1)):
         k = 1
         while p**k <= bound:
             yield p, k
@@ -227,7 +216,7 @@ def criterion_4():
     # honda laws: axioms + p-integrality on construction, then degrees
     wdeg_cases = 0
     honda_params = [
-        (p, n) for p in _primes_upto(16) for n in (1, 2, 3, 4) if p**n <= 16
+        (p, n) for p in filter(is_prime, range(17)) for n in (1, 2, 3, 4) if p**n <= 16
     ]
     for p, n in honda_params:
         law = make_fgl(f"honda({p},{n})", D=16)

@@ -32,10 +32,12 @@ from .rings import (
     QQ,
     CyclotomicField,
     CyclotomicNumber,
-    cyclotomic_int_poly,
+    _power_coords,
     euler_phi,
+    is_prime,
     mat_nullspace_dim,
     mat_rank,
+    prime_factors,
 )
 
 __all__ = [
@@ -59,34 +61,9 @@ DEFAULT_TABLE_CAP = 2000
 MAX_POWER_OP_DEGREE = 8
 _ABELIAN_WORK_CAP = 50_000_000
 
-_int_rows_cache: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _int_power_rows(m: int) -> list[tuple[int, ...]]:
-    """Coordinates of x^e mod Phi_m over Z, for e = 0..m-1."""
-    got = _int_rows_cache.get(m)
-    if got is not None:
-        return got
-    phi = cyclotomic_int_poly(m)
-    d = len(phi) - 1
-    rows = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(m):
-        rows.append(tuple(cur))
-        top = cur[d - 1]
-        nxt = [0] + cur[: d - 1]
-        if top:
-            for t in range(d):
-                if phi[t]:
-                    nxt[t] -= top * phi[t]
-        cur = nxt
-    _int_rows_cache[m] = rows
-    return rows
-
 
 def _tally_coords(tally, m: int) -> tuple[int, ...]:
-    rows = _int_power_rows(m)
+    rows = _power_coords(m)
     phi = len(rows[0])
     out = [0] * phi
     for e, cnt in tally.items():
@@ -100,7 +77,7 @@ def _tally_coords(tally, m: int) -> tuple[int, ...]:
 
 
 def _reduce_dense(acc: list[int], m: int) -> tuple[int, ...]:
-    rows = _int_power_rows(m)
+    rows = _power_coords(m)
     phi = len(rows[0])
     out = [0] * phi
     for e in range(m):
@@ -189,47 +166,20 @@ def _abelian_rows(G: FiniteGroup, classes, m: int):
 # nonabelian tables: class-algebra eigenvectors over F_q
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _find_modular_prime(m: int, order: int) -> int:
     bound = 2 * math.isqrt(order) + 1
     q = m + 1
     while True:
-        if q > bound and _is_prime(q):
+        if q > bound and is_prime(q):
             return q
         q += m
         if q > 10_000_000:
             raise HkrError(f"no usable prime q = 1 mod {m} found")
 
 
-def _trial_factor(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _root_of_order(q: int, m: int) -> int:
     """An element of exact multiplicative order m in F_q (m divides q-1)."""
-    primes = _trial_factor(q - 1)
+    primes = prime_factors(q - 1)
     g = 2
     while True:
         if all(pow(g, (q - 1) // ell, q) != 1 for ell in primes):
@@ -1026,7 +976,7 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
         {u: loc[cls.representative**u] for u in units} for cls in classes
     ]
     phi2 = euler_phi(pk)
-    rows_table = _int_power_rows(pk)
+    rows_table = _power_coords(pk)
     seen = set()
     total = 0
     for c in range(len(classes)):

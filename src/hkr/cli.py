@@ -37,7 +37,6 @@ from .charmap import (
     total_power,
 )
 from .commuting import (
-    DEFAULT_WORK_CAP,
     gl_action_orbits,
     hom_tuples,
     rank_prediction,
@@ -55,7 +54,7 @@ from .fgl import (
     reduce_series_mod,
     weierstrass_degree,
 )
-from .groupcore import DEFAULT_ORDER_CAP, named_group
+from .groupcore import named_group
 from .inertia import (
     fix_n,
     gset_from_json,
@@ -65,8 +64,9 @@ from .inertia import (
     trivial_gset,
 )
 from .levelrings import cpk_ring, drinfeld_dk, localize_c0k, vandermonde_det
+from .rings import is_prime
 
-__all__ = ["Config", "CacheEntry", "run", "main", "GROUP_GRAMMAR", "SCHEMA_VERSION"]
+__all__ = ["CacheEntry", "run", "main", "GROUP_GRAMMAR", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
 
@@ -75,23 +75,6 @@ GROUP_GRAMMAR = (
     "atom := Sym(m) | Cyc(m) | Dih(m) | Q8 | Perm(degree; gen, ...) | (expr); "
     "gen := cycle+; cycle := (i j ...) on points 0..degree-1"
 )
-
-
-@dataclass(frozen=True)
-class Config:
-    """Resolved per-invocation settings."""
-
-    order_cap: int = DEFAULT_ORDER_CAP
-    tuple_work_cap: int = DEFAULT_WORK_CAP
-    truncation_default: int = DEFAULT_TRUNCATION
-    cache_path: str | None = None
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.order_cap <= 0 or self.tuple_work_cap <= 0 or self.truncation_default <= 0:
-            raise ValueError("caps must be positive")
-        if self.output_format not in ("json", "csv", "plain"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -552,6 +535,17 @@ def _cmd_selftest(args) -> int:
 # argument parsing
 
 
+def _prime(text: str) -> int:
+    """Argument type of every --p: a prime number."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError(f"{value} is not a prime")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -579,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if group:
             sp.add_argument("--group", required=True, help="group expression")
         if p:
-            sp.add_argument("--p", type=int, required=True, help="prime")
+            sp.add_argument("--p", type=_prime, required=True, help="prime")
         if n:
             sp.add_argument("--n", type=int, required=True, help="tuple length")
         if k:
@@ -609,10 +603,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if action == "series":
             sp.add_argument("m", type=int, help="multiplication index")
         if action in ("angle", "wdeg"):
-            sp.add_argument("--p", type=int, required=True)
+            sp.add_argument("--p", type=_prime, required=True)
             sp.add_argument("--k", type=int, required=True)
         if action == "coprime":
-            sp.add_argument("--p", type=int, required=True)
+            sp.add_argument("--p", type=_prime, required=True)
             sp.add_argument("i", type=int)
             sp.add_argument("j", type=int)
 
@@ -621,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for action in ("ring", "vandermonde", "localize", "drinfeld"):
         sp = c0_sub.add_parser(action, parents=[common])
         sp.set_defaults(command="c0-demo")
-        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--p", type=_prime, required=True)
         sp.add_argument("--k", type=int, required=True)
 
     add("chartable", group=True, helptext="exact character table")
@@ -642,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(command="fix")
         sp.add_argument("--group", help="group expression (trivial action)")
         sp.add_argument("--gset", metavar="PATH", help="JSON description of the action")
-        sp.add_argument("--p", type=int, required=(action != "loops-check"))
+        sp.add_argument("--p", type=_prime, required=(action != "loops-check"))
         sp.add_argument("--n", type=int, required=True)
 
     st = sub.add_parser("selftest", parents=[common],
@@ -674,25 +668,23 @@ def run(argv=None) -> int:
     if args.command == "selftest":
         return _cmd_selftest(args)
 
-    config = Config(
-        cache_path=_resolve_cache_path(args), output_format=args.format
-    )
+    cache_path = _resolve_cache_path(args)
     start = time.perf_counter()
     try:
         key = _cache_key(args)
-        if config.cache_path is not None:
-            hit = _cache_load(config.cache_path, key)
+        if cache_path is not None:
+            hit = _cache_load(cache_path, key)
             if hit is not None:
                 if args.verbose:
-                    print(f"# cache hit: {_cache_file(config.cache_path, key)}",
+                    print(f"# cache hit: {_cache_file(cache_path, key)}",
                           file=sys.stderr)
                 sys.stdout.write(hit)
                 return 0
         payload, plain, rows = HANDLERS[args.command](args)
         text = _render(args, payload, plain, rows)
-        if config.cache_path is not None:
+        if cache_path is not None:
             try:
-                _cache_store(config.cache_path, key, text)
+                _cache_store(cache_path, key, text)
             except OSError as exc:
                 # a broken cache never fails the computation
                 if args.verbose:

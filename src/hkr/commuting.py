@@ -22,7 +22,9 @@ from .groupcore import (
     Permutation,
     centralizer,
     conjugacy_classes,
+    orbit_search,
 )
+from .rings import mat_rank, prime_field
 
 __all__ = [
     "CommutingTuple",
@@ -114,9 +116,6 @@ class CommutingTuple:
         t.p = p
         return t
 
-    def sort_key(self) -> tuple:
-        return tuple(g.images for g in self.entries)
-
     def conjugate_by(self, g: Permutation) -> CommutingTuple:
         return CommutingTuple._raw(
             tuple(e.conjugate_by(g) for e in self.entries), self.group, self.p
@@ -190,36 +189,32 @@ def commuting_tuples_all(G: FiniteGroup, n: int, *, work_cap=DEFAULT_WORK_CAP) -
     return out
 
 
-def _orbit_partition(G: FiniteGroup, tuples):
-    """Partition tuples (given as entry tuples) into simultaneous-conjugation orbits.
+def _conjugate_entries(entries: tuple, s: Permutation) -> tuple:
+    return tuple(e.conjugate_by(s) for e in entries)
 
-    Returns (orbits, index) where orbits is a list of sorted member lists and
-    index maps each entry tuple to its orbit position in the returned list.
-    """
-    gens = G.generators
-    location: dict[tuple, int] = {}
-    orbits: list[list[tuple]] = []
-    for t in tuples:
-        key = tuple(e.images for e in t)
-        if key in location:
-            continue
-        orbit = {key: t}
-        frontier = [t]
-        while frontier:
-            next_frontier = []
-            for cur in frontier:
-                for s in gens:
-                    moved = tuple(e.conjugate_by(s) for e in cur)
-                    mkey = tuple(e.images for e in moved)
-                    if mkey not in orbit:
-                        orbit[mkey] = moved
-                        next_frontier.append(moved)
-            frontier = next_frontier
-        idx = len(orbits)
-        orbits.append([orbit[k] for k in sorted(orbit)])
-        for k in orbit:
-            location[k] = idx
-    return orbits, location
+
+def _indexed_tuple_classes(G: FiniteGroup, p: int, n: int, work_cap: int):
+    """Tuple classes in canonical order, and a map from the entries of every
+    member tuple to the position of its class."""
+    entries = [t.entries for t in hom_tuples(G, p, n, work_cap=work_cap)]
+    abelian = G.is_abelian()
+    if abelian:
+        orbits = [[e] for e in entries]
+    else:
+        orbits = orbit_search(entries, G.generators, _conjugate_entries)
+    orbits.sort(key=lambda members: (len(members), [g.images for g in members[0]]))
+    classes = []
+    member_class = {}
+    for idx, members in enumerate(orbits):
+        rep = members[0]
+        if abelian:
+            cent = G.order
+        else:
+            cent = sum(1 for g in G.elements if all(g * e == e * g for e in rep))
+        classes.append(TupleClass(CommutingTuple._raw(rep, G, p), len(members), cent))
+        for m in members:
+            member_class[m] = idx
+    return classes, member_class
 
 
 def tuple_classes(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[TupleClass]:
@@ -231,21 +226,7 @@ def tuple_classes(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) 
     by orbit-stabilizer must multiply with the class size to the group order
     (the stabilizer of a tuple is exactly the centralizer of its image).
     """
-    tuples = hom_tuples(G, p, n, work_cap=work_cap)
-    if G.is_abelian():
-        return [
-            TupleClass(t, 1, G.order) for t in sorted(tuples, key=CommutingTuple.sort_key)
-        ]
-    orbits, _ = _orbit_partition(G, [t.entries for t in tuples])
-    classes = []
-    for members in orbits:
-        rep = members[0]
-        cent = sum(1 for g in G.elements if all(g * e == e * g for e in rep))
-        classes.append(
-            TupleClass(CommutingTuple._raw(rep, G, p), len(members), cent)
-        )
-    classes.sort(key=lambda c: (c.size, c.representative.sort_key()))
-    return classes
+    return _indexed_tuple_classes(G, p, n, work_cap)[0]
 
 
 def _p_power_classes(G: FiniteGroup, p: int) -> list[ConjugacyClass]:
@@ -290,22 +271,7 @@ class GLMatrix:
             raise ValueError("matrix is not invertible modulo p")
 
     def _invertible(self) -> bool:
-        # Row-reduce a copy over the field with p elements.
-        m = [[x % self.p for x in r] for r in self.rows]
-        rank = 0
-        for col in range(self.n):
-            piv = next((r for r in range(rank, self.n) if m[r][col] % self.p), None)
-            if piv is None:
-                return False
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = pow(m[rank][col], -1, self.p)
-            m[rank] = [(inv * x) % self.p for x in m[rank]]
-            for r in range(self.n):
-                if r != rank and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [(x - f * y) % self.p for x, y in zip(m[r], m[rank])]
-            rank += 1
-        return True
+        return mat_rank(self.rows, prime_field(self.p)) == self.n
 
     def __mul__(self, other: GLMatrix) -> GLMatrix:
         mod = self.p**self.k
@@ -379,26 +345,7 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int, *, work_cap=DEFAULT
         raise ValueError(
             f"p^k = {mod} does not annihilate all p-power elements (max order {worst})"
         )
-    tuples = hom_tuples(G, p, n, work_cap=work_cap)
-    if G.is_abelian():
-        ordered = sorted(tuples, key=CommutingTuple.sort_key)
-        classes = [TupleClass(t, 1, G.order) for t in ordered]
-        member_class = {t.entries: i for i, t in enumerate(ordered)}
-    else:
-        orbits, location = _orbit_partition(G, [t.entries for t in tuples])
-        classes = []
-        order_of_orbit = []
-        for members in orbits:
-            rep = members[0]
-            cent = sum(1 for g in G.elements if all(g * e == e * g for e in rep))
-            classes.append(TupleClass(CommutingTuple._raw(rep, G, p), len(members), cent))
-            order_of_orbit.append(members)
-        perm = sorted(range(len(classes)), key=lambda i: (classes[i].size, classes[i].representative.sort_key()))
-        classes = [classes[i] for i in perm]
-        member_class = {}
-        for new_idx, old_idx in enumerate(perm):
-            for m in order_of_orbit[old_idx]:
-                member_class[m] = new_idx
+    classes, member_class = _indexed_tuple_classes(G, p, n, work_cap)
     mats = gl_matrices(p, n, k, cap=gl_cap)
     seen = set()
     orbit_lists = []

@@ -205,53 +205,26 @@ class TruncatedSeries:
         D = min(self.degree, target.degree)
         nt = target.nvars
 
-        def horner(levels: dict, var: int) -> TruncatedSeries:
-            # levels: {exponent: TruncatedSeries or coefficient-dict at deeper level}
-            top = max(levels) if levels else 0
+        def horner(coeffs: dict, var: int) -> TruncatedSeries:
+            # coeffs: {exponents of variables var.. : coefficient}; Horner in
+            # args[var] over the exponent of that variable, recursing on the rest
+            if var == self.nvars:
+                return TruncatedSeries.constant(ring, nt, D, coeffs[()])
+            by_exp: dict[int, dict] = {}
+            for exps, c in coeffs.items():
+                by_exp.setdefault(exps[0], {})[exps[1:]] = c
+            top = max(by_exp, default=0)
             acc = TruncatedSeries.zero(ring, nt, D)
             for e in range(top, -1, -1):
                 if e < top:
                     acc = acc * args[var]
-                piece = levels.get(e)
-                if piece is not None:
-                    acc = acc + piece
+                inner = by_exp.get(e)
+                if inner is not None:
+                    acc = acc + horner(inner, var + 1)
             return acc
 
-        if self.nvars == 1:
-            levels = {
-                e: TruncatedSeries.constant(ring, nt, D, c)
-                for (e,), c in self.coeffs.items()
-                if e <= D
-            }
-            return horner(levels, 0).truncate(D)
-
-        if self.nvars == 2:
-            by_first: dict[int, dict] = {}
-            for (i, j), c in self.coeffs.items():
-                if i + j <= D:
-                    by_first.setdefault(i, {})[j] = c
-            levels = {}
-            for i, inner in by_first.items():
-                inner_levels = {
-                    j: TruncatedSeries.constant(ring, nt, D, c) for j, c in inner.items()
-                }
-                levels[i] = horner(inner_levels, 1)
-            return horner(levels, 0).truncate(D)
-
-        by_first2: dict[int, dict] = {}
-        for (i, j, l), c in self.coeffs.items():
-            if i + j + l <= D:
-                by_first2.setdefault(i, {}).setdefault(j, {})[l] = c
-        levels = {}
-        for i, mid in by_first2.items():
-            mid_levels = {}
-            for j, inner in mid.items():
-                inner_levels = {
-                    l: TruncatedSeries.constant(ring, nt, D, c) for l, c in inner.items()
-                }
-                mid_levels[j] = horner(inner_levels, 2)
-            levels[i] = horner(mid_levels, 1)
-        return horner(levels, 0).truncate(D)
+        kept = {exps: c for exps, c in self.coeffs.items() if sum(exps) <= D}
+        return horner(kept, 0).truncate(D)
 
     def to_text(self, variables=("x", "y", "z")) -> str:
         """Canonical text form: terms by total degree, then lexicographic exponents."""

@@ -22,6 +22,7 @@ __all__ = [
     "make_group",
     "named_group",
     "conjugacy_classes",
+    "orbit_search",
     "centralizer",
     "direct_product",
     "cyc_group",
@@ -238,6 +239,11 @@ def make_group(degree, generators, *, order_cap=DEFAULT_ORDER_CAP, name=None) ->
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
         if not g.is_identity():
             gens.append(g)
+    elems = _closure(degree, gens, order_cap)
+    return FiniteGroup(degree, gens or [Permutation.identity(degree)], sorted(elems), name=name)
+
+
+def _closure(degree: int, gens: list[Permutation], order_cap=math.inf) -> set[Permutation]:
     ident = Permutation.identity(degree)
     elems = {ident}
     frontier = [ident]
@@ -248,25 +254,7 @@ def make_group(degree, generators, *, order_cap=DEFAULT_ORDER_CAP, name=None) ->
                 b = g * a
                 if b not in elems:
                     if len(elems) >= order_cap:
-                        raise CapExceeded(
-                            f"group order exceeds order cap {order_cap}"
-                        )
-                    elems.add(b)
-                    next_frontier.append(b)
-        frontier = next_frontier
-    return FiniteGroup(degree, gens or [ident], sorted(elems), name=name)
-
-
-def _closure(degree: int, gens: list[Permutation]) -> set[Permutation]:
-    ident = Permutation.identity(degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        next_frontier = []
-        for a in frontier:
-            for g in gens:
-                b = g * a
-                if b not in elems:
+                        raise CapExceeded(f"group order exceeds order cap {order_cap}")
                     elems.add(b)
                     next_frontier.append(b)
         frontier = next_frontier
@@ -292,37 +280,46 @@ def _from_elements(degree, elements, name=None) -> FiniteGroup:
     return FiniteGroup(degree, _minimal_generators(degree, elements), elements, name=name)
 
 
+def orbit_search(items, gens, move) -> list[list]:
+    """Partition items into orbits under a group given by its generators.
+
+    move(x, s) is the image of x under the generator s.  Items are visited in
+    the given order; each orbit is found by breadth-first search from the
+    first of its items met, and orbits are returned in that order, each one
+    sorted.  Items must be hashable and ordered, and the orbits must stay
+    inside the item set.
+    """
+    seen = set()
+    orbits = []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:  # the list grows while it is walked
+            for s in gens:
+                z = move(y, s)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        orbit.sort()
+        orbits.append(orbit)
+    return orbits
+
+
 def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     """Conjugacy classes in canonical order: by size, then least representative.
 
-    Each class is found as the closure of one element under conjugation by the
+    Each class is found as the orbit of one element under conjugation by the
     group's generators; centralizer orders come from the orbit-stabilizer count.
     """
     got = G._cache.get("classes")
     if got is not None:
         return got
-    gens = G.generators
-    assigned: set[Permutation] = set()
-    classes = []
-    for g in G.elements:
-        if g in assigned:
-            continue
-        orbit = {g}
-        frontier = [g]
-        while frontier:
-            next_frontier = []
-            for h in frontier:
-                for s in gens:
-                    c = h.conjugate_by(s)
-                    if c not in orbit:
-                        orbit.add(c)
-                        next_frontier.append(c)
-            frontier = next_frontier
-        assigned |= orbit
-        members = tuple(sorted(orbit))
-        classes.append(
-            ConjugacyClass(members[0], members, G.order // len(members))
-        )
+    classes = [
+        ConjugacyClass(orbit[0], tuple(orbit), G.order // len(orbit))
+        for orbit in orbit_search(G.elements, G.generators, Permutation.conjugate_by)
+    ]
     classes.sort(key=lambda c: (c.size, c.representative.images))
     G._cache["classes"] = classes
     return classes

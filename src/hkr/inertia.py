@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .commuting import (
     CommutingTuple,
     GLMatrix,
+    _conjugate_entries,
     apply_matrix,
     commuting_tuples_all,
     hom_tuples,
@@ -29,7 +30,8 @@ from .commuting import (
     tuple_classes,
 )
 from .errors import CapExceeded, HkrError
-from .groupcore import FiniteGroup, Permutation, make_group, named_group
+from .groupcore import FiniteGroup, Permutation, make_group, named_group, orbit_search
+from .rings import prime_factors
 
 __all__ = [
     "GSet",
@@ -117,24 +119,7 @@ class GSet:
     def orbit_indices(self) -> list[list[int]]:
         """Orbits as sorted index lists, ordered by least member."""
         gen_maps = [self.maps[s] for s in self.group.generators]
-        seen = [False] * len(self.points)
-        orbits = []
-        for start in range(len(self.points)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orbit = [start]
-            head = 0
-            while head < len(orbit):
-                x = orbit[head]
-                head += 1
-                for gm in gen_maps:
-                    y = gm[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-            orbits.append(sorted(orbit))
-        return orbits
+        return orbit_search(range(len(self.points)), gen_maps, lambda x, gm: gm[x])
 
     def orbits(self) -> list[list]:
         return [[self.points[i] for i in orb] for orb in self.orbit_indices()]
@@ -477,37 +462,13 @@ LoopsCheck = namedtuple(
 )
 
 
-def _tuple_orbit_count(G: FiniteGroup, tuples) -> int:
-    gens = list(G.generators)
-    seen = set()
-    count = 0
-    for t in tuples:
-        key = tuple(e.images for e in t)
-        if key in seen:
-            continue
-        count += 1
-        frontier = [t]
-        seen.add(key)
-        while frontier:
-            cur = frontier.pop()
-            for s in gens:
-                moved = tuple(e.conjugate_by(s) for e in cur)
-                mk = tuple(e.images for e in moved)
-                if mk not in seen:
-                    seen.add(mk)
-                    frontier.append(moved)
-    return count
-
-
 def loops_pgroup_check(G: FiniteGroup, n: int, *, work_cap=None) -> LoopsCheck:
     """For a p-group, commuting n-tuples with no order restriction biject
     with p-power-order ones; counts and conjugation-orbit counts must agree.
 
     The trivial group counts as a p-group at p = 2 (any prime works).
     """
-    factors = {f for f in range(2, G.order + 1) if G.order % f == 0 and _is_prime(f)}
-    if G.order == 1:
-        factors = {2}
+    factors = prime_factors(G.order) or [2]
     if len(factors) != 1:
         raise HkrError(f"group of order {G.order} is not a p-group")
     (p,) = factors
@@ -515,17 +476,6 @@ def loops_pgroup_check(G: FiniteGroup, n: int, *, work_cap=None) -> LoopsCheck:
     homs = hom_tuples(G, p, n, **kwargs)
     alls = commuting_tuples_all(G, n, **kwargs)
     hom_classes = len(tuple_classes(G, p, n, **kwargs))
-    all_classes = _tuple_orbit_count(G, alls)
+    all_classes = len(orbit_search(alls, G.generators, _conjugate_entries))
     ok = len(homs) == len(alls) and hom_classes == all_classes
     return LoopsCheck(ok, len(homs), len(alls), hom_classes, all_classes)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True

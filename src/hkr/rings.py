@@ -22,6 +22,8 @@ __all__ = [
     "ZZ",
     "prime_field",
     "euler_phi",
+    "is_prime",
+    "prime_factors",
     "cyclotomic_int_poly",
     "poly_trim",
     "poly_add",
@@ -187,20 +189,40 @@ def poly_to_text(p, var="x") -> str:
     return " + ".join(parts)
 
 
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(m: int) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     out = m
-    mm = m
-    d = 2
-    while d * d <= mm:
-        if mm % d == 0:
-            out -= out // d
-            while mm % d == 0:
-                mm //= d
-        d += 1
-    if mm > 1:
-        out -= out // mm
+    for q in prime_factors(m):
+        out -= out // q
     return out
 
 
@@ -372,29 +394,29 @@ def prime_field(p: int) -> ModularIntegers:
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
-_POWER_COORDS: dict[int, list[tuple[Fraction, ...]]] = {}
+_POWER_COORDS: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _power_coords(m: int) -> list[tuple[Fraction, ...]]:
-    """Coordinates of x^e mod the m-th cyclotomic polynomial, e = 0..m-1."""
+def _power_coords(m: int) -> list[tuple[int, ...]]:
+    """Integer coordinates of x^e mod the m-th cyclotomic polynomial, e = 0..m-1."""
     got = _POWER_COORDS.get(m)
     if got is not None:
         return got
-    phi = euler_phi(m)
-    modpoly = [Fraction(c) for c in cyclotomic_int_poly(m)]
-    # x^phi = -(lower part) since the cyclotomic polynomial is monic
-    top = [-c for c in modpoly[:-1]]
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [ZERO] * phi
-    if phi:
-        cur[0] = ONE
+    poly = cyclotomic_int_poly(m)
+    d = len(poly) - 1
+    rows = []
+    cur = [0] * d
+    cur[0] = 1
     for _ in range(m):
         rows.append(tuple(cur))
-        nxt = [ZERO] + cur[: phi - 1] if phi > 1 else [ZERO]
-        carry = cur[phi - 1] if phi >= 1 else ZERO
-        if carry:
-            nxt = [a + carry * b for a, b in zip(nxt, top)]
-        cur = nxt[:phi]
+        # x * cur, with x^d replaced by -(lower part) since poly is monic
+        top = cur[d - 1]
+        nxt = [0] + cur[: d - 1]
+        if top:
+            for t in range(d):
+                if poly[t]:
+                    nxt[t] -= top * poly[t]
+        cur = nxt
     _POWER_COORDS[m] = rows
     return rows
 

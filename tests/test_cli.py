@@ -6,10 +6,13 @@ test, so most assertions are on captured bytes.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hkr.cli import CacheEntry, Config, SCHEMA_VERSION, run
+from hkr.cli import CacheEntry, SCHEMA_VERSION, run
 
 
 def invoke(capsys, argv):
@@ -72,6 +75,35 @@ def test_order_cap_is_a_computational_failure(capsys):
     code, _, err = invoke(capsys, ["rank", "--group", "Sym(9)", "--p", "2", "--n", "1", "--no-cache"])
     assert code == 1
     assert "cap" in err
+
+
+PRIME_ARGVS = [
+    ["rank", "--group", "Cyc(4)", "--n", "2"],
+    ["subgroups", "--n", "1", "--k", "1"],
+    ["fgl", "coprime", "1", "2"],
+    ["c0-demo", "ring", "--k", "1"],
+    ["fix", "points", "--group", "Cyc(2)", "--n", "1"],
+]
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+def test_non_prime_p_is_usage_error(capsys, p):
+    # p = 4 used to print a rank, p = 0 failed mid-computation, p = 1 hung
+    for argv in PRIME_ARGVS:
+        code, out, err = invoke(capsys, argv + ["--p", p, "--no-cache"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].endswith(f"argument --p: {p} is not a prime")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["rank", "--group", "Cyc(4)", "--p", "2", "--n", "2", "--no-cache", "--format", "plain"]
+    done = subprocess.run([sys.executable, "-m", "hkr", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "16\n"
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -200,18 +232,6 @@ def test_selftest_cache_transparency_check():
     from hkr.cli import _selftest_cache_check
 
     assert _selftest_cache_check() is True
-
-
-def test_config_validation():
-    cfg = Config(order_cap=10, tuple_work_cap=10, truncation_default=8,
-                 cache_path=None, output_format="json")
-    assert cfg.order_cap == 10
-    with pytest.raises(ValueError):
-        Config(order_cap=0, tuple_work_cap=10, truncation_default=8,
-               cache_path=None, output_format="json")
-    with pytest.raises(ValueError):
-        Config(order_cap=10, tuple_work_cap=10, truncation_default=8,
-               cache_path=None, output_format="yaml")
 
 
 def test_cache_entry_round_trip():

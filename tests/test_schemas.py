@@ -25,6 +25,7 @@ CASES = [
     ("fgl", ["fgl", "wdeg", "honda(2,2)", "--p", "2", "--k", "1", "--D", "8"]),
     ("fgl", ["fgl", "wdeg", "additive", "--p", "2", "--k", "1", "--D", "8"]),
     ("fgl", ["fgl", "coprime", "--p", "2", "1", "2"]),
+    ("fgl", ["fgl", "coprime", "--p", "2", "0", "1"]),
     ("c0-demo", ["c0-demo", "ring", "--p", "2", "--k", "2"]),
     ("c0-demo", ["c0-demo", "vandermonde", "--p", "3", "--k", "1"]),
     ("c0-demo", ["c0-demo", "localize", "--p", "2", "--k", "2"]),
