@@ -901,31 +901,52 @@ def adams_psi(m: int, chi: ClassFunction) -> ClassFunction:
     return ClassFunction(chi.group, chi.classes, values, chi.conductor, label)
 
 
+def _cycle_products(chi: ClassFunction, cycle_types) -> list[list[CyclotomicNumber]]:
+    """For each cycle type (a list of cycle lengths), the values
+    prod over ell in the type of chi(g^ell), one per class g of chi.
+
+    Each power map g -> class of g^ell is built once per call.
+    """
+    power_maps = {}
+    for lens in cycle_types:
+        for ell in lens:
+            if ell not in power_maps:
+                try:
+                    power_maps[ell] = [
+                        chi.class_index(cls.representative**ell) for cls in chi.classes
+                    ]
+                except KeyError:
+                    raise ValueError("class list is not closed under powers") from None
+    values = chi.values
+    out = []
+    for lens in cycle_types:
+        first, rest = power_maps[lens[0]], [power_maps[ell] for ell in lens[1:]]
+        row = []
+        for gi, fi in enumerate(first):
+            val = values[fi]
+            for pm in rest:
+                val = val * values[pm[gi]]
+            row.append(val)
+        out.append(row)
+    return out
+
+
+def _check_power_degree(k: int) -> None:
+    if not 1 <= k <= MAX_POWER_OP_DEGREE:
+        raise CapExceeded(f"total power operation limited to k <= {MAX_POWER_OP_DEGREE}")
+
+
 def total_power(k: int, chi: ClassFunction) -> ClassFunction:
     """P_k(chi)(sigma, g) = product over cycles c of sigma of chi(g^|c|).
 
     Defined on pairs (class of Sym(k), class of chi's group); returned as a
     class function whose class list is the list of pairs in row-major order.
     """
-    if not 1 <= k <= MAX_POWER_OP_DEGREE:
-        raise CapExceeded(f"total power operation limited to k <= {MAX_POWER_OP_DEGREE}")
-    S = sym_group(k)
-    sclasses = conjugacy_classes(S)
-    one = CyclotomicNumber.from_rational(chi.conductor, 1)
-    pairs = []
-    values = []
-    for scls in sclasses:
-        lens = scls.representative.cycle_lengths()
-        for gcls in chi.classes:
-            g = gcls.representative
-            val = one
-            for ell in lens:
-                try:
-                    val = val * chi.values[chi.class_index(g**ell)]
-                except KeyError:
-                    raise ValueError("class list is not closed under powers") from None
-            pairs.append((scls, gcls))
-            values.append(val)
+    _check_power_degree(k)
+    sclasses = conjugacy_classes(sym_group(k))
+    rows = _cycle_products(chi, [scls.representative.cycle_lengths() for scls in sclasses])
+    pairs = [(scls, gcls) for scls in sclasses for gcls in chi.classes]
+    values = [val for row in rows for val in row]
     label = chi.label and f"P{k}({chi.label})"
     return ClassFunction(None, pairs, values, chi.conductor, label)
 
@@ -934,19 +955,18 @@ def psi_level(p: int, k: int, chi: ClassFunction, *, j: int = 1) -> ClassFunctio
     """Total power operation at p^k, restricted along the translation
     embedding of Z/p^k into Sym(p^k), evaluated at the image of a unit j.
 
-    The contract (checked by the acceptance suite, not assumed here) is that
-    the composite equals adams_psi(p^k, chi).
+    Only the row of P_{p^k}(chi) at the class of the translation x -> x + j
+    is needed, and that row depends only on the translation's cycle type, so
+    neither Sym(p^k) nor the rest of P_{p^k}(chi) is built.  The contract
+    (checked by the acceptance suite, not assumed here) is that the composite
+    equals adams_psi(p^k, chi).
     """
     if math.gcd(j, p) != 1:
         raise ValueError("evaluation point must be a unit at p")
     size = p**k
-    P = total_power(size, chi)
-    S = sym_group(size)
-    sclasses = conjugacy_classes(S)
+    _check_power_degree(size)
     cayley = Permutation(tuple((x + j) % size for x in range(size)))
-    sidx = next(i for i, cls in enumerate(sclasses) if cayley in cls.members)
-    n = len(chi.classes)
-    values = [P.values[sidx * n + gi] for gi in range(n)]
+    (values,) = _cycle_products(chi, [cayley.cycle_lengths()])
     label = chi.label and f"psi_level[{p}^{k}]({chi.label})"
     return ClassFunction(chi.group, chi.classes, values, chi.conductor, label)
 

@@ -636,7 +636,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(command="fix")
         sp.add_argument("--group", help="group expression (trivial action)")
         sp.add_argument("--gset", metavar="PATH", help="JSON description of the action")
-        sp.add_argument("--p", type=_prime, required=(action != "loops-check"))
+        if action != "loops-check":
+            # loops-check takes p from the group order
+            sp.add_argument("--p", type=_prime, required=True)
         sp.add_argument("--n", type=int, required=True)
 
     st = sub.add_parser("selftest", parents=[common],

@@ -433,7 +433,18 @@ def zpn_set_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
     pieces of size p^d are counted by subgroup_count(p, n, d).  A multiset
     generating-function pass over the piece sizes does the rest.
     """
-    size = p**k
+    if k < 0 or n < 0:
+        raise ValueError("n and k must be >= 0")
+    # the pass below takes (p^k + 2)/2 * sum_d (p^(k-d) + 1) steps; grow p^k
+    # one factor at a time so that a huge k is refused before p^k is built
+    size = 1
+    for _ in range(k):
+        size *= p
+        if size > cap:
+            raise CapExceeded(f"set size {p}^{k} exceeds cap {cap}")
+    steps = (size + 2) * sum(size // p**d + 1 for d in range(k + 1)) // 2
+    if steps > cap:
+        raise CapExceeded(f"generating-function pass of {steps} steps exceeds cap {cap}")
     ways = [0] * (size + 1)
     ways[0] = 1
     for d in range(k + 1):

@@ -421,28 +421,43 @@ def _power_coords(m: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _coordinate(c):
+    """An exact coordinate: an int when the value is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class CyclotomicNumber:
     """An element of the m-th cyclotomic field, in the power basis of a fixed
-    primitive m-th root of unity."""
+    primitive m-th root of unity.
+
+    Coordinates are plain ints whenever they are integral, which covers every
+    character value (an algebraic integer); a Fraction only appears for a
+    genuinely non-integral coordinate, in practice a result of inverse() or
+    descend().  An int and a Fraction with denominator 1 agree under str, ==
+    and hash, so the choice never shows in output.
+    """
 
     __slots__ = ("conductor", "coords")
 
     def __init__(self, conductor: int, coords):
         self.conductor = conductor
         phi = euler_phi(conductor)
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(_coordinate(c) for c in coords)
         if len(coords) != phi:
             raise ValueError(f"expected {phi} coordinates for conductor {conductor}")
         self.coords = coords
 
     @classmethod
     def zero(cls, m: int) -> CyclotomicNumber:
-        return cls(m, (ZERO,) * euler_phi(m))
+        return cls(m, (0,) * euler_phi(m))
 
     @classmethod
     def from_rational(cls, m: int, q) -> CyclotomicNumber:
-        coords = [ZERO] * euler_phi(m)
-        coords[0] = Fraction(q)
+        coords = [0] * euler_phi(m)
+        coords[0] = q
         return cls(m, coords)
 
     @classmethod
@@ -454,7 +469,7 @@ class CyclotomicNumber:
     def from_tally(cls, m: int, tally) -> CyclotomicNumber:
         """Sum of roots of unity given as {exponent: multiplicity}."""
         phi = euler_phi(m)
-        coords = [ZERO] * phi
+        coords = [0] * phi
         table = _power_coords(m)
         for e, cnt in tally.items():
             if cnt == 0:
@@ -490,24 +505,21 @@ class CyclotomicNumber:
         phi = len(self.coords)
         if phi == 0:
             return self
-        prod = [ZERO] * (2 * phi - 1)
+        prod = [0] * (2 * phi - 1)
         for i, a in enumerate(self.coords):
             if a == 0:
                 continue
             for j, b in enumerate(other.coords):
                 if b:
                     prod[i + j] += a * b
-        table = _power_coords(self.conductor)
-        coords = list(prod[:phi])
         m = self.conductor
+        table = _power_coords(m)
+        coords = prod[:phi]
         for e in range(phi, 2 * phi - 1):
             c = prod[e]
             if c == 0:
                 continue
-            row = table[e % m] if e < m else None
-            if row is None:
-                # e >= m: reduce the exponent mod m first
-                row = table[e % m]
+            row = table[e % m]
             for i in range(phi):
                 if row[i]:
                     coords[i] += c * row[i]
@@ -529,11 +541,11 @@ class CyclotomicNumber:
 
     def inverse(self) -> CyclotomicNumber:
         modpoly = [Fraction(c) for c in cyclotomic_int_poly(self.conductor)]
-        g, u, _ = poly_xgcd(list(self.coords), modpoly)
+        g, u, _ = poly_xgcd([Fraction(c) for c in self.coords], modpoly)
         if g != [ONE]:
             raise ZeroDivisionError("not invertible (zero element)")
         coords = poly_mod(u, modpoly)
-        coords = coords + [ZERO] * (len(self.coords) - len(coords))
+        coords = coords + [0] * (len(self.coords) - len(coords))
         return CyclotomicNumber(self.conductor, coords)
 
     def galois(self, u: int) -> CyclotomicNumber:
@@ -543,7 +555,7 @@ class CyclotomicNumber:
             raise ValueError(f"{u} is not a unit modulo {m}")
         table = _power_coords(m)
         phi = len(self.coords)
-        coords = [ZERO] * phi
+        coords = [0] * phi
         for t, c in enumerate(self.coords):
             if c == 0:
                 continue
@@ -566,7 +578,7 @@ class CyclotomicNumber:
         step = M // m
         tableM = _power_coords(M)
         phiM = euler_phi(M)
-        coords = [ZERO] * phiM
+        coords = [0] * phiM
         for t, c in enumerate(self.coords):
             if c == 0:
                 continue
@@ -598,7 +610,7 @@ class CyclotomicNumber:
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coords[0] if self.coords else ZERO
+        return Fraction(self.coords[0]) if self.coords else ZERO
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -5,6 +5,7 @@ abelian groups, modular eigenspace splitting otherwise); several tests run
 both on the same group and require identical value sets.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -31,6 +32,7 @@ from hkr.charmap import (
     psi_level,
     total_power,
 )
+from hkr.cli import run
 from hkr.commuting import is_p_power_order, rank_prediction
 from hkr.errors import CapExceeded, HkrError
 from hkr.groupcore import Permutation, conjugacy_classes, named_group, sym_group
@@ -310,6 +312,40 @@ def test_psi_level_rejects_non_unit_evaluation():
     chi = irreducible_characters(named_group("Sym(3)"))[0]
     with pytest.raises(ValueError):
         psi_level(2, 1, chi, j=2)
+
+
+def test_psi_level_degree_cap():
+    chi = irreducible_characters(named_group("Cyc(3)"))[1]
+    assert 3**2 > MAX_POWER_OP_DEGREE
+    with pytest.raises(CapExceeded):
+        psi_level(3, 2, chi)
+
+
+def test_psi_level_at_another_unit_equals_adams():
+    for spec in ("Q8", "Sym(4)"):
+        for chi in irreducible_characters(named_group(spec)):
+            assert psi_level(2, 2, chi, j=3) == adams_psi(4, chi)
+
+
+# sha256 of the JSON stdout of each command, taken from the implementation
+# that built all of P_{p^k} and Sym(p^k) and multiplied Fraction coordinates
+POWER_OP_STDOUT_SHA256 = {
+    ("Dih(6)", "adams --k 2"): "8142cc0f4e259495a31130456f51d7fc41f6b4f6d83615164f3b45c6c5292690",
+    ("Dih(6)", "power-op --k 3"): "a81ccac2036488153107e2a12cdfef0da060d82753d68e2b5c117cad1f0f7dc7",
+    ("Dih(6)", "psi-level --p 2 --k 2"): "98d36210693fde1b3f4014354ac508576ca0656c5901f39bb83b26e0f8b44ff2",
+    ("Q8", "adams --k 2"): "f91f36bd050b7b0b952a1a6c5d03fb089af46e5dce734397b399f98235bdc4f3",
+    ("Q8", "power-op --k 3"): "2a12eaa46666c27d738f281ef12a2a0c003039b1f050c4ac7300cfb4beb5d33a",
+    ("Q8", "psi-level --p 2 --k 2"): "9c26c501da3a7da435cc1c016a72cc6c955f035ed357875521dbddaf13583bc5",
+}
+
+
+@pytest.mark.parametrize("group,command", sorted(POWER_OP_STDOUT_SHA256))
+def test_power_operation_json_frozen(capsys, group, command):
+    code = run(command.split() + ["--group", group, "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == POWER_OP_STDOUT_SHA256[(group, command)]
 
 
 def test_galois_fixed_dim_equals_rank_prediction():

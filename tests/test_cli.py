@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,33 @@ def test_fix_loops_smoke(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["hom_count"] == 40
+
+
+def test_loops_check_takes_no_p(capsys):
+    # p comes from the group order; an ignored --p used to split the cache
+    argv = ["fix", "loops-check", "--group", "Dih(4)", "--n", "2", "--no-cache", "--format", "plain"]
+    code, out, err = invoke(capsys, argv + ["--p", "3"])
+    assert code == 2
+    assert out == ""
+    assert "--p" in err
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0
+    assert out == "ok\n"
+
+
+def test_zpn_sets_refuses_huge_level_quickly():
+    # p^40 entries used to be allocated before any cap ran (MemoryError)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["zpn-sets", "--p", "2", "--n", "1", "--k", "40", "--no-cache"]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "hkr", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "cap" in done.stderr
 
 
 def test_fix_accepts_gset_file(tmp_path, capsys):

@@ -223,3 +223,13 @@ def test_work_caps_raise():
         hom_tuples(G, 2, 2, work_cap=10)
     with pytest.raises(CapExceeded):
         gl_matrices(2, 3, 3, cap=10)
+
+
+def test_zpn_set_count_checks_its_work_before_allocating():
+    with pytest.raises(CapExceeded):
+        zpn_set_count(2, 1, 40)
+    with pytest.raises(CapExceeded):
+        zpn_set_count(2, 1, 6, cap=200)  # p^k = 64 fits, the 4 422-step pass does not
+    assert zpn_set_count(2, 1, 6, cap=4422) == zpn_set_count(2, 1, 6)
+    with pytest.raises(ValueError):
+        zpn_set_count(2, 1, -1)

@@ -244,3 +244,36 @@ def test_qq_context():
     assert QQ.from_int(5) == Fraction(5)
     assert QQ.is_unit(Fraction(1, 7))
     assert not QQ.is_unit(Fraction(0))
+
+
+def test_integral_values_have_int_coordinates():
+    values = [
+        CyclotomicNumber.from_tally(12, {0: 2, 3: 1, 5: 4}),
+        CyclotomicNumber.from_rational(7, 3),
+        CyclotomicNumber.zero(9),
+        zeta(5, 3),
+        (zeta(12) + 2) * zeta(12, 7) * (zeta(12, 5) - 3),
+        (zeta(4) + 1).promote(12).galois(5),
+    ]
+    for x in values:
+        assert all(type(c) is int for c in x.coords), x
+
+
+def test_integral_fraction_coordinates_normalise_to_int():
+    for m in (3, 4, 6):
+        a = CyclotomicNumber(m, [Fraction(3), 0])
+        b = CyclotomicNumber(m, [3, 0])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.to_text() == b.to_text() == "3"
+        assert all(type(c) is int for c in a.coords)
+
+
+def test_inverse_of_non_unit_keeps_fraction_coordinates():
+    x = 1 + zeta(4)  # norm 2, not a unit in Z[i]
+    inv = x.inverse()
+    assert any(type(c) is Fraction for c in inv.coords)
+    assert inv.coords == (Fraction(1, 2), Fraction(-1, 2))
+    one = x * inv
+    assert one == 1 and one == CyclotomicNumber.from_rational(4, 1)
+    assert all(type(c) is int for c in one.coords)
