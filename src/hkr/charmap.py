@@ -29,15 +29,15 @@ from .commuting import is_p_power_order
 from .errors import CapExceeded, HkrError
 from .groupcore import FiniteGroup, Permutation, conjugacy_classes, sym_group
 from .rings import (
-    QQ,
-    CyclotomicField,
     CyclotomicNumber,
+    _accumulate,
     _power_coords,
     euler_phi,
     is_prime,
     mat_nullspace_dim,
     mat_rank,
     prime_factors,
+    rref_mod,
 )
 
 __all__ = [
@@ -62,33 +62,9 @@ MAX_POWER_OP_DEGREE = 8
 _ABELIAN_WORK_CAP = 50_000_000
 
 
-def _tally_coords(tally, m: int) -> tuple[int, ...]:
-    rows = _power_coords(m)
-    phi = len(rows[0])
-    out = [0] * phi
-    for e, cnt in tally.items():
-        if not cnt:
-            continue
-        row = rows[e % m]
-        for t in range(phi):
-            if row[t]:
-                out[t] += cnt * row[t]
-    return tuple(out)
-
-
-def _reduce_dense(acc: list[int], m: int) -> tuple[int, ...]:
-    rows = _power_coords(m)
-    phi = len(rows[0])
-    out = [0] * phi
-    for e in range(m):
-        v = acc[e]
-        if not v:
-            continue
-        row = rows[e]
-        for t in range(phi):
-            if row[t]:
-                out[t] += v * row[t]
-    return tuple(out)
+def _tally_coords(terms, m: int) -> tuple[int, ...]:
+    """Power-basis coordinates of sum c * zeta_m^e over the (e, c) in terms."""
+    return tuple(_accumulate([0] * len(_power_coords(m)[0]), terms, m))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -298,37 +274,8 @@ def _poly_roots_mod(coeffs: list[int], q: int) -> list[tuple[int, int]]:
     return roots
 
 
-def _rref_mod(rows: list[list[int]], q: int):
-    rows = [r[:] for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [v * inv % q for v in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rr, rp = rows[r], rows[rank]
-                for c2 in range(ncols):
-                    rr[c2] = (rr[c2] - f * rp[c2]) % q
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rows[:rank], pivots
-
-
 def _nullspace_mod(M: list[list[int]], q: int) -> list[list[int]]:
-    red, pivots = _rref_mod(M, q)
+    red, pivots = rref_mod(M, q)
     ncols = len(M[0])
     pivot_set = set(pivots)
     basis = []
@@ -393,18 +340,12 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             roots = _poly_roots_mod(_charpoly_mod(M, q), q)
             total = 0
             for lam, mult in roots:
-                shifted = [
-                    [(M[s][t] - (lam if s == t else 0)) % q for t in range(d)]
-                    for s in range(d)
-                ]
+                shifted = [[M[s][t] - (lam if s == t else 0) for t in range(d)] for s in range(d)]
                 null = _nullspace_mod(shifted, q)
                 if len(null) != mult:
                     raise HkrError("class matrix is not semisimple over F_q")
-                lifted = [
-                    [sum(c[s] * B[s][col] for s in range(d)) % q for col in range(r)]
-                    for c in null
-                ]
-                red, piv2 = _rref_mod(lifted, q)
+                lifted = [[sum(c[s] * B[s][col] for s in range(d)) for col in range(r)] for c in null]
+                red, piv2 = rref_mod(lifted, q)
                 pivots_of[id(red)] = piv2
                 next_spaces.append(red)
                 total += mult
@@ -546,7 +487,7 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_TABLE_CAP) -> Characte
     else:
         rows = _dixon_rows(G, classes, m)
 
-    keys = {id(row): tuple(_tally_coords(t, m) for t in row) for row in rows}
+    keys = {id(row): tuple(_tally_coords(t.items(), m) for t in row) for row in rows}
     rows.sort(key=lambda row: keys[id(row)], reverse=True)
     rows.sort(key=lambda row: row[0].get(0, 0))
     if sum(row[0].get(0, 0) ** 2 for row in rows) != G.order:
@@ -591,7 +532,7 @@ def _certify_root_sum_zero(m: int, d: int) -> None:
     if key in _root_sum_cache:
         return
     step = m // d
-    if _tally_coords({t * step: 1 for t in range(d)}, m) != (0,) * euler_phi(m):
+    if _tally_coords(((t * step, 1) for t in range(d)), m) != (0,) * euler_phi(m):
         raise HkrError(f"sum of {d}-th roots of unity is not zero at conductor {m}")
     _root_sum_cache.add(key)
 
@@ -698,7 +639,7 @@ def _orthogonality_direct(table: CharacterTable) -> OrthogonalityReport:
                     for b, cb in tj.items():
                         acc[(a - b) % m] += wca * cb
             want = _target_coords(m, order if i == j else 0)
-            if _reduce_dense(acc, m) != want:
+            if _tally_coords(enumerate(acc), m) != want:
                 rows_ok = False
                 failures.append(("row", i, j))
     cols_ok = True
@@ -711,7 +652,7 @@ def _orthogonality_direct(table: CharacterTable) -> OrthogonalityReport:
                     for b, cb in t2.items():
                         acc[(a - b) % m] += ca * cb
             want = _target_coords(m, order // sizes[c] if c == c2 else 0)
-            if _reduce_dense(acc, m) != want:
+            if _tally_coords(enumerate(acc), m) != want:
                 cols_ok = False
                 failures.append(("column", c, c2))
     return OrthogonalityReport(rows_ok, cols_ok, tuple(failures))
@@ -880,15 +821,14 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
     for e in range(1, m):
         zp[e] = zp[e - 1] * z % q
     mat_q = [
-        [sum(cnt * zp[e % m] for e, cnt in table.rows[i][k].items()) % q for k in idx]
+        [sum(cnt * zp[e % m] for e, cnt in table.rows[i][k].items()) for k in idx]
         for i in range(table.size)
     ]
-    _, pivots = _rref_mod(mat_q, q)
+    _, pivots = rref_mod(mat_q, q)
     if len(pivots) == len(idx):
         return len(idx)
-    field = CyclotomicField(m)
     mat = [[table.value(i, k) for k in idx] for i in range(table.size)]
-    return mat_rank(mat, field)
+    return mat_rank(mat)
 
 
 def adams_psi(m: int, chi: ClassFunction) -> ClassFunction:
@@ -1016,5 +956,5 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
         if not stacked:
             total += phi2
         else:
-            total += mat_nullspace_dim(stacked, QQ)
+            total += mat_nullspace_dim(stacked)
     return total

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -110,8 +111,18 @@ def _resolve_cache_path(args) -> str | None:
     return str(base / "hkr")
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over the package's own sources, so that a change to the code
+    never serves bytes cached by an earlier version."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _cache_key(args) -> str:
-    parts = [SCHEMA_VERSION, args.command]
+    parts = [SCHEMA_VERSION, _code_digest(), args.command]
     skip = {"command", "cache", "no_cache", "verbose"}
     for name in sorted(vars(args)):
         if name in skip:
@@ -673,8 +684,8 @@ def run(argv=None) -> int:
     cache_path = _resolve_cache_path(args)
     start = time.perf_counter()
     try:
-        key = _cache_key(args)
         if cache_path is not None:
+            key = _cache_key(args)
             hit = _cache_load(cache_path, key)
             if hit is not None:
                 if args.verbose:

@@ -24,7 +24,7 @@ from .groupcore import (
     conjugacy_classes,
     orbit_search,
 )
-from .rings import mat_rank, prime_field
+from .rings import rref_mod
 
 __all__ = [
     "CommutingTuple",
@@ -271,7 +271,7 @@ class GLMatrix:
             raise ValueError("matrix is not invertible modulo p")
 
     def _invertible(self) -> bool:
-        return mat_rank(self.rows, prime_field(self.p)) == self.n
+        return len(rref_mod(self.rows, self.p)[1]) == self.n
 
     def __mul__(self, other: GLMatrix) -> GLMatrix:
         mod = self.p**self.k
@@ -369,7 +369,8 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
 
     Subgroups are grown one index-p layer at a time: every subgroup of order
     p^(j+1) arises from one of order p^j by adjoining an element x with
-    p*x inside it.  Applies only while p^(k*n) stays under the cap.
+    p*x inside it.  Each scanned pair (H, x) is charged to a work budget of
+    cap, which is checked before each subgroup's scan.
     """
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
@@ -381,9 +382,13 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
     ambient = list(iter_product(range(mod), repeat=n))
     zero = (0,) * n
     level = {frozenset([zero])}
+    budget = cap
     for _ in range(k):
         nxt = set()
         for H in level:
+            budget -= len(ambient)
+            if budget < 0:
+                raise CapExceeded(f"subgroup enumeration exceeds work cap {cap}")
             for x in ambient:
                 if x in H:
                     continue

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import QQ, ZZ, Integers, ModularIntegers, Rationals, poly_trim
+from .rings import QQ, ModularIntegers, Rationals, poly_trim
 
 __all__ = [
     "TruncatedSeries",
@@ -397,11 +397,11 @@ def _map_series(s: TruncatedSeries, ring: ModularIntegers) -> TruncatedSeries:
 
 
 def reduce_series_mod(s: TruncatedSeries, p: int, N: int = 1) -> TruncatedSeries:
-    """Reduce a series over QQ or ZZ into integers mod p^N (denominators must
-    be prime to p)."""
-    if isinstance(s.ring, (Rationals, Integers)):
+    """Reduce a series over QQ into integers mod p^N (denominators must be
+    prime to p)."""
+    if isinstance(s.ring, Rationals):
         return _map_series(s, ModularIntegers(p, N))
-    raise ValueError("reduction applies to series over QQ or ZZ")
+    raise ValueError("reduction applies to series over QQ")
 
 
 def fgl_sum(law: FormalGroupLaw, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -430,17 +430,24 @@ def fgl_inverse(law: FormalGroupLaw, f: TruncatedSeries) -> TruncatedSeries:
 
 
 def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
-    """The m-fold formal sum [m](x), for any integer m."""
+    """The m-fold formal sum [m](x), for any integer m.
+
+    Double-and-add on |m| with [a + b](x) = F([a](x), [b](x)), so the cost is
+    O(log |m|) substitutions; [-m] is the formal inverse of [m].
+    """
     D = law.degree
-    x = TruncatedSeries.variable(law.ring, 1, D, 0)
-    if m == 0:
-        return TruncatedSeries.zero(law.ring, 1, D)
-    cur = TruncatedSeries.zero(law.ring, 1, D)
-    for _ in range(abs(m)):
-        cur = law.series.substitute([x, cur])
+    out = TruncatedSeries.zero(law.ring, 1, D)
+    power = TruncatedSeries.variable(law.ring, 1, D, 0)  # [2^i](x)
+    k = abs(m)
+    while k:
+        if k & 1:
+            out = law.series.substitute([power, out])
+        k >>= 1
+        if k:
+            power = law.series.substitute([power, power])
     if m < 0:
-        cur = fgl_inverse(law, cur)
-    return cur
+        out = fgl_inverse(law, out)
+    return out
 
 
 def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:

@@ -17,8 +17,6 @@ from math import gcd
 
 from .errors import CapExceeded
 from .rings import (
-    QQ,
-    PolyQuotientField,
     cyclotomic_int_poly,
     euler_phi,
     mat_det,
@@ -168,28 +166,47 @@ class RingElement:
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.element([other])
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError("elements live in different rings")
         return other
 
+    # sums of reduced elements are reduced: no division by the modulus
+
     def __add__(self, other):
         other = self._check(other)
-        return self.ring.element(poly_add(list(self.coeffs), list(other.coeffs)))
+        return RingElement(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        return self.ring.element(poly_sub(list(self.coeffs), list(other.coeffs)))
+        return RingElement(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rsub__(self, other):
+        return self._check(other) - self
 
     def __neg__(self):
-        return self.ring.element([-c for c in self.coeffs])
+        return RingElement(self.ring, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
         other = self._check(other)
         return self.ring.element(poly_mul(list(self.coeffs), list(other.coeffs)))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._check(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def inverse(self) -> RingElement:
+        """The multiplicative inverse; raises ZeroDivisionError on a non-unit."""
+        modulus = [Fraction(c) for c in self.ring.modulus]
+        g, u, _ = poly_xgcd([Fraction(c) for c in self.coeffs], modulus)
+        if g != [Fraction(1)]:
+            raise ZeroDivisionError(f"{self.to_text()} is not a unit in {self.ring.label}")
+        return self.ring.element(u)
 
     def __pow__(self, k: int):
         out = self.ring.one
@@ -275,28 +292,26 @@ def vandermonde_det(p: int, k: int, *, cap=VANDERMONDE_CAP):
         prod = prod * a ** (size - 1)
     det_residues = []
     comps = []
-    for fi, factor in enumerate(ring.crt_factors):
-        field = PolyQuotientField([Fraction(c) for c in factor])
+    for factor in ring.crt_factors:
+        field = QuotientRing(factor, [factor])
         rows = []
-        for j in range(size):
-            res = poly_mod([Fraction(c) for c in images[j].coeffs], list(field.modulus))
-            val = tuple(res) + (Fraction(0),) * (field.dim - len(res))
+        for a in images:
+            val = field.element(a.coeffs)
             row = [field.one]
             for _ in range(size - 1):
-                row.append(field.mul(row[-1], val))
+                row.append(row[-1] * val)
             rows.append(row)
-        det_c = mat_det(rows, field)
-        prod_res = poly_mod([Fraction(c) for c in prod.coeffs], list(field.modulus))
-        prod_c = tuple(prod_res) + (Fraction(0),) * (field.dim - len(prod_res))
-        det_residues.append(det_c)
-        dz, pz = field.is_zero(det_c), field.is_zero(prod_c)
+        det_c = mat_det(rows)
+        prod_c = field.element(prod.coeffs)
+        det_residues.append(det_c.coeffs)
+        dz, pz = det_c.is_zero(), prod_c.is_zero()
         if dz and pz:
-            comps.append((poly_to_text(factor), det_c, prod_c, "both_zero", None))
+            status, unit = "both_zero", None
         elif dz or pz:
-            comps.append((poly_to_text(factor), det_c, prod_c, "mismatch", None))
+            status, unit = "mismatch", None
         else:
-            unit = field.mul(det_c, field.inv(prod_c))
-            comps.append((poly_to_text(factor), det_c, prod_c, "unit", unit))
+            status, unit = "unit", (det_c / prod_c).coeffs
+        comps.append((poly_to_text(factor), det_c.coeffs, prod_c.coeffs, status, unit))
     det = ring.crt_lift(det_residues)
     return det, VandermondeReport(p, k, tuple(comps))
 
@@ -398,7 +413,7 @@ def galois_fixed_dimension(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> int:
             stacked.append([columns[t][s] - (1 if s == t else 0) for t in range(n)])
     if not stacked:
         return n
-    return mat_nullspace_dim(stacked, QQ)
+    return mat_nullspace_dim(stacked)
 
 
 def tower_map(p: int, k: int, a: RingElement, *, cap=DEFAULT_LEVEL_CAP) -> RingElement:

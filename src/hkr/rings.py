@@ -13,13 +13,9 @@ from math import gcd
 
 __all__ = [
     "Rationals",
-    "Integers",
     "ModularIntegers",
-    "CyclotomicField",
     "CyclotomicNumber",
-    "PolyQuotientField",
     "QQ",
-    "ZZ",
     "prime_field",
     "euler_phi",
     "is_prime",
@@ -44,6 +40,7 @@ __all__ = [
     "mat_nullspace_dim",
     "mat_det",
     "mat_solve",
+    "rref_mod",
     "zeta",
 ]
 
@@ -258,9 +255,6 @@ class Rationals:
     zero = ZERO
     one = ONE
 
-    def from_int(self, n):
-        return Fraction(n)
-
     def add(self, a, b):
         return a + b
 
@@ -291,46 +285,6 @@ class Rationals:
         return "QQ"
 
 
-class Integers:
-    """The ring of integers."""
-
-    name = "ZZ"
-    zero = 0
-    one = 1
-
-    def from_int(self, n):
-        return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a in (1, -1)
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in ZZ")
-
-    def text(self, a):
-        return str(a)
-
-    def __repr__(self):
-        return "ZZ"
-
-
 class ModularIntegers:
     """Integers modulo p^N for a prime p; a field when N == 1."""
 
@@ -343,9 +297,6 @@ class ModularIntegers:
         self.name = f"Z/{p}^{N}" if N > 1 else f"F{p}"
         self.zero = 0
         self.one = 1 % self.modulus
-
-    def from_int(self, n):
-        return n % self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -384,7 +335,6 @@ class ModularIntegers:
 
 
 QQ = Rationals()
-ZZ = Integers()
 
 
 def prime_field(p: int) -> ModularIntegers:
@@ -419,6 +369,17 @@ def _power_coords(m: int) -> list[tuple[int, ...]]:
         cur = nxt
     _POWER_COORDS[m] = rows
     return rows
+
+
+def _accumulate(coords: list, terms, m: int) -> list:
+    """Add c * zeta_m^e to the power-basis coordinates for each (e, c) in terms."""
+    table = _power_coords(m)
+    for e, c in terms:
+        if c:
+            for i, r in enumerate(table[e % m]):
+                if r:
+                    coords[i] += c * r
+    return coords
 
 
 def _coordinate(c):
@@ -468,17 +429,7 @@ class CyclotomicNumber:
     @classmethod
     def from_tally(cls, m: int, tally) -> CyclotomicNumber:
         """Sum of roots of unity given as {exponent: multiplicity}."""
-        phi = euler_phi(m)
-        coords = [0] * phi
-        table = _power_coords(m)
-        for e, cnt in tally.items():
-            if cnt == 0:
-                continue
-            row = table[e % m]
-            for i in range(phi):
-                if row[i]:
-                    coords[i] += cnt * row[i]
-        return cls(m, coords)
+        return cls(m, _accumulate([0] * euler_phi(m), tally.items(), m))
 
     def _binop_check(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -497,6 +448,9 @@ class CyclotomicNumber:
         other = self._binop_check(other)
         return CyclotomicNumber(self.conductor, [a - b for a, b in zip(self.coords, other.coords)])
 
+    def __rsub__(self, other):
+        return self._binop_check(other) - self
+
     def __neg__(self):
         return CyclotomicNumber(self.conductor, [-a for a in self.coords])
 
@@ -513,19 +467,16 @@ class CyclotomicNumber:
                 if b:
                     prod[i + j] += a * b
         m = self.conductor
-        table = _power_coords(m)
-        coords = prod[:phi]
-        for e in range(phi, 2 * phi - 1):
-            c = prod[e]
-            if c == 0:
-                continue
-            row = table[e % m]
-            for i in range(phi):
-                if row[i]:
-                    coords[i] += c * row[i]
-        return CyclotomicNumber(self.conductor, coords)
+        coords = _accumulate(prod[:phi], enumerate(prod[phi:], phi), m)
+        return CyclotomicNumber(m, coords)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._binop_check(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def __pow__(self, k: int):
         if k < 0:
@@ -553,17 +504,8 @@ class CyclotomicNumber:
         m = self.conductor
         if gcd(u, m) != 1:
             raise ValueError(f"{u} is not a unit modulo {m}")
-        table = _power_coords(m)
-        phi = len(self.coords)
-        coords = [0] * phi
-        for t, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            row = table[(t * u) % m]
-            for i in range(phi):
-                if row[i]:
-                    coords[i] += c * row[i]
-        return CyclotomicNumber(m, coords)
+        terms = ((t * u, c) for t, c in enumerate(self.coords))
+        return CyclotomicNumber(m, _accumulate([0] * len(self.coords), terms, m))
 
     def conjugate(self) -> CyclotomicNumber:
         return self.galois(-1 % self.conductor) if self.conductor > 1 else self
@@ -576,17 +518,8 @@ class CyclotomicNumber:
         if M == m:
             return self
         step = M // m
-        tableM = _power_coords(M)
-        phiM = euler_phi(M)
-        coords = [0] * phiM
-        for t, c in enumerate(self.coords):
-            if c == 0:
-                continue
-            row = tableM[(t * step) % M]
-            for i in range(phiM):
-                if row[i]:
-                    coords[i] += c * row[i]
-        return CyclotomicNumber(M, coords)
+        terms = ((t * step, c) for t, c in enumerate(self.coords))
+        return CyclotomicNumber(M, _accumulate([0] * euler_phi(M), terms, M))
 
     def descend(self, m2: int) -> CyclotomicNumber:
         """Rewrite in the conductor-m2 subfield; raises if the value is not there."""
@@ -599,7 +532,7 @@ class CyclotomicNumber:
         basis = [CyclotomicNumber.root(m2, j).promote(m) for j in range(phi2)]
         cols = [b.coords for b in basis]
         target = list(self.coords)
-        sol = mat_solve([list(col) for col in zip(*cols)], target, QQ)
+        sol = mat_solve([list(col) for col in zip(*cols)], target)
         if sol is None:
             raise ValueError("value does not lie in the requested subfield")
         return CyclotomicNumber(m2, sol)
@@ -641,199 +574,130 @@ def zeta(m: int, j: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.root(m, j)
 
 
-class CyclotomicField:
-    """Ring context for a fixed cyclotomic field."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.name = f"Q(zeta_{m})"
-        self.zero = CyclotomicNumber.zero(m)
-        self.one = CyclotomicNumber.from_rational(m, 1)
-
-    def from_int(self, n):
-        return CyclotomicNumber.from_rational(self.m, n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def is_unit(self, a):
-        return not a.is_zero()
-
-    def inv(self, a):
-        return a.inverse()
-
-    def text(self, a):
-        return a.to_text()
-
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicField) and self.m == other.m
-
-    def __hash__(self):
-        return hash(("cyclo", self.m))
-
-    def __repr__(self):
-        return self.name
-
-
-class PolyQuotientField:
-    """Q[x]/(f) for a monic irreducible f over Q; elements are coefficient tuples."""
-
-    def __init__(self, modulus, label=""):
-        self.modulus = [Fraction(c) for c in poly_trim(modulus)]
-        self.dim = len(self.modulus) - 1
-        self.name = label or f"QQ[x]/({poly_to_text(self.modulus)})"
-        self.zero = (ZERO,) * self.dim
-        self.one = tuple([ONE] + [ZERO] * (self.dim - 1)) if self.dim else ()
-
-    def element(self, coeffs):
-        red = poly_mod([Fraction(c) for c in coeffs], self.modulus)
-        return tuple(red) + (ZERO,) * (self.dim - len(red))
-
-    def from_int(self, n):
-        return self.element([n])
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x for x in a)
-
-    def mul(self, a, b):
-        return self.element(poly_mul(list(a), list(b)))
-
-    def is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def is_unit(self, a):
-        return not self.is_zero(a)
-
-    def inv(self, a):
-        g, u, _ = poly_xgcd(list(a), self.modulus)
-        if g != [ONE]:
-            raise ZeroDivisionError("element is not invertible in the quotient field")
-        return self.element(u)
-
-    def text(self, a):
-        return poly_to_text(list(a))
-
-    def __repr__(self):
-        return self.name
-
-
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination over any field context
+# exact Gaussian elimination
 
 
-def _rref(rows, field):
+def _rref(rows, *, upward=True):
+    """Reduced row echelon form by the entries' own arithmetic.
+
+    Entries may be ints, Fractions, CyclotomicNumbers, or elements of a
+    quotient ring that is a field; pivots are inverted as ONE / lead, so int
+    input yields Fractions.  Returns (rows, pivot columns, determinant); the
+    determinant is the signed product of the pivots and means the
+    determinant of a square input only when every column has a pivot.  A
+    pivot row is zero left of its pivot, so only the columns from the pivot
+    on are rewritten.  With upward=False the rows above each pivot are left
+    alone (row echelon form), which is all the rank and determinant need.
+    """
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
+    pivots = []
+    det = ONE
+    rank = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if rows[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = -det
+        prow = rows[rank]
+        lead = prow[col]
+        det = det * lead
+        inv = ONE / lead
+        tail = prow[col:] = [inv * x for x in prow[col:]]
+        for r in range(0 if upward else rank + 1, nrows):
+            row = rows[r]
+            f = row[col]
+            if r != rank and f != 0:
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return rows, pivots, det
+
+
+def rref_mod(rows, q: int):
+    """Reduced row echelon form over F_q (q prime) of an integer matrix,
+    reducing entries mod q as they are copied; returns the nonzero reduced
+    rows and the pivot columns."""
+    rows = [[v % q for v in r] for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
     rank = 0
     for col in range(ncols):
         piv = None
         for r in range(rank, nrows):
-            if not field.is_zero(rows[r][col]):
+            if rows[r][col]:
                 piv = r
                 break
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        rp = rows[rank]
+        inv = pow(rp[col], -1, q)
+        rp[col:] = [v * inv % q for v in rp[col:]]
         for r in range(nrows):
-            if r != rank and not field.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+            rr = rows[r]
+            f = rr[col]
+            if r != rank and f:
+                for c2 in range(col, ncols):
+                    rr[c2] = (rr[c2] - f * rp[c2]) % q
         pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return rows, pivots
+    return rows[:rank], pivots
 
 
-def mat_rank(rows, field=QQ) -> int:
-    if not rows:
-        return 0
-    _, pivots = _rref(rows, field)
-    return len(pivots)
+def mat_rank(rows) -> int:
+    return len(_rref(rows, upward=False)[1]) if rows else 0
 
 
-def mat_nullspace_dim(rows, field=QQ) -> int:
-    if not rows:
-        return 0
-    return len(rows[0]) - mat_rank(rows, field)
+def mat_nullspace_dim(rows) -> int:
+    return len(rows[0]) - mat_rank(rows) if rows else 0
 
 
-def mat_nullspace(rows, field=QQ):
+def mat_nullspace(rows):
     """Basis of the right nullspace, one vector per non-pivot column."""
     if not rows:
         return []
-    red, pivots = _rref(rows, field)
+    red, pivots, _ = _rref(rows)
     ncols = len(rows[0])
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
+        vec = [ZERO] * ncols
+        vec[free] = ONE
         for r, col in enumerate(pivots):
-            vec[col] = field.neg(red[r][free])
+            vec[col] = -red[r][free]
         basis.append(vec)
     return basis
 
 
-def mat_det(rows, field=QQ):
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = field.one
-    sign = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not field.is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return field.zero
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        det = field.mul(det, rows[col][col])
-        inv = field.inv(rows[col][col])
-        for r in range(col + 1, n):
-            if not field.is_zero(rows[r][col]):
-                f = field.mul(rows[r][col], inv)
-                rows[r] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[r], rows[col])]
-    if sign < 0:
-        det = field.neg(det)
-    return det
+def mat_det(rows):
+    """Determinant of a square matrix, in the entries' own arithmetic."""
+    _, pivots, det = _rref(rows, upward=False)
+    return det if len(pivots) == len(rows) else det * 0  # a zero of det's type
 
 
-def mat_solve(rows, rhs, field=QQ):
+def mat_solve(rows, rhs):
     """Solve A x = b; returns one solution or None if inconsistent."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = _rref(aug, field)
+    red, pivots, _ = _rref(aug)
     ncols = len(rows[0]) if rows else 0
     if ncols in pivots:
         return None
-    x = [field.zero] * ncols
+    x = [ZERO] * ncols
     for r, col in enumerate(pivots):
         x[col] = red[r][ncols]
     return x

@@ -267,3 +267,47 @@ def test_cache_entry_round_trip():
     assert CacheEntry.from_json(entry.to_json()) == entry
     with pytest.raises(KeyError):
         CacheEntry.from_json({"key": "k"})
+
+
+def test_code_change_misses_the_cache(tmp_path, capsys, monkeypatch):
+    import hkr.cli
+
+    monkeypatch.delenv("HKR_CACHE", raising=False)
+    argv = ["rank", "--group", "Q8", "--p", "2", "--n", "2", "--cache", str(tmp_path), "--verbose"]
+    _, cold, _ = invoke(capsys, argv)
+    code, warm, err = invoke(capsys, argv)
+    assert code == 0 and warm == cold
+    assert "# cache hit" in err
+    monkeypatch.setattr(hkr.cli, "_code_digest", lambda: "0" * 64)
+    code, fresh, err = invoke(capsys, argv)
+    assert code == 0
+    assert fresh == cold
+    assert "# cache hit" not in err
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_no_cache_reads_no_sources(capsys, monkeypatch):
+    import hkr.cli
+
+    def unread():
+        raise AssertionError("the code digest is only for cache keys")
+
+    monkeypatch.setattr(hkr.cli, "_code_digest", unread)
+    code, out, _ = invoke(capsys, ["rank", "--group", "Cyc(4)", "--p", "2", "--n", "1", "--no-cache"])
+    assert code == 0 and json.loads(out)["rank"] == 4
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 2, 8), (2, 3, 6)])
+def test_subgroups_refuses_large_enumerations_quickly(p, n, k):
+    # the ambient group passes its size cap; the scan work does not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["subgroups", "--p", str(p), "--n", str(n), "--k", str(k), "--no-cache"]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "hkr", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "cap" in done.stderr

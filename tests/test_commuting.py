@@ -233,3 +233,11 @@ def test_zpn_set_count_checks_its_work_before_allocating():
     assert zpn_set_count(2, 1, 6, cap=4422) == zpn_set_count(2, 1, 6)
     with pytest.raises(ValueError):
         zpn_set_count(2, 1, -1)
+
+
+def test_subgroup_count_charges_every_scanned_pair():
+    # (Z/8)^2: 1 + 3 + 7 subgroups of order 1, 2, 4 are each scanned against
+    # all 64 elements, 704 pairs in all
+    assert subgroup_count(2, 2, 3, cap=704) == hnf_open_subgroup_count(2, 2, 3)
+    with pytest.raises(CapExceeded):
+        subgroup_count(2, 2, 3, cap=703)

@@ -1,6 +1,7 @@
 """Formal group laws: axioms, multiplication series, angle factors."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,31 @@ def test_series_equality_and_truncation():
     assert a.truncate(4).degree == 4
     assert a.truncate(4) != a
     assert series_to_poly(a) == [Fraction(0), Fraction(2), Fraction(1)]
+
+
+def _sequential_m_series(law, m):
+    # m substitutions F(x, [j]) and the formal inverse for m < 0
+    x = TruncatedSeries.variable(law.ring, 1, law.degree, 0)
+    cur = TruncatedSeries.zero(law.ring, 1, law.degree)
+    for _ in range(abs(m)):
+        cur = fgl_sum(law, x, cur)
+    return fgl_inverse(law, cur) if m < 0 else cur
+
+
+@pytest.mark.parametrize("name", ["additive", "multiplicative", "honda(2,1)"])
+def test_m_series_double_and_add_matches_the_sequential_sum(name):
+    law = make_fgl(name, D=10)
+    for m in range(-5, 10):
+        assert m_series(law, m) == _sequential_m_series(law, m), m
+
+
+@pytest.mark.parametrize("name,D", [("additive", 16), ("multiplicative", 16), ("honda(2,1)", 8)])
+def test_m_series_of_a_huge_index_is_quick(name, D):
+    # |m| sequential substitutions never finished here
+    law = make_fgl(name, D=D)
+    start = time.perf_counter()
+    series = m_series(law, 10**7)
+    assert time.perf_counter() - start < 5
+    assert series.coefficient(1) == 10**7
+    if name == "multiplicative":
+        assert series.coefficient(2) == math.comb(10**7, 2)

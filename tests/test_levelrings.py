@@ -1,5 +1,6 @@
 """Level rings, the Vandermonde comparison, localization, Galois fixed points."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -8,6 +9,7 @@ import pytest
 
 from hkr.errors import CapExceeded
 from hkr.levelrings import (
+    QuotientRing,
     cpk_ring,
     drinfeld_dk,
     galois_action,
@@ -209,3 +211,49 @@ def test_tower_map_is_a_ring_homomorphism():
 def test_level_cap():
     with pytest.raises(CapExceeded):
         cpk_ring(2, 20)
+
+
+# sha256 of the JSON stdout of `c0-demo vandermonde`, taken from the
+# implementation that reduced each CRT component in a separate field type
+VANDERMONDE_STDOUT_SHA256 = {
+    (2, 1): "37891fce17a7c888acda2ff1095d0387f2192da88639c1db0e28abb301e8966d",
+    (2, 2): "bd160afc144e9440fc34ab46f6979b5403c5b2f7f6b8e36c75c480b4a4a271d8",
+    (3, 1): "a7f58c12dd46ba7bfe855c233f757c3bf2531018b4f51ca9b283b51d7e324fe6",
+    (2, 3): "beda3a2b7c76ce8322e73362ec0ab6ed89d6500f523b5b9cd7cd86cec6dc3a8e",
+    (3, 2): "7ba1596901982e15b154651a962720dc9a39445367213b865b35dc6ba12f1782",
+}
+
+
+@pytest.mark.parametrize("p,k", sorted(VANDERMONDE_STDOUT_SHA256))
+def test_vandermonde_json_frozen(capsys, p, k):
+    from hkr.cli import run
+
+    code = run(["c0-demo", "vandermonde", "--p", str(p), "--k", str(k), "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == VANDERMONDE_STDOUT_SHA256[(p, k)]
+
+
+def test_ring_element_division_round_trips_in_a_component_field():
+    top = cpk_ring(3, 2).crt_factors[-1]  # Phi_9(1+x), degree 6
+    field = QuotientRing(top, [top])
+    a = field.element([1, 2, 0, -1])
+    b = field.element([Fraction(1, 2), 0, 3, 0, 0, 1])
+    assert (a / b) * b == a
+    assert b * (1 / b) == 1
+    assert a / 2 == a * Fraction(1, 2)
+    assert b.inverse() * b == field.one
+    with pytest.raises(ZeroDivisionError):
+        1 / field.zero
+
+
+def test_zero_divisor_has_no_inverse():
+    ring = cpk_ring(2, 1)  # Q[x]/(x^2 + 2x) = Q[x]/(x(x + 2))
+    x = ring.x
+    assert x * (x + 2) == 0
+    with pytest.raises(ZeroDivisionError):
+        1 / x
+    unit = x + 1  # (1 + x)^2 = 1 in this ring
+    assert 1 / unit == unit
+    assert 1 - unit == -x

@@ -8,7 +8,6 @@ import pytest
 
 from hkr.rings import (
     QQ,
-    CyclotomicField,
     CyclotomicNumber,
     ModularIntegers,
     cyclotomic_int_poly,
@@ -29,6 +28,7 @@ from hkr.rings import (
     poly_trim,
     poly_xgcd,
     prime_field,
+    rref_mod,
     zeta,
 )
 
@@ -208,9 +208,9 @@ def test_mat_rank_and_nullspace():
 
 
 def test_mat_rank_over_prime_field():
-    F = prime_field(5)
     rows = [[1, 2], [3, 6]]  # second row is 3x the first mod 5
-    assert mat_rank(rows, F) == 1
+    red, pivots = rref_mod(rows, 5)
+    assert pivots == [0] and red == [[1, 2]]
 
 
 def test_mat_solve():
@@ -222,26 +222,23 @@ def test_mat_solve():
 
 
 def test_cyclotomic_field_context_linear_algebra():
-    K = CyclotomicField(4)
     z = zeta(4)
     one = CyclotomicNumber.from_rational(4, 1)
     rows = [[one, z], [z, -one]]
     # det = -1 - z^2 = 0, so the matrix is singular
-    assert mat_rank(rows, K) == 1
+    assert mat_rank(rows) == 1
 
 
 def test_field_context_inverse():
-    K = CyclotomicField(8)
     z = zeta(8)
     x = z + 1
-    assert K.mul(x, K.inv(x)) == K.one
+    assert x * (1 / x) == 1
     with pytest.raises(ZeroDivisionError):
-        K.inv(K.zero)
+        1 / CyclotomicNumber.zero(8)
 
 
 def test_qq_context():
     assert QQ.inv(Fraction(3, 4)) == Fraction(4, 3)
-    assert QQ.from_int(5) == Fraction(5)
     assert QQ.is_unit(Fraction(1, 7))
     assert not QQ.is_unit(Fraction(0))
 
@@ -277,3 +274,34 @@ def test_inverse_of_non_unit_keeps_fraction_coordinates():
     one = x * inv
     assert one == 1 and one == CyclotomicNumber.from_rational(4, 1)
     assert all(type(c) is int for c in one.coords)
+
+
+def test_int_matrices_eliminate_in_fractions():
+    # the pivot inverse is ONE / lead: 1 / lead on ints would be a float
+    rows = [[2, 1], [1, 3]]
+    x = mat_solve(rows, [5, 10])
+    assert x == [Fraction(1), Fraction(3)]
+    assert all(type(v) is Fraction for v in x)
+    for square in ([[2, 1], [7, 4]], [[0, 3], [5, 7]], [[1, 2], [2, 4]], [[4]]):
+        det = mat_det(square)
+        assert type(det) is Fraction
+        assert det == leibniz_det([[Fraction(c) for c in row] for row in square])
+
+
+def test_mat_det_over_a_cyclotomic_field():
+    z = zeta(3)
+    rows = [[z, 1, 0], [2, z * z, z], [1, 0, 3]]
+    # expansion along the first row
+    want = z * (z * z * 3 - z * 0) - 1 * (2 * 3 - z * 1) + 0
+    assert want == z - 3
+    assert mat_det(rows) == want
+    assert mat_det([[z, z * z], [1, z]]) == 0
+
+
+def test_rref_mod_reduces_entries_as_it_copies():
+    rows = [[7, 12, -3], [2, 4, 6], [9, 16, 3]]  # third row = first + second
+    red, pivots = rref_mod(rows, 5)
+    assert pivots == [0, 1]
+    assert all(0 <= v < 5 for row in red for v in row)
+    assert rows == [[7, 12, -3], [2, 4, 6], [9, 16, 3]]  # input left alone
+    assert rref_mod([[5, 10], [15, 20]], 5) == ([], [])
