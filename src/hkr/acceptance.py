@@ -80,7 +80,7 @@ CriterionResult = namedtuple(
 )
 
 # wall-clock bounds in seconds; criteria without one get None
-TIME_BOUNDS = {1: 10.0, 2: 60.0, 4: 30.0, 7: 30.0, 9: 300.0}
+TIME_BOUNDS = {1: 10.0, 2: 60.0, 3: 10.0, 4: 30.0, 7: 30.0, 9: 300.0, 10: 120.0}
 
 # direct products included in the named-group suite, smallest first
 PRODUCT_SPECS = (

@@ -6,7 +6,10 @@ against the full multiplication structure); nonabelian groups go through the
 class-algebra eigenvector method: simultaneous eigenvectors of the class
 multiplication matrices over a prime field F_q with q = 1 mod exponent(G),
 degrees recovered by modular square roots, and values lifted to sums of roots
-of unity through discrete Fourier analysis of the power-map data.
+of unity class by class: Newton's identities turn the power sums chi(g^s),
+s <= degree, into the characteristic polynomial of rho(g) over F_q, its roots
+among the powers of a root of unity give the eigenvalue multiplicities, and
+all ord(g) power sums are re-checked against them.
 
 Character values are stored as root-of-unity tallies {exponent mod m: count}
 with m the group exponent; conversion to CyclotomicNumber is lazy, so large
@@ -20,6 +23,7 @@ Galois-fixed-subspace dimensions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,7 +35,6 @@ from .groupcore import FiniteGroup, Permutation, conjugacy_classes, sym_group
 from .rings import (
     CyclotomicNumber,
     _accumulate,
-    _power_coords,
     euler_phi,
     is_prime,
     mat_nullspace_dim,
@@ -64,7 +67,7 @@ _ABELIAN_WORK_CAP = 50_000_000
 
 def _tally_coords(terms, m: int) -> tuple[int, ...]:
     """Power-basis coordinates of sum c * zeta_m^e over the (e, c) in terms."""
-    return tuple(_accumulate([0] * len(_power_coords(m)[0]), terms, m))
+    return tuple(_accumulate([0] * euler_phi(m), terms, m))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -153,46 +156,20 @@ def _find_modular_prime(m: int, order: int) -> int:
             raise HkrError(f"no usable prime q = 1 mod {m} found")
 
 
-def _root_of_order(q: int, m: int) -> int:
-    """An element of exact multiplicative order m in F_q (m divides q-1)."""
+def _roots_of_unity(q: int, m: int) -> list[int]:
+    """z^t for t < m, where z has exact multiplicative order m in F_q (m
+    divides q-1); the t-th entry stands for zeta_m^t."""
     primes = prime_factors(q - 1)
     g = 2
     while True:
         if all(pow(g, (q - 1) // ell, q) != 1 for ell in primes):
             break
         g += 1
-    return pow(g, (q - 1) // m, q)
-
-
-def _dft(values: list[int], y: int, q: int) -> list[int]:
-    """X_t = sum_s values[s] * y^(s*t) mod q, where y has order len(values)."""
-    e = len(values)
-    if e == 1:
-        return [values[0] % q]
-    ell = 2
-    while e % ell:
-        ell += 1
-    if ell == e:
-        ys = [1] * e
-        for i in range(1, e):
-            ys[i] = ys[i - 1] * y % q
-        return [sum(values[s] * ys[s * t % e] for s in range(e)) % q for t in range(e)]
-    f = e // ell
-    sub = [_dft(values[j::ell], pow(y, ell, q), q) for j in range(ell)]
-    ys = [1] * e
-    for i in range(1, e):
-        ys[i] = ys[i - 1] * y % q
-    return [
-        sum(ys[j * t % e] * sub[j][t % f] for j in range(ell)) % q for t in range(e)
-    ]
-
-
-def _inverse_dft(values: list[int], y: int, q: int) -> list[int]:
-    """d_t = (1/e) sum_s values[s] * y^(-s*t) mod q."""
-    e = len(values)
-    out = _dft(values, pow(y, -1, q), q)
-    einv = pow(e, -1, q)
-    return [v * einv % q for v in out]
+    z = pow(g, (q - 1) // m, q)
+    zp = [1] * m
+    for t in range(1, m):
+        zp[t] = zp[t - 1] * z % q
+    return zp
 
 
 def _charpoly_mod(M: list[list[int]], q: int) -> list[int]:
@@ -245,11 +222,12 @@ def _charpoly_mod(M: list[list[int]], q: int) -> list[int]:
     return polys[n]
 
 
-def _poly_roots_mod(coeffs: list[int], q: int) -> list[tuple[int, int]]:
-    """Roots with multiplicity; raises if the polynomial does not split."""
+def _poly_roots_mod(coeffs: list[int], q: int, candidates) -> list[tuple[int, int]]:
+    """Roots among the candidates as (position in candidates, multiplicity),
+    in candidate order; raises unless the polynomial splits into them."""
     poly = [c % q for c in coeffs]
     roots = []
-    for x in range(q):
+    for pos, x in enumerate(candidates):
         if len(poly) <= 1:
             break
         mult = 0
@@ -268,10 +246,43 @@ def _poly_roots_mod(coeffs: list[int], q: int) -> list[tuple[int, int]]:
             poly = out
             mult += 1
         if mult:
-            roots.append((x, mult))
+            roots.append((pos, mult))
     if len(poly) > 1:
         raise HkrError("characteristic polynomial does not split over F_q")
     return roots
+
+
+def _eigenvalue_multiplicities(f: list[int], deg: int, powers: list[int], q: int) -> list[int]:
+    """Multiplicity of y^t, t < e, as an eigenvalue of rho(g), given the power
+    sums f[s] = chi(g^s) mod q for s < e and powers[t] = y^t, y of order
+    e = len(f) in F_q.
+
+    Newton's identities divide by k <= deg, safe since deg^2 <= |G| < q.  The
+    matrix (y^(s*t)) is invertible mod q, so once all e power sums are
+    re-checked the multiplicities are exactly the inverse DFT of f.
+    """
+    e = len(f)
+    # k * s_k = sum_{i=1..k} (-1)^(i-1) s_(k-i) p_i for the elementary s_k
+    elem = [1]
+    for k in range(1, deg + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = elem[k - i] * f[i % e]
+            acc += term if i % 2 else -term
+        elem.append(acc * pow(k, -1, q) % q)
+    charpoly = [(-1) ** (deg - j) * elem[deg - j] for j in range(deg + 1)]
+    mults = [0] * e
+    for t, mult in _poly_roots_mod(charpoly, q, powers):
+        mults[t] = mult
+    sums = [0] * e
+    for t, d in enumerate(mults):
+        if d:
+            # (powers * t)[::t][s] == powers[t * s % e]
+            column = (powers * t)[::t] if t else [1] * e
+            sums = [acc + d * x for acc, x in zip(sums, column)]
+    if any((acc - v) % q for acc, v in zip(sums, f)):
+        raise HkrError("root-of-unity multiplicities fail the power-sum check")
+    return mults
 
 
 def _nullspace_mod(M: list[list[int]], q: int) -> list[list[int]]:
@@ -337,7 +348,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             if all(M[s][t] == (M[0][0] if s == t else 0) for s in range(d) for t in range(d)):
                 next_spaces.append(B)
                 continue
-            roots = _poly_roots_mod(_charpoly_mod(M, q), q)
+            roots = _poly_roots_mod(_charpoly_mod(M, q), q, range(q))
             total = 0
             for lam, mult in roots:
                 shifted = [[M[s][t] - (lam if s == t else 0) for t in range(d)] for s in range(d)]
@@ -375,30 +386,22 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             h = h * rep
         pow_class.append(walk)
 
-    z = _root_of_order(q, m)
+    zp = _roots_of_unity(q, m)
     rows = []
     for v in vectors:
         s = sum(v[j] * v[inv_class[j]] * inv_sizes[j] for j in range(r)) % q
         if s == 0:
             raise HkrError("degenerate norm sum in degree recovery")
         dsq = order * pow(s, -1, q) % q
-        deg = None
-        for t in range(1, q // 2 + 1):
-            if t * t % q == dsq:
-                deg = t
-                break
-        if deg is None or deg * deg > order:
+        deg = next((t for t in range(1, math.isqrt(order) + 1) if t * t % q == dsq), None)
+        if deg is None:
             raise HkrError("degree recovery failed")
         w = [deg * v[j] * inv_sizes[j] % q for j in range(r)]
         tallies = []
         for k in range(r):
-            e = orders[k]
-            y = pow(z, m // e, q)
+            step = m // orders[k]
             f = [w[pc] for pc in pow_class[k]]
-            dts = _inverse_dft(f, y, q)
-            if sum(dts) != deg or any(dt > deg for dt in dts):
-                raise HkrError("root-of-unity multiplicities fail the degree check")
-            step = m // e
+            dts = _eigenvalue_multiplicities(f, deg, zp[::step], q)
             tallies.append({t * step % m: dt for t, dt in enumerate(dts) if dt})
         rows.append(tuple(tallies))
     return rows
@@ -487,14 +490,39 @@ def character_table(G: FiniteGroup, *, cap: int = DEFAULT_TABLE_CAP) -> Characte
     else:
         rows = _dixon_rows(G, classes, m)
 
-    keys = {id(row): tuple(_tally_coords(t.items(), m) for t in row) for row in rows}
-    rows.sort(key=lambda row: keys[id(row)], reverse=True)
-    rows.sort(key=lambda row: row[0].get(0, 0))
+    rows = _canonical_order(rows, m)
     if sum(row[0].get(0, 0) ** 2 for row in rows) != G.order:
         raise HkrError("degrees fail the order sum rule")
     table = CharacterTable(G, classes, m, rows)
     G._cache["character_table"] = table
     return table
+
+
+def _canonical_order(rows, m: int) -> list:
+    """Rows by degree ascending, then value rows descending lexicographically
+    by power-basis coordinates, computed once per (row, class) and only where
+    the order needs them.  Equal tallies are equal values and are skipped, but
+    distinct tallies may be equal too ({0, 2, 4} and {1, 3, 5} at m = 6), so
+    only coordinates decide.
+    """
+
+    @functools.cache
+    def value_coords(i: int, j: int) -> tuple[int, ...]:
+        return _tally_coords(rows[i][j].items(), m)
+
+    def compare(a: int, b: int) -> int:
+        ra, rb = rows[a], rows[b]
+        da, db = ra[0].get(0, 0), rb[0].get(0, 0)
+        if da != db:
+            return -1 if da < db else 1
+        for j, (ta, tb) in enumerate(zip(ra, rb)):
+            if ta != tb:
+                ca, cb = value_coords(a, j), value_coords(b, j)
+                if ca != cb:
+                    return -1 if ca > cb else 1
+        return 0
+
+    return [rows[i] for i in sorted(range(len(rows)), key=functools.cmp_to_key(compare))]
 
 
 def irreducible_characters(G: FiniteGroup, *, cap: int = DEFAULT_TABLE_CAP):
@@ -816,10 +844,7 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
             raise HkrError(f"{d} orthogonal rows cannot live in dimension {h}")
         return d
     q = _find_modular_prime(m, G.order)
-    z = _root_of_order(q, m)
-    zp = [1] * m
-    for e in range(1, m):
-        zp[e] = zp[e - 1] * z % q
+    zp = _roots_of_unity(q, m)
     mat_q = [
         [sum(cnt * zp[e % m] for e, cnt in table.rows[i][k].items()) for k in idx]
         for i in range(table.size)
@@ -936,7 +961,6 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
         {u: loc[cls.representative**u] for u in units} for cls in classes
     ]
     phi2 = euler_phi(pk)
-    rows_table = _power_coords(pk)
     seen = set()
     total = 0
     for c in range(len(classes)):
@@ -950,7 +974,7 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
             if u == 1:
                 continue
             # matrix of sigma_u minus identity on the power basis
-            cols = [rows_table[(u * t) % pk] for t in range(phi2)]
+            cols = [CyclotomicNumber.root(pk, u * t).coords for t in range(phi2)]
             for s in range(phi2):
                 stacked.append([cols[t][s] - (1 if s == t else 0) for t in range(phi2)])
         if not stacked:

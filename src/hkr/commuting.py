@@ -369,7 +369,9 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
 
     Subgroups are grown one index-p layer at a time: every subgroup of order
     p^(j+1) arises from one of order p^j by adjoining an element x with
-    p*x inside it.  Each scanned pair (H, x) is charged to a work budget of
+    p*x inside it.  Each extension is built once: an x inside an extension of
+    H found earlier generates that same extension over H, because the index
+    is the prime p.  Each scanned pair (H, x) is charged to a work budget of
     cap, which is checked before each subgroup's scan.
     """
     if k < 0 or n < 0:
@@ -389,8 +391,9 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
             budget -= len(ambient)
             if budget < 0:
                 raise CapExceeded(f"subgroup enumeration exceeds work cap {cap}")
+            covered = set(H)
             for x in ambient:
-                if x in H:
+                if x in covered:
                     continue
                 px = tuple((p * c) % mod for c in x)
                 if px not in H:
@@ -400,6 +403,7 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
                 for _ in range(p - 1):
                     members.update(tuple((a + b) % mod for a, b in zip(h, step)) for h in H)
                     step = tuple((a + b) % mod for a, b in zip(step, x))
+                covered |= members
                 nxt.add(frozenset(members))
         level = nxt
     return len(level)

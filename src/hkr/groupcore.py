@@ -30,9 +30,13 @@ __all__ = [
     "sym_group",
     "q8_group",
     "DEFAULT_ORDER_CAP",
+    "DEFAULT_CELL_CAP",
 ]
 
 DEFAULT_ORDER_CAP = 100_000
+# order * degree, the ints a closure holds: 2^24 (about 1.7 * 10^7) admits
+# Cyc(4096) on 4096 points, the largest group the acceptance suite builds
+DEFAULT_CELL_CAP = 1 << 24
 
 
 class Permutation:
@@ -225,11 +229,14 @@ class ConjugacyClass:
         return len(self.members)
 
 
-def make_group(degree, generators, *, order_cap=DEFAULT_ORDER_CAP, name=None) -> FiniteGroup:
+def make_group(
+    degree, generators, *, order_cap=DEFAULT_ORDER_CAP, cell_cap=DEFAULT_CELL_CAP, name=None
+) -> FiniteGroup:
     """Close a generating set under multiplication.
 
     Breadth-first closure; raises CapExceeded as soon as the element count
-    passes order_cap (default 100000).
+    passes order_cap (default 100000), or the element count times the degree
+    would pass cell_cap (default 2^24), before the element is stored.
     """
     gens = []
     for g in generators:
@@ -239,11 +246,13 @@ def make_group(degree, generators, *, order_cap=DEFAULT_ORDER_CAP, name=None) ->
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
         if not g.is_identity():
             gens.append(g)
-    elems = _closure(degree, gens, order_cap)
+    elems = _closure(degree, gens, order_cap, cell_cap)
     return FiniteGroup(degree, gens or [Permutation.identity(degree)], sorted(elems), name=name)
 
 
-def _closure(degree: int, gens: list[Permutation], order_cap=math.inf) -> set[Permutation]:
+def _closure(
+    degree: int, gens: list[Permutation], order_cap=math.inf, cell_cap=math.inf
+) -> set[Permutation]:
     ident = Permutation.identity(degree)
     elems = {ident}
     frontier = [ident]
@@ -255,6 +264,10 @@ def _closure(degree: int, gens: list[Permutation], order_cap=math.inf) -> set[Pe
                 if b not in elems:
                     if len(elems) >= order_cap:
                         raise CapExceeded(f"group order exceeds order cap {order_cap}")
+                    if (len(elems) + 1) * degree > cell_cap:
+                        raise CapExceeded(
+                            f"group order times degree {degree} exceeds cell cap {cell_cap}"
+                        )
                     elems.add(b)
                     next_frontier.append(b)
         frontier = next_frontier

@@ -49,7 +49,9 @@ __all__ = [
 ]
 
 DEFAULT_LEVEL_CAP = 10_000
-VANDERMONDE_CAP = 64
+# in work units: each CRT component takes about (p^k)^3 field operations of
+# cost deg(factor)^2; 10^7 units is about 30 s on a 2-vCPU machine
+VANDERMONDE_CAP = 10_000_000
 
 
 def _one_plus_x_power(e: int) -> list[Fraction]:
@@ -282,9 +284,14 @@ def vandermonde_det(p: int, k: int, *, cap=VANDERMONDE_CAP):
     components where both sides vanish nothing more is claimed, elsewhere the
     quotient must be a unit and is recorded.
     """
-    size = p**k
-    if size > cap:
-        raise CapExceeded(f"p^k = {size} exceeds the Vandermonde cap {cap}")
+    size, degrees = 1, [1]  # p^j and the degrees of the CRT factors Phi_{p^j}(1+x)
+    for _ in range(k):
+        if size**3 > cap:
+            break
+        size *= p
+        degrees.append(size - size // p)
+    if size**3 * sum(d * d for d in degrees) > cap:
+        raise CapExceeded(f"Vandermonde work at p^k = {p}^{k} exceeds the cap {cap}")
     ring = cpk_ring(p, k)
     images = [ring.zero] + z_image(p, k)
     prod = ring.one

@@ -344,11 +344,13 @@ def prime_field(p: int) -> ModularIntegers:
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 
-_POWER_COORDS: dict[int, list[tuple[int, ...]]] = {}
+_POWER_COORDS: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
 
-def _power_coords(m: int) -> list[tuple[int, ...]]:
-    """Integer coordinates of x^e mod the m-th cyclotomic polynomial, e = 0..m-1."""
+def _power_coords(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """Integer coordinates of x^e mod the m-th cyclotomic polynomial, e = 0..m-1,
+    each row kept sparse as its (index, coefficient) pairs with a nonzero
+    coefficient."""
     got = _POWER_COORDS.get(m)
     if got is not None:
         return got
@@ -358,7 +360,7 @@ def _power_coords(m: int) -> list[tuple[int, ...]]:
     cur = [0] * d
     cur[0] = 1
     for _ in range(m):
-        rows.append(tuple(cur))
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
         # x * cur, with x^d replaced by -(lower part) since poly is monic
         top = cur[d - 1]
         nxt = [0] + cur[: d - 1]
@@ -376,9 +378,8 @@ def _accumulate(coords: list, terms, m: int) -> list:
     table = _power_coords(m)
     for e, c in terms:
         if c:
-            for i, r in enumerate(table[e % m]):
-                if r:
-                    coords[i] += c * r
+            for i, r in table[e % m]:
+                coords[i] += c * r
     return coords
 
 
@@ -424,7 +425,7 @@ class CyclotomicNumber:
     @classmethod
     def root(cls, m: int, j: int) -> CyclotomicNumber:
         """zeta_m^j."""
-        return cls(m, _power_coords(m)[j % m])
+        return cls.from_tally(m, {j: 1})
 
     @classmethod
     def from_tally(cls, m: int, tally) -> CyclotomicNumber:

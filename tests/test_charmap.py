@@ -7,20 +7,22 @@ both on the same group and require identical value sets.
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from hkr.acceptance import named_suite
 from hkr.charmap import (
     MAX_POWER_OP_DEGREE,
     _abelian_rows,
+    _canonical_order,
     _charpoly_mod,
-    _dft,
     _dixon_rows,
+    _eigenvalue_multiplicities,
     _find_modular_prime,
-    _inverse_dft,
-    _root_of_order,
+    _roots_of_unity,
     _uniform_sum_is_zero,
     adams_psi,
     char_matrix_rank,
@@ -103,6 +105,32 @@ def test_abelian_and_dixon_engines_agree():
         assert canon_a == canon_d
 
 
+def full_key_order(rows, m):
+    """Degree ascending, then rows descending by all their coordinates."""
+    keys = {id(row): tuple(CyclotomicNumber.from_tally(m, t).coords for t in row) for row in rows}
+    rows = sorted(rows, key=lambda row: keys[id(row)], reverse=True)
+    return sorted(rows, key=lambda row: row[0].get(0, 0))
+
+
+def test_lazy_canonical_order_equals_the_full_key_sort():
+    rng = random.Random(7)
+    for G in named_suite(100):
+        table = character_table(G)
+        rows = list(table.rows)
+        rng.shuffle(rows)
+        assert _canonical_order(rows, table.conductor) == full_key_order(rows, table.conductor)
+        assert _canonical_order(rows, table.conductor) == list(table.rows)
+
+
+def test_lazy_canonical_order_does_not_trust_tally_differences():
+    # at m = 6 the tallies {0, 2, 4} and {1, 3, 5} are both 0; only the last
+    # class tells the rows apart, and there a's value 3 beats b's 3*zeta
+    a = ({0: 3}, {0: 1, 2: 1, 4: 1}, {0: 3})
+    b = ({0: 3}, {1: 1, 3: 1, 5: 1}, {1: 3})
+    assert _canonical_order([b, a], 6) == full_key_order([b, a], 6) == [a, b]
+    assert _canonical_order([a, b], 6) == [a, b]
+
+
 def test_table_rows_are_orthogonal_on_suite():
     for spec in ("Cyc(12)", "Sym(4)", "Q8", "Dih(5)", "Cyc(2)*Sym(3)", "Dih(12)"):
         report = orthogonality_report(character_table(named_group(spec)))
@@ -134,15 +162,33 @@ def test_uniform_sum_certificate():
         _uniform_sum_is_zero([0, 0, 2], 6)
 
 
-def test_dft_round_trip_and_naive_agreement():
-    m = 12
-    q = _find_modular_prime(m, 50)
-    y = _root_of_order(q, m)
-    values = [(3 * i * i + 1) % q for i in range(m)]
-    fwd = _dft(values, y, q)
-    naive = [sum(values[t] * pow(y, s * t, q) for t in range(m)) % q for s in range(m)]
-    assert fwd == naive
-    assert _inverse_dft(fwd, y, q) == values
+def naive_inverse_dft(f, y, q):
+    """d_t = (1/e) sum_s f[s] * y^(-s*t) mod q."""
+    e = len(f)
+    yinv, einv = pow(y, -1, q), pow(e, -1, q)
+    return [sum(f[s] * pow(yinv, s * t, q) for s in range(e)) * einv % q for t in range(e)]
+
+
+def test_newton_multiplicities_match_a_naive_inverse_dft():
+    rng = random.Random(20)
+    m = 60
+    q = _find_modular_prime(m, 3600)  # every degree below sqrt(3600) is < q
+    zp = _roots_of_unity(q, m)
+    for e in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60):
+        y = zp[m // e % m]
+        powers = [pow(y, t, q) for t in range(e)]
+        for _ in range(4):
+            deg = rng.randint(1, 12)
+            eigen = [rng.randrange(e) for _ in range(deg)]
+            f = [sum(powers[t * s % e] for t in eigen) % q for s in range(e)]
+            mults = _eigenvalue_multiplicities(f, deg, powers, q)
+            assert mults == naive_inverse_dft(f, y, q)
+            assert mults == [eigen.count(t) for t in range(e)]
+            for s in range(e):
+                bad = list(f)
+                bad[s] = (bad[s] + 1) % q
+                with pytest.raises(HkrError):
+                    _eigenvalue_multiplicities(bad, deg, powers, q)
 
 
 def test_charpoly_against_leibniz_expansion():
@@ -346,6 +392,27 @@ def test_power_operation_json_frozen(capsys, group, command):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == POWER_OP_STDOUT_SHA256[(group, command)]
+
+
+# sha256 of the JSON stdout of `chartable`, taken from the implementation that
+# lifted values by an inverse DFT and sorted rows by full power-basis keys
+CHARTABLE_STDOUT_SHA256 = {
+    "Dih(97)": "b244e934a6577ed3222de277ed7f42710cca2da5bc5811855827503a8f60574c",
+    "Cyc(194)": "119d865154a2373d329cd4c3bd808038d2fbd39b75d71c5f4c17e2943a39beb4",
+    "Cyc(165)": "b8defe9491b1a7aee1ff958b760dd8b84111ffff5eb1c04b694e8a5689b32e9f",
+    "Sym(5)": "d1c65a47a04d1d8aace3d0c22a154b6b3d3e0860d79ff207b53be400a089b1f4",
+    "Cyc(2)*Q8": "1e94ece04f6c2813b7e65266be6f9684bbeb9a44b683904e735746f9b1473c74",
+    "Dih(50)": "9446a83de59f31719ee57b0ccfe77836e6f8d32c37d177c0ba38419ad82f9de3",
+}
+
+
+@pytest.mark.parametrize("group", sorted(CHARTABLE_STDOUT_SHA256))
+def test_chartable_json_frozen(capsys, group):
+    code = run(["chartable", "--group", group, "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CHARTABLE_STDOUT_SHA256[group]
 
 
 def test_galois_fixed_dim_equals_rank_prediction():

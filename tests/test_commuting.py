@@ -18,6 +18,7 @@ from hkr.commuting import (
 )
 from hkr.errors import CapExceeded
 from hkr.groupcore import named_group, sym_group
+from hkr.rings import is_prime
 
 
 def naive_p_power(g, p):
@@ -241,3 +242,12 @@ def test_subgroup_count_charges_every_scanned_pair():
     assert subgroup_count(2, 2, 3, cap=704) == hnf_open_subgroup_count(2, 2, 3)
     with pytest.raises(CapExceeded):
         subgroup_count(2, 2, 3, cap=703)
+
+
+def test_subgroup_count_matches_hnf_for_small_primes():
+    for p in filter(is_prime, range(60)):
+        for n in (1, 2):
+            k = 1
+            while (p**k) ** n <= 5000:
+                assert subgroup_count(p, n, k) == hnf_open_subgroup_count(p, n, k), (p, n, k)
+                k += 1

@@ -178,3 +178,10 @@ def test_class_dataclass_is_hashable():
     c = conjugacy_classes(named_group("Sym(3)"))[0]
     assert isinstance(c, ConjugacyClass)
     assert hash(c) == hash(c)
+
+
+def test_closure_refuses_past_the_cell_cap():
+    gen = Permutation.from_cycles(10, [tuple(range(10))])
+    assert make_group(10, [gen], cell_cap=100).order == 10  # 10 elements * degree 10
+    with pytest.raises(CapExceeded, match="cell cap"):
+        make_group(10, [gen], cell_cap=99)

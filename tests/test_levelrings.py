@@ -113,6 +113,16 @@ def test_vandermonde_cap():
         vandermonde_det(2, 7)  # 128 points > default cap
 
 
+def test_vandermonde_cap_counts_work():
+    # p^k = 4: 4^3 * (1 + 1 + 2^2) = 384 over the factors of degree 1, 1, 2
+    det, _ = vandermonde_det(2, 2, cap=384)
+    assert det == vandermonde_det(2, 2)[0]
+    with pytest.raises(CapExceeded):
+        vandermonde_det(2, 2, cap=383)
+    with pytest.raises(CapExceeded):
+        vandermonde_det(2, 5)  # 32^3 * 342, under the old cap on p^k alone
+
+
 def test_localize_dimension_and_factor():
     for p, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
         desc = localize_c0k(p, k)
