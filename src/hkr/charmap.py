@@ -6,10 +6,13 @@ against the full multiplication structure); nonabelian groups go through the
 class-algebra eigenvector method: simultaneous eigenvectors of the class
 multiplication matrices over a prime field F_q with q = 1 mod exponent(G),
 degrees recovered by modular square roots, and values lifted to sums of roots
-of unity class by class: Newton's identities turn the power sums chi(g^s),
-s <= degree, into the characteristic polynomial of rho(g) over F_q, its roots
-among the powers of a root of unity give the eigenvalue multiplicities, and
-all ord(g) power sums are re-checked against them.
+of unity once per rational class: Newton's identities turn the power sums
+chi(g^s), s <= degree, into the characteristic polynomial of rho(g) over F_q,
+its roots among the powers of a root of unity give the eigenvalue
+multiplicities, all ord(g) power sums are re-checked against them, and the
+class of g^u, u a unit, takes the multiplicities of g with exponents times u.
+Their orthogonality is certified by a Galois check on the tallies and the
+Gram matrix mod a second prime.
 
 Character values are stored as root-of-unity tallies {exponent mod m: count}
 with m the group exponent; conversion to CyclotomicNumber is lazy, so large
@@ -26,16 +29,25 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .commuting import is_p_power_order
 from .errors import CapExceeded, HkrError
-from .groupcore import FiniteGroup, Permutation, conjugacy_classes, sym_group
+from .groupcore import (
+    FiniteGroup,
+    Permutation,
+    class_index,
+    conjugacy_classes,
+    orbit_search,
+    power_map,
+    sym_group,
+)
 from .rings import (
     CyclotomicNumber,
     _accumulate,
-    euler_phi,
+    cyclotomic_int_poly,
     is_prime,
     mat_nullspace_dim,
     mat_rank,
@@ -58,16 +70,49 @@ __all__ = [
     "galois_fixed_dim",
     "DEFAULT_TABLE_CAP",
     "MAX_POWER_OP_DEGREE",
+    "GALOIS_DIM_CAP",
 ]
 
 DEFAULT_TABLE_CAP = 2000
 MAX_POWER_OP_DEGREE = 8
+# phi(p^k)^2, the entries of one Galois constraint block in galois_fixed_dim
+GALOIS_DIM_CAP = 1 << 15
 _ABELIAN_WORK_CAP = 50_000_000
 
 
 def _tally_coords(terms, m: int) -> tuple[int, ...]:
     """Power-basis coordinates of sum c * zeta_m^e over the (e, c) in terms."""
-    return tuple(_accumulate([0] * euler_phi(m), terms, m))
+    return tuple(_accumulate([0] * (len(cyclotomic_int_poly(m)) - 1), terms, m))
+
+
+def _unit_generators(units, n: int) -> list[int]:
+    """Units mod n taken greedily from the given ones, each outside the group
+    the earlier ones generate: together they generate the same group."""
+    gens, span = [], {1 % n}
+    for u in units:
+        if u % n not in span:
+            gens.append(u)
+            (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)
+            span = set(orbit)
+    return gens
+
+
+def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The classes grouped into orbits of g -> g^u over the units u mod ord(g):
+    for the first class k of each orbit, each member j with v = u^-1 mod
+    ord(g), where j is the class of g^u (walks is the group's power map)."""
+    out, seen = [], set()
+    for k, walk in enumerate(walks):
+        if k in seen:
+            continue
+        o = len(walk)
+        members = {}
+        for u in range(1, o + 1):
+            if math.gcd(u, o) == 1 and walk[u % o] not in members:
+                members[walk[u % o]] = pow(u, -1, o)
+        seen.update(members)
+        out.append((k, list(members.items())))
+    return out
 
 
 def _p_part(n: int, p: int) -> int:
@@ -145,8 +190,9 @@ def _abelian_rows(G: FiniteGroup, classes, m: int):
 # nonabelian tables: class-algebra eigenvectors over F_q
 
 
-def _find_modular_prime(m: int, order: int) -> int:
-    bound = 2 * math.isqrt(order) + 1
+def _find_modular_prime(m: int, order: int, *, above: int = 0) -> int:
+    """The least prime q = 1 mod m above 2 * sqrt(order) + 1 and above `above`."""
+    bound = max(2 * math.isqrt(order) + 1, above)
     q = m + 1
     while True:
         if q > bound and is_prime(q):
@@ -305,10 +351,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
     r = len(classes)
     sizes = [len(cls.members) for cls in classes]
     reps = [cls.representative for cls in classes]
-    loc: dict[Permutation, int] = {}
-    for idx, cls in enumerate(classes):
-        for g in cls.members:
-            loc[g] = idx
+    loc = class_index(G)
     order = G.order
     q = _find_modular_prime(m, order)
 
@@ -376,15 +419,8 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
 
     inv_class = [loc[rep.inverse()] for rep in reps]
     inv_sizes = [pow(s, -1, q) for s in sizes]
-    orders = [rep.order() for rep in reps]
-    pow_class = []
-    for k, rep in enumerate(reps):
-        walk = []
-        h = G.identity
-        for _ in range(orders[k]):
-            walk.append(loc[h])
-            h = h * rep
-        pow_class.append(walk)
+    walks = power_map(G)
+    lifts = _rational_classes(walks)
 
     zp = _roots_of_unity(q, m)
     rows = []
@@ -397,12 +433,15 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
         if deg is None:
             raise HkrError("degree recovery failed")
         w = [deg * v[j] * inv_sizes[j] % q for j in range(r)]
-        tallies = []
-        for k in range(r):
-            step = m // orders[k]
-            f = [w[pc] for pc in pow_class[k]]
-            dts = _eigenvalue_multiplicities(f, deg, zp[::step], q)
-            tallies.append({t * step % m: dt for t, dt in enumerate(dts) if dt})
+        tallies = [None] * r
+        for k, members in lifts:
+            o = len(walks[k])
+            step = m // o
+            dts = _eigenvalue_multiplicities([w[c] for c in walks[k]], deg, zp[::step], q)
+            # the eigenvalues of rho(g^u) are the u-th powers of those of rho(g)
+            for j, u_inv in members:
+                at_j = [dts[t * u_inv % o] for t in range(o)]
+                tallies[j] = {t * step: dt for t, dt in enumerate(at_j) if dt}
         rows.append(tuple(tallies))
     return rows
 
@@ -426,7 +465,7 @@ class CharacterTable:
         self.conductor = conductor
         self.rows = tuple(rows)
         self.degrees = tuple(row[0].get(0, 0) for row in rows)
-        self._values: dict[tuple[int, int], CyclotomicNumber] = {}
+        self._values: dict[tuple, CyclotomicNumber] = {}  # one per distinct tally
         self._irr: dict[int, ClassFunction] = {}
 
     @property
@@ -434,10 +473,10 @@ class CharacterTable:
         return len(self.rows)
 
     def value(self, i: int, j: int) -> CyclotomicNumber:
-        got = self._values.get((i, j))
+        key = tuple(sorted(self.rows[i][j].items()))
+        got = self._values.get(key)
         if got is None:
-            got = CyclotomicNumber.from_tally(self.conductor, self.rows[i][j])
-            self._values[(i, j)] = got
+            got = self._values[key] = CyclotomicNumber.from_tally(self.conductor, dict(key))
         return got
 
     def irreducible(self, i: int) -> ClassFunction:
@@ -452,6 +491,15 @@ class CharacterTable:
 
     def to_json(self) -> dict:
         name = self.group.name or f"degree-{self.group.degree}"
+        coords: dict[tuple, list[str]] = {}
+
+        def text(tally) -> list[str]:
+            key = tuple(sorted(tally.items()))
+            got = coords.get(key)
+            if got is None:
+                got = coords[key] = [str(c) for c in _tally_coords(key, self.conductor)]
+            return got
+
         return {
             "group": name,
             "classes": [
@@ -463,10 +511,7 @@ class CharacterTable:
                 for cls in self.classes
             ],
             "conductor": self.conductor,
-            "irreducibles": [
-                [[str(c) for c in self.value(i, j).coords] for j in range(len(self.classes))]
-                for i in range(len(self.rows))
-            ],
+            "irreducibles": [[text(t) for t in row] for row in self.rows],
         }
 
     def __repr__(self):
@@ -545,24 +590,12 @@ class OrthogonalityReport:
         return self.rows_ok and self.columns_ok
 
 
-def _target_coords(m: int, value: int) -> tuple[int, ...]:
-    out = [0] * euler_phi(m)
-    out[0] = value
-    return tuple(out)
-
-
-_root_sum_cache: set[tuple[int, int]] = set()
-
-
+@functools.cache
 def _certify_root_sum_zero(m: int, d: int) -> None:
     """Verify sum_{t<d} zeta_m^(t*m/d) == 0 exactly (d > 1 dividing m)."""
-    key = (m, d)
-    if key in _root_sum_cache:
-        return
     step = m // d
-    if _tally_coords(((t * step, 1) for t in range(d)), m) != (0,) * euler_phi(m):
+    if any(_tally_coords(((t * step, 1) for t in range(d)), m)):
         raise HkrError(f"sum of {d}-th roots of unity is not zero at conductor {m}")
-    _root_sum_cache.add(key)
 
 
 def _uniform_sum_is_zero(exponents, m: int) -> bool:
@@ -648,49 +681,57 @@ def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     return OrthogonalityReport(rows_ok, cols_ok, tuple(failures))
 
 
-def _orthogonality_direct(table: CharacterTable) -> OrthogonalityReport:
-    m = table.conductor
-    r = table.size
-    order = table.group.order
+def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityReport:
+    """Both relations from integers mod a prime, given the power map walks.
+
+    For each generator l of (Z/m)^*, taken among the primes below m, the map
+    k -> class of g_k^l must be a size-preserving bijection pi of the classes
+    and every row must satisfy row[pi(k)] == l * row[k] as tallies.  Then each
+    row Gram entry a_ij = sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) is fixed by
+    the Galois group, hence a rational integer, with |a_ij| <= |G| * B^2 for
+    B the largest count sum of a tally.  At a root of unity of order m mod a
+    prime q = 1 mod m with q > 2|G|(B^2 + 1), other than the prime the table
+    was lifted with, the Gram matrix mod q decides every a_ij exactly.  For a
+    square table the column relation follows: X D X* = |G| I gives
+    X* X = |G| D^-1.
+    """
+    m, order, rows = table.conductor, table.group.order, table.rows
     sizes = [len(cls.members) for cls in table.classes]
-    rows = table.rows
+    n = len(sizes)
     failures = []
-    rows_ok = True
-    for i in range(r):
-        for j in range(i, r):
-            acc = [0] * m
-            for k in range(r):
-                w = sizes[k]
-                tj = rows[j][k]
-                for a, ca in rows[i][k].items():
-                    wca = w * ca
-                    for b, cb in tj.items():
-                        acc[(a - b) % m] += wca * cb
-            want = _target_coords(m, order if i == j else 0)
-            if _tally_coords(enumerate(acc), m) != want:
-                rows_ok = False
+    for ell in _unit_generators((t for t in range(2, m) if m % t and is_prime(t)), m):
+        pi = [walk[ell % len(walk)] for walk in walks]
+        if sorted(pi) != list(range(n)) or any(sizes[pi[k]] != sizes[k] for k in range(n)):
+            failures.append(("power-map", ell))
+            continue
+        for i, row in enumerate(rows):
+            if any(row[pi[k]] != {e * ell % m: c for e, c in t.items()} for k, t in enumerate(row)):
+                failures.append(("galois", ell, i))
+    if failures:
+        return OrthogonalityReport(False, False, tuple(failures))
+
+    bound = max(sum(abs(c) for c in t.values()) for row in rows for t in row)
+    lifted_with = _find_modular_prime(m, order)
+    q = _find_modular_prime(m, order, above=max(2 * order * (bound * bound + 1), lifted_with))
+    zp = _roots_of_unity(q, m)
+    values = [[sum(c * zp[e % m] for e, c in t.items()) for t in row] for row in rows]
+    weighted = [[s * x % q for s, x in zip(sizes, row)] for row in values]
+    conj = [[sum(c * zp[-e % m] for e, c in t.items()) % q for t in row] for row in rows]
+    for i, wi in enumerate(weighted):
+        for j in range(i, len(rows)):
+            if (sum(map(operator.mul, wi, conj[j])) - (order if i == j else 0)) % q:
                 failures.append(("row", i, j))
-    cols_ok = True
-    for c in range(r):
-        for c2 in range(c, r):
-            acc = [0] * m
-            for i in range(r):
-                t2 = rows[i][c2]
-                for a, ca in rows[i][c].items():
-                    for b, cb in t2.items():
-                        acc[(a - b) % m] += ca * cb
-            want = _target_coords(m, order // sizes[c] if c == c2 else 0)
-            if _tally_coords(enumerate(acc), m) != want:
-                cols_ok = False
-                failures.append(("column", c, c2))
-    return OrthogonalityReport(rows_ok, cols_ok, tuple(failures))
+    rows_ok = not failures
+    if rows_ok and len(rows) != n:
+        failures.append(("column", len(rows), n))
+    return OrthogonalityReport(rows_ok, rows_ok and len(rows) == n, tuple(failures))
 
 
 def orthogonality_report(table: CharacterTable) -> OrthogonalityReport:
     """Exact verification of both orthogonality relations."""
     if table.group.is_abelian():
         return _orthogonality_abelian(table)
-    return _orthogonality_direct(table)
+    return _orthogonality_certificate(table, power_map(table.group))
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +762,7 @@ class ClassFunction:
 
     def class_index(self, g: Permutation) -> int:
         if self._loc is None:
-            loc = {}
-            for idx, cls in enumerate(self.classes):
-                for h in cls.members:
-                    loc[h] = idx
-            self._loc = loc
+            self._loc = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
         return self._loc[g]
 
     def value_at(self, g: Permutation) -> CyclotomicNumber:
@@ -769,7 +806,7 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        return hash((self.classes, tuple(v.sort_key() for v in self.values)))
+        return hash((self.classes, tuple(v.coords for v in self.values)))
 
     def to_json(self) -> dict:
         return {
@@ -870,18 +907,17 @@ def _cycle_products(chi: ClassFunction, cycle_types) -> list[list[CyclotomicNumb
     """For each cycle type (a list of cycle lengths), the values
     prod over ell in the type of chi(g^ell), one per class g of chi.
 
-    Each power map g -> class of g^ell is built once per call.
+    The classes of the powers come from the group's power map.
     """
+    walks, loc = power_map(chi.group), class_index(chi.group)
+    at = [loc[cls.representative] for cls in chi.classes]
+    back = {c: i for i, c in enumerate(at)}
     power_maps = {}
-    for lens in cycle_types:
-        for ell in lens:
-            if ell not in power_maps:
-                try:
-                    power_maps[ell] = [
-                        chi.class_index(cls.representative**ell) for cls in chi.classes
-                    ]
-                except KeyError:
-                    raise ValueError("class list is not closed under powers") from None
+    for ell in {ell for lens in cycle_types for ell in lens}:
+        try:
+            power_maps[ell] = [back[walks[c][ell % len(walks[c])]] for c in at]
+        except KeyError:
+            raise ValueError("class list is not closed under powers") from None
     values = chi.values
     out = []
     for lens in cycle_types:
@@ -940,45 +976,46 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
     """Dimension over Q of functions f on p-power classes valued in the
     p^k-th cyclotomic field with f(g^u) = sigma_u(f(g)) for every unit u.
 
-    Decomposes the class set into unit-power orbits and runs exact linear
-    algebra on each orbit's stabilizer constraints.
+    A unit acts on g only through u mod ord(g), a divisor of the p-part of
+    the exponent, so the classes fall into the orbits of the power map.  On
+    each orbit f is set by its value at the first class, which must be fixed
+    by the stabilizer of that class in (Z/p^k)^*; exact linear algebra on a
+    generating set of the stabilizer gives the dimension, once per distinct
+    stabilizer.  phi(p^k)^2, the size of one generator's block, is checked
+    against GALOIS_DIM_CAP before any unit is listed.
     """
-    pk = p**k
+    if k < 0:
+        raise ValueError(f"level k = {k} must be >= 0")
+    pk = 1
+    for _ in range(k):
+        pk *= p
+        if (pk - pk // p) ** 2 > GALOIS_DIM_CAP:
+            raise CapExceeded(
+                f"phi(p^k)^2 for p = {p}, k = {k} exceeds the Galois dimension cap {GALOIS_DIM_CAP}"
+            )
     expo = G.exponent()
     if _p_part(expo, p) > pk:
         raise HkrError(f"p^k = {pk} is below the p-part of the exponent {expo}")
     table = character_table(G)
-    idx = _p_power_class_indices(table, p)
-    classes = [table.classes[c] for c in idx]
+    idx = set(_p_power_class_indices(table, p))
     if pk == 1:
-        return len(classes)
-    loc = {}
-    for i, cls in enumerate(classes):
-        for g in cls.members:
-            loc[g] = i
-    units = [u for u in range(1, pk) if math.gcd(u, p) == 1]
-    power_to = [
-        {u: loc[cls.representative**u] for u in units} for cls in classes
-    ]
-    phi2 = euler_phi(pk)
-    seen = set()
+        return len(idx)
+    phi = pk - pk // p
+    walks = power_map(G)
+    dims: dict[tuple[int, ...], int] = {}  # by stabilizer, which many orbits share
     total = 0
-    for c in range(len(classes)):
-        if c in seen:
+    for c, _ in _rational_classes(walks):
+        if c not in idx:
             continue
-        orbit = {power_to[c][u] for u in units}
-        seen |= orbit
-        stab = [u for u in units if power_to[c][u] == c]
-        stacked = []
-        for u in stab:
-            if u == 1:
-                continue
-            # matrix of sigma_u minus identity on the power basis
-            cols = [CyclotomicNumber.root(pk, u * t).coords for t in range(phi2)]
-            for s in range(phi2):
-                stacked.append([cols[t][s] - (1 if s == t else 0) for t in range(phi2)])
-        if not stacked:
-            total += phi2
-        else:
-            total += mat_nullspace_dim(stacked)
+        walk = walks[c]
+        stab = tuple(u for u in range(1, pk) if u % p and walk[u % len(walk)] == c)
+        if stab not in dims:
+            stacked = []
+            for u in _unit_generators(stab, pk):
+                # matrix of sigma_u minus identity on the power basis
+                cols = [CyclotomicNumber.root(pk, u * t).coords for t in range(phi)]
+                for s in range(phi):
+                    stacked.append([cols[t][s] - (1 if s == t else 0) for t in range(phi)])
+            dims[stab] = mat_nullspace_dim(stacked) if stacked else phi
+        total += dims[stab]
     return total

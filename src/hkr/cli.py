@@ -183,12 +183,18 @@ def _class_descriptors(classes) -> list[dict]:
     ]
 
 
-def _class_functions_payload(G, functions, classes) -> dict:
-    return {
-        "group": G.name,
-        "classes": _class_descriptors(classes),
-        "characters": [f.to_json() for f in functions],
-    }
+def _echo(args, G=None, **fields) -> dict:
+    """A payload echoing the group's name and whichever of p, n, k the
+    command takes, then the given fields."""
+    out = {} if G is None else {"group": G.name}
+    out.update((name, getattr(args, name)) for name in ("p", "n", "k") if hasattr(args, name))
+    out.update(fields)
+    return out
+
+
+def _class_functions_payload(args, G, functions, classes) -> dict:
+    return _echo(args, G, classes=_class_descriptors(classes),
+                 characters=[f.to_json() for f in functions])
 
 
 def _class_functions_plain(functions) -> str:
@@ -206,7 +212,7 @@ def _class_functions_plain(functions) -> str:
 def _cmd_rank(args):
     G = named_group(args.group)
     value = rank_prediction(G, args.p, args.n)
-    payload = {"group": G.name, "p": args.p, "n": args.n, "rank": value}
+    payload = _echo(args, G, rank=value)
     rows = [("group", "p", "n", "rank"), (G.name, args.p, args.n, value)]
     return payload, str(value), rows
 
@@ -215,17 +221,13 @@ def _cmd_tuples(args):
     G = named_group(args.group)
     homs = hom_tuples(G, args.p, args.n)
     classes = tuple_classes(G, args.p, args.n)
-    payload = {
-        "group": G.name,
-        "p": args.p,
-        "n": args.n,
-        "tuple_count": len(homs),
-        "class_count": len(classes),
-        "classes": [
+    payload = _echo(
+        args, G, tuple_count=len(homs), class_count=len(classes),
+        classes=[
             {"entries": _tuple_entry_strings(c.representative), "size": c.size}
             for c in classes
         ],
-    }
+    )
     plain = f"{len(homs)} commuting tuples in {len(classes)} classes"
     return payload, plain, None
 
@@ -233,108 +235,71 @@ def _cmd_tuples(args):
 def _cmd_gl_orbits(args):
     G = named_group(args.group)
     orbits = gl_action_orbits(G, args.p, args.n, args.k)
-    payload = {
-        "group": G.name,
-        "p": args.p,
-        "n": args.n,
-        "k": args.k,
-        "orbit_count": len(orbits),
-        "orbits": [
+    payload = _echo(
+        args, G, orbit_count=len(orbits),
+        orbits=[
             {
                 "class_count": len(orbit),
                 "classes": [_tuple_entry_strings(c.representative) for c in orbit],
             }
             for orbit in orbits
         ],
-    }
+    )
     return payload, str(len(orbits)), None
 
 
 def _cmd_zpn_sets(args):
     value = zpn_set_count(args.p, args.n, args.k)
-    payload = {"p": args.p, "n": args.n, "k": args.k, "count": value}
-    return payload, str(value), None
+    return _echo(args, count=value), str(value), None
 
 
 def _cmd_subgroups(args):
     value = subgroup_count(args.p, args.n, args.k)
-    payload = {"p": args.p, "n": args.n, "k": args.k, "count": value}
-    return payload, str(value), None
-
-
-def _fgl_law(args):
-    return make_fgl(args.name, D=args.D)
+    return _echo(args, count=value), str(value), None
 
 
 def _cmd_fgl(args):
-    if args.action == "series":
-        law = _fgl_law(args)
-        series = m_series(law, args.m)
+    if args.action == "coprime":
+        cert = coprimality_check(args.p, args.i, args.j)
         payload = {
-            "law": law.name,
-            "D": law.degree,
-            "m": args.m,
-            "series": series.to_text(),
+            "p": cert.p,
+            "i": cert.i,
+            "j": cert.j,
+            "coprime": cert.coprime,
+            "gcd": _frac_list(cert.gcd),
+            "cofactor_i": _frac_list(cert.cofactor_i),
+            "cofactor_j": _frac_list(cert.cofactor_j),
         }
-        return payload, series.to_text(), None
-    if args.action == "angle":
-        law = _fgl_law(args)
-        series = angle_series(law, args.p, args.k)
-        payload = {
-            "law": law.name,
-            "D": law.degree,
-            "p": args.p,
-            "k": args.k,
-            "series": series.to_text(),
-        }
-        return payload, series.to_text(), None
+        return payload, "coprime" if cert.coprime else "not coprime", None
+    law = make_fgl(args.name, D=args.D)
     if args.action == "wdeg":
-        law = _fgl_law(args)
         reduced = reduce_series_mod(m_series(law, args.p**args.k), args.p, 1)
         degree = weierstrass_degree(reduced)
         shown = "inf" if degree == math.inf else degree
-        payload = {
-            "law": law.name,
-            "D": law.degree,
-            "p": args.p,
-            "k": args.k,
-            "degree": shown,
-        }
-        return payload, str(shown), None
-    cert = coprimality_check(args.p, args.i, args.j)
-    payload = {
-        "p": cert.p,
-        "i": cert.i,
-        "j": cert.j,
-        "coprime": cert.coprime,
-        "gcd": _frac_list(cert.gcd),
-        "cofactor_i": _frac_list(cert.cofactor_i),
-        "cofactor_j": _frac_list(cert.cofactor_j),
-    }
-    return payload, "coprime" if cert.coprime else "not coprime", None
+        return _echo(args, law=law.name, D=law.degree, degree=shown), str(shown), None
+    if args.action == "series":
+        series = m_series(law, args.m)
+        payload = _echo(args, law=law.name, D=law.degree, m=args.m, series=series.to_text())
+    else:
+        series = angle_series(law, args.p, args.k)
+        payload = _echo(args, law=law.name, D=law.degree, series=series.to_text())
+    return payload, series.to_text(), None
 
 
 def _cmd_c0_demo(args):
     p, k = args.p, args.k
     if args.action == "ring":
         R = cpk_ring(p, k)
-        payload = {
-            "p": p,
-            "k": k,
-            "label": R.label,
-            "dimension": R.dimension,
-            "modulus": _frac_list(R.modulus),
-            "factors": [_frac_list(f) for f in R.crt_factors],
-        }
+        payload = _echo(
+            args, label=R.label, dimension=R.dimension, modulus=_frac_list(R.modulus),
+            factors=[_frac_list(f) for f in R.crt_factors],
+        )
         return payload, f"{R.label}: dimension {R.dimension}", None
     if args.action == "vandermonde":
         det, report = vandermonde_det(p, k)
-        payload = {
-            "p": p,
-            "k": k,
-            "ok": report.ok,
-            "determinant": det.to_text(),
-            "components": [
+        payload = _echo(
+            args, ok=report.ok, determinant=det.to_text(),
+            components=[
                 {
                     "factor": comp[0],
                     "status": comp[3],
@@ -342,27 +307,18 @@ def _cmd_c0_demo(args):
                 }
                 for comp in report.components
             ],
-        }
+        )
         plain = "unit on every nontrivial component" if report.ok else "comparison failed"
         return payload, plain, None
     if args.action == "localize":
         desc = localize_c0k(p, k)
-        payload = {
-            "p": p,
-            "k": k,
-            "dimension": desc.dimension,
-            "surviving_factor": _frac_list(desc.surviving_factor),
-            "root_description": desc.root_description,
-        }
+        payload = _echo(
+            args, dimension=desc.dimension, surviving_factor=_frac_list(desc.surviving_factor),
+            root_description=desc.root_description,
+        )
         return payload, f"dimension {desc.dimension}; {desc.root_description}", None
     R = drinfeld_dk(p, k)
-    payload = {
-        "p": p,
-        "k": k,
-        "label": R.label,
-        "dimension": R.dimension,
-        "modulus": _frac_list(R.modulus),
-    }
+    payload = _echo(args, label=R.label, dimension=R.dimension, modulus=_frac_list(R.modulus))
     return payload, f"{R.label}: dimension {R.dimension}", None
 
 
@@ -371,9 +327,9 @@ def _cmd_chartable(args):
     table = character_table(G)
     payload = table.to_json()
     lines = [f"{G.name}: {table.size} classes, conductor {table.conductor}"]
+    text = functools.cache(lambda value: value.to_text())  # values repeat across the table
     for i in range(table.size):
-        values = "  ".join(table.value(i, j).to_text() for j in range(table.size))
-        lines.append(values)
+        lines.append("  ".join(text(table.value(i, j)) for j in range(table.size)))
     return payload, "\n".join(lines), None
 
 
@@ -383,8 +339,7 @@ def _cmd_charmap(args):
     images = [
         character_map(G, args.p, table.irreducible(i)) for i in range(table.size)
     ]
-    payload = _class_functions_payload(G, images, images[0].classes)
-    payload["p"] = args.p
+    payload = _class_functions_payload(args, G, images, images[0].classes)
     payload["conductor"] = images[0].conductor
     return payload, _class_functions_plain(images), None
 
@@ -393,8 +348,7 @@ def _cmd_adams(args):
     G = named_group(args.group)
     table = character_table(G)
     images = [adams_psi(args.k, table.irreducible(i)) for i in range(table.size)]
-    payload = _class_functions_payload(G, images, table.classes)
-    payload["k"] = args.k
+    payload = _class_functions_payload(args, G, images, table.classes)
     return payload, _class_functions_plain(images), None
 
 
@@ -402,18 +356,17 @@ def _cmd_power_op(args):
     G = named_group(args.group)
     table = character_table(G)
     images = [total_power(args.k, table.irreducible(i)) for i in range(table.size)]
-    payload = {
-        "group": G.name,
-        "k": args.k,
-        "classes": [
+    payload = _echo(
+        args, G,
+        classes=[
             {
                 "sym": scls.representative.cycle_string(),
                 "group": gcls.representative.cycle_string(),
             }
             for scls, gcls in images[0].classes
         ],
-        "characters": [f.to_json() for f in images],
-    }
+        characters=[f.to_json() for f in images],
+    )
     return payload, _class_functions_plain(images), None
 
 
@@ -423,17 +376,14 @@ def _cmd_psi_level(args):
     images = [
         psi_level(args.p, args.k, table.irreducible(i)) for i in range(table.size)
     ]
-    payload = _class_functions_payload(G, images, table.classes)
-    payload["p"] = args.p
-    payload["k"] = args.k
+    payload = _class_functions_payload(args, G, images, table.classes)
     return payload, _class_functions_plain(images), None
 
 
 def _cmd_galois_dim(args):
     G = named_group(args.group)
     value = galois_fixed_dim(G, args.p, args.k)
-    payload = {"group": G.name, "p": args.p, "k": args.k, "dimension": value}
-    return payload, str(value), None
+    return _echo(args, G, dimension=value), str(value), None
 
 
 def _fix_gset(args):
@@ -451,31 +401,19 @@ def _cmd_fix(args):
             raise ValueError("loops-check requires --group")
         G = named_group(args.group)
         result = loops_pgroup_check(G, args.n)
-        payload = {
-            "group": G.name,
-            "n": args.n,
-            "ok": result.ok,
-            "hom_count": result.hom_count,
-            "all_count": result.all_count,
-            "hom_classes": result.hom_classes,
-            "all_classes": result.all_classes,
-        }
+        payload = _echo(
+            args, G, ok=result.ok, hom_count=result.hom_count, all_count=result.all_count,
+            hom_classes=result.hom_classes, all_classes=result.all_classes,
+        )
         return payload, "ok" if result.ok else "mismatch", None
     X = _fix_gset(args)
     if args.action == "points":
         F = fix_n(X, args.p, args.n)
-        payload = {
-            "p": args.p,
-            "n": args.n,
-            "source": X.to_json(),
-            "fixed": F.to_json(),
-            "count": len(F.points),
-        }
+        payload = _echo(args, source=X.to_json(), fixed=F.to_json(), count=len(F.points))
         return payload, str(len(F.points)), None
     if args.action == "census":
         census = orbit_census(X, args.p, args.n)
-        payload = {"group": X.group.name, "p": args.p, "n": args.n}
-        payload.update(census.to_json())
+        payload = _echo(args, X.group, **census.to_json())
         plain = (
             f"{census.count} orbits, {census.total_points} points, "
             f"predicted {census.predicted}, "
@@ -483,8 +421,7 @@ def _cmd_fix(args):
         )
         return payload, plain, None
     result = iterate_fix_check(X, args.p, args.n)
-    payload = {"group": X.group.name, "p": args.p, "n": args.n, "ok": result.ok}
-    return payload, "ok" if result.ok else "mismatch", None
+    return _echo(args, X.group, ok=result.ok), "ok" if result.ok else "mismatch", None
 
 
 HANDLERS = {
@@ -546,14 +483,26 @@ def _cmd_selftest(args) -> int:
 # argument parsing
 
 
-def _prime(text: str) -> int:
-    """Argument type of every --p: a prime number."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _prime(text: str) -> int:
+    """Argument type of every --p: a prime number."""
+    value = _int(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not a prime")
+    return value
+
+
+def _level(text: str) -> int:
+    """Argument type of every level exponent --k: an integer >= 0."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
     return value
 
 
@@ -579,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, *, group=False, p=False, n=False, k=False, helptext=""):
+    def add(name, *, group=False, p=False, n=False, k=None, helptext=""):
         sp = sub.add_parser(name, parents=[common], help=helptext)
         if group:
             sp.add_argument("--group", required=True, help="group expression")
@@ -588,18 +537,19 @@ def _build_parser() -> argparse.ArgumentParser:
         if n:
             sp.add_argument("--n", type=int, required=True, help="tuple length")
         if k:
-            sp.add_argument("--k", type=int, required=True, help="level exponent")
+            sp.add_argument("--k", type=k, required=True,
+                            help="level exponent" if k is _level else "index")
         return sp
 
     add("rank", group=True, p=True, n=True,
         helptext="predicted free rank over the level ring")
     add("tuples", group=True, p=True, n=True,
         helptext="commuting p-power tuples and their conjugation classes")
-    add("gl-orbits", group=True, p=True, n=True, k=True,
+    add("gl-orbits", group=True, p=True, n=True, k=_level,
         helptext="orbits of the level-k matrix action on tuple classes")
-    add("zpn-sets", p=True, n=True, k=True,
+    add("zpn-sets", p=True, n=True, k=_level,
         helptext="transitive-set count for rank n at level k")
-    add("subgroups", p=True, n=True, k=True,
+    add("subgroups", p=True, n=True, k=_level,
         helptext="open-subgroup count of index p^k in rank n")
 
     fgl = sub.add_parser("fgl", help="formal group law computations")
@@ -615,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("m", type=int, help="multiplication index")
         if action in ("angle", "wdeg"):
             sp.add_argument("--p", type=_prime, required=True)
-            sp.add_argument("--k", type=int, required=True)
+            sp.add_argument("--k", type=_level, required=True)
         if action == "coprime":
             sp.add_argument("--p", type=_prime, required=True)
             sp.add_argument("i", type=int)
@@ -627,17 +577,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = c0_sub.add_parser(action, parents=[common])
         sp.set_defaults(command="c0-demo")
         sp.add_argument("--p", type=_prime, required=True)
-        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--k", type=_level, required=True)
 
     add("chartable", group=True, helptext="exact character table")
     add("charmap", group=True, p=True,
         helptext="image of each irreducible under the character map")
-    add("adams", group=True, k=True, helptext="Adams operation on irreducibles")
-    add("power-op", group=True, k=True,
+    add("adams", group=True, k=int, helptext="Adams operation on irreducibles")
+    add("power-op", group=True, k=int,
         helptext="total power operation on irreducibles")
-    add("psi-level", group=True, p=True, k=True,
+    add("psi-level", group=True, p=True, k=_level,
         helptext="power operation restricted along the translation embedding")
-    add("galois-dim", group=True, p=True, k=True,
+    add("galois-dim", group=True, p=True, k=_level,
         helptext="dimension of the Galois-fixed class functions")
 
     fix = sub.add_parser("fix", help="fixed-point groupoids")
@@ -655,7 +605,8 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", parents=[common],
                         help="run the acceptance criteria")
     st.add_argument("--only", type=int, nargs="+", metavar="N",
-                    help="restrict to the given criterion numbers")
+                    choices=[num for num, _, _ in acceptance.CRITERIA],
+                    help="restrict to the given criterion numbers (1-10)")
     return parser
 
 
@@ -711,6 +662,9 @@ def run(argv=None) -> int:
         return 1
     except (HkrError, ArithmeticError) as exc:
         print(f"hkr: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("hkr: out of memory", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"hkr: {exc}", file=sys.stderr)

@@ -138,12 +138,6 @@ class TruncatedSeries:
                 out[e] = c if got is None else ring.add(got, c)
         return TruncatedSeries(ring, self.nvars, D, out)
 
-    def scale(self, c) -> TruncatedSeries:
-        ring = self.ring
-        return TruncatedSeries(
-            ring, self.nvars, self.degree, {e: ring.mul(c, v) for e, v in self.coeffs.items()}
-        )
-
     def __pow__(self, k: int) -> TruncatedSeries:
         if k < 0:
             raise ValueError("negative series powers are not defined here")
@@ -173,17 +167,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             self.ring, self.nvars, D, {e: c for e, c in self.coeffs.items() if sum(e) <= D}
         )
-
-    def inject(self, nvars: int, position: int = 0) -> TruncatedSeries:
-        """View a 1-variable series as a series in more variables."""
-        if self.nvars != 1:
-            raise ValueError("inject applies to 1-variable series")
-        out = {}
-        for (e,), c in self.coeffs.items():
-            exps = [0] * nvars
-            exps[position] = e
-            out[tuple(exps)] = c
-        return TruncatedSeries(self.ring, nvars, self.degree, out)
 
     def substitute(self, args: list[TruncatedSeries]) -> TruncatedSeries:
         """Substitute one series per variable.

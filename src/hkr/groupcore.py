@@ -22,6 +22,8 @@ __all__ = [
     "make_group",
     "named_group",
     "conjugacy_classes",
+    "class_index",
+    "power_map",
     "orbit_search",
     "centralizer",
     "direct_product",
@@ -336,6 +338,43 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     classes.sort(key=lambda c: (c.size, c.representative.images))
     G._cache["classes"] = classes
     return classes
+
+
+def class_index(G: FiniteGroup) -> dict[Permutation, int]:
+    """Each element's position in conjugacy_classes(G)."""
+    got = G._cache.get("class_index")
+    if got is None:
+        got = {g: i for i, cls in enumerate(conjugacy_classes(G)) for g in cls.members}
+        G._cache["class_index"] = got
+    return got
+
+
+def power_map(G: FiniteGroup) -> list[list[int]]:
+    """walks[i][e % len(walks[i])] is the class of g^e for g in class i, and
+    len(walks[i]) is the order of g.  Built once per group, when first asked
+    for, by decreasing element order: a class that is no power of an earlier
+    one walks the powers of its representative g, and each power g^d reads
+    its walk off every d-th step of g's."""
+    got = G._cache.get("power_map")
+    if got is None:
+        classes = conjugacy_classes(G)
+        loc = class_index(G)
+        ident = G.identity
+        got = [None] * len(classes)
+        for k in sorted(range(len(classes)), key=lambda k: -classes[k].representative.order()):
+            if got[k] is not None:
+                continue
+            g = h = classes[k].representative
+            walk = [loc[ident]]
+            while h != ident:
+                walk.append(loc[h])
+                h = h * g
+            o = len(walk)
+            for d, j in enumerate(walk):
+                if got[j] is None:
+                    got[j] = [walk[d * e % o] for e in range(o // math.gcd(d, o))]
+        G._cache["power_map"] = got
+    return got
 
 
 def centralizer(G: FiniteGroup, S) -> FiniteGroup:

@@ -16,7 +16,6 @@ __all__ = [
     "ModularIntegers",
     "CyclotomicNumber",
     "QQ",
-    "prime_field",
     "euler_phi",
     "is_prime",
     "prime_factors",
@@ -24,7 +23,6 @@ __all__ = [
     "poly_trim",
     "poly_add",
     "poly_sub",
-    "poly_neg",
     "poly_scale",
     "poly_mul",
     "poly_divmod",
@@ -67,10 +65,6 @@ def poly_add(a, b):
 def poly_sub(a, b):
     n = max(len(a), len(b))
     return poly_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def poly_neg(a):
-    return [-c for c in a]
 
 
 def poly_scale(a, s):
@@ -164,10 +158,6 @@ def poly_eval(a, x):
     return acc
 
 
-def _coeff_text(c) -> str:
-    return str(c)
-
-
 def poly_to_text(p, var="x") -> str:
     """Canonical text form, lowest degree first, exact coefficients."""
     p = poly_trim(p)
@@ -178,11 +168,11 @@ def poly_to_text(p, var="x") -> str:
         if c == 0:
             continue
         if i == 0:
-            parts.append(_coeff_text(c))
+            parts.append(str(c))
         elif i == 1:
-            parts.append(f"{_coeff_text(c)}*{var}")
+            parts.append(f"{c}*{var}")
         else:
-            parts.append(f"{_coeff_text(c)}*{var}^{i}")
+            parts.append(f"{c}*{var}^{i}")
     return " + ".join(parts)
 
 
@@ -231,17 +221,24 @@ def cyclotomic_int_poly(m: int) -> list[int]:
     got = _CYCLO_CACHE.get(m)
     if got is not None:
         return got
-    # (x^m - 1) divided by the cyclotomic polynomials of the proper divisors.
+    # (x^m - 1) divided by the cyclotomic polynomials of the proper divisors,
+    # each monic, so the long division stays in ints
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            q, r = poly_divmod(num, cyclotomic_int_poly(d))
-            if r:
+            div = cyclotomic_int_poly(d)
+            n = len(div) - 1
+            quot = [0] * (len(num) - n)
+            for i in reversed(range(len(quot))):
+                c = quot[i] = num[i + n]
+                if c:
+                    for t, b in enumerate(div):
+                        num[i + t] -= c * b
+            if any(num[:n]):
                 raise ArithmeticError("cyclotomic division left a remainder")
-            num = q
-    out = [int(c) for c in num]
-    _CYCLO_CACHE[m] = out
-    return out
+            num = quot
+    _CYCLO_CACHE[m] = num
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +332,6 @@ class ModularIntegers:
 
 
 QQ = Rationals()
-
-
-def prime_field(p: int) -> ModularIntegers:
-    return ModularIntegers(p, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +501,6 @@ class CyclotomicNumber:
         terms = ((t * u, c) for t, c in enumerate(self.coords))
         return CyclotomicNumber(m, _accumulate([0] * len(self.coords), terms, m))
 
-    def conjugate(self) -> CyclotomicNumber:
-        return self.galois(-1 % self.conductor) if self.conductor > 1 else self
-
     def promote(self, M: int) -> CyclotomicNumber:
         """Embed into the conductor-M field (m must divide M)."""
         m = self.conductor
@@ -560,9 +550,6 @@ class CyclotomicNumber:
 
     def __hash__(self):
         return hash((self.conductor, self.coords))
-
-    def sort_key(self) -> tuple:
-        return self.coords
 
     def to_text(self) -> str:
         return poly_to_text(list(self.coords), var="z")

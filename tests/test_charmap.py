@@ -14,14 +14,18 @@ from itertools import permutations
 import pytest
 
 from hkr.acceptance import named_suite
+from hkr import charmap
 from hkr.charmap import (
     MAX_POWER_OP_DEGREE,
+    CharacterTable,
     _abelian_rows,
     _canonical_order,
     _charpoly_mod,
     _dixon_rows,
     _eigenvalue_multiplicities,
     _find_modular_prime,
+    _orthogonality_certificate,
+    _rational_classes,
     _roots_of_unity,
     _uniform_sum_is_zero,
     adams_psi,
@@ -37,7 +41,14 @@ from hkr.charmap import (
 from hkr.cli import run
 from hkr.commuting import is_p_power_order, rank_prediction
 from hkr.errors import CapExceeded, HkrError
-from hkr.groupcore import Permutation, conjugacy_classes, named_group, sym_group
+from hkr.groupcore import (
+    Permutation,
+    conjugacy_classes,
+    make_group,
+    named_group,
+    power_map,
+    sym_group,
+)
 from hkr.rings import CyclotomicNumber, zeta
 
 
@@ -135,6 +146,116 @@ def test_table_rows_are_orthogonal_on_suite():
     for spec in ("Cyc(12)", "Sym(4)", "Q8", "Dih(5)", "Cyc(2)*Sym(3)", "Dih(12)"):
         report = orthogonality_report(character_table(named_group(spec)))
         assert report.ok, report.failures
+
+
+def with_entries(table, edits):
+    """The table with the tallies at (row, class) replaced."""
+    rows = [list(row) for row in table.rows]
+    for (i, k), tally in edits.items():
+        rows[i][k] = tally
+    return CharacterTable(table.group, table.classes, table.conductor, [tuple(r) for r in rows])
+
+
+def scaled(tally, u, m):
+    return {e * u % m: c for e, c in tally.items()}
+
+
+def test_certificate_rejects_one_corrupted_entry():
+    # an entry at a class of order 2 negated: l * {0, 6} = {0, 6} at m = 12 for
+    # every unit l, so the Galois check passes and the Gram matrix must fail
+    table = character_table(named_group("Sym(4)"))
+    m = table.conductor
+    k = next(k for k, cls in enumerate(table.classes) if cls.representative.order() == 2)
+    i = table.size - 1
+    bad = with_entries(table, {(i, k): {(e + m // 2) % m: c for e, c in table.rows[i][k].items()}})
+    report = orthogonality_report(bad)
+    assert not report.rows_ok and not report.columns_ok
+    assert report.failures and {f[0] for f in report.failures} == {"row"}
+    assert ("row", i, i) not in report.failures  # the norm is unchanged
+
+
+def test_certificate_rejects_a_broken_galois_tally():
+    # Dih(5): the classes of r and r^2 are one rational class, r^3 ~ r^2; one
+    # row keeps its value at r but copies it to r^2
+    G = named_group("Dih(5)")
+    table = character_table(G)
+    m = table.conductor
+    k, members = next((k, mem) for k, mem in _rational_classes(power_map(G)) if len(mem) > 1)
+    j = next(j for j, _ in members if j != k)
+    i = next(i for i, row in enumerate(table.rows) if row[j] != row[k])
+    report = orthogonality_report(with_entries(table, {(i, j): table.rows[i][k]}))
+    assert not report.ok
+    assert any(f[0] == "galois" and f[2] == i for f in report.failures)
+    assert all(f[0] == "galois" for f in report.failures)
+
+
+def test_certificate_rejects_a_consistently_corrupted_rational_class():
+    # sigma_3 applied to one row on a whole rational class keeps every tally
+    # check, so only the Gram matrix sees that the row became another one
+    G = named_group("Dih(5)")
+    table = character_table(G)
+    m = table.conductor
+    k, members = next((k, mem) for k, mem in _rational_classes(power_map(G)) if len(mem) > 1)
+    i = next(i for i, row in enumerate(table.rows) if row[k] != scaled(row[k], 3, m))
+    bad = with_entries(table, {(i, j): scaled(table.rows[i][j], 3, m) for j, _ in members})
+    assert bad.rows != table.rows
+    report = orthogonality_report(bad)
+    assert not report.ok
+    assert report.failures and {f[0] for f in report.failures} == {"row"}
+
+
+def test_certificate_rejects_a_power_map_that_moves_class_sizes():
+    # Sym(3): classes of sizes 1, 2, 3; (Z/6)^* is generated by 5
+    table = character_table(named_group("Sym(3)"))
+    walks = [list(w) for w in power_map(table.group)]
+    assert walks == [[0], [0, 1, 1], [0, 2]]
+    assert _orthogonality_certificate(table, walks).ok
+    not_onto = [[0], [0, 1, 1], [0, 1]]
+    swapped = [[0], [0, 1, 2], [0, 1]]
+    for bad in (not_onto, swapped):
+        report = _orthogonality_certificate(table, bad)
+        assert not report.rows_ok and not report.columns_ok
+        assert report.failures == (("power-map", 5),)
+
+
+def test_certificate_prime_is_not_the_lifting_prime(monkeypatch):
+    table = character_table(named_group("Dih(97)"))
+    m, order = table.conductor, table.group.order
+    asked = []
+
+    def spy(m, order, *, above=0):
+        q = _find_modular_prime(m, order, above=above)
+        asked.append(q)
+        return q
+
+    monkeypatch.setattr(charmap, "_find_modular_prime", spy)
+    assert orthogonality_report(table).ok
+    lifted_with, q = asked
+    assert lifted_with == _find_modular_prime(m, order)
+    assert q != lifted_with and q % m == 1 and q > 2 * order * (2 * 2 + 1)
+
+
+def test_one_lift_per_rational_class(monkeypatch):
+    # Dih(97): 48 rotation classes form one rational class
+    G = named_group("Dih(97)")
+    orbits = _rational_classes(power_map(G))
+    assert len(orbits) == 3
+    calls = []
+
+    def counted(f, deg, powers, q):
+        calls.append(len(f))
+        return _eigenvalue_multiplicities(f, deg, powers, q)
+
+    monkeypatch.setattr(charmap, "_eigenvalue_multiplicities", counted)
+    rows = _dixon_rows(G, conjugacy_classes(G), G.exponent())
+    assert len(calls) == len(rows) * len(orbits)
+    assert _canonical_order(rows, G.exponent()) == list(character_table(G).rows)
+
+
+def test_abelian_tables_never_build_the_power_map():
+    G = make_group(6, [Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
+    assert orthogonality_report(character_table(G)).ok
+    assert "power_map" not in G._cache
 
 
 def test_column_orthogonality_values():
@@ -431,6 +552,28 @@ def test_galois_fixed_dim_equals_rank_prediction():
 def test_galois_fixed_dim_level_validation():
     with pytest.raises(HkrError):
         galois_fixed_dim(named_group("Cyc(8)"), 2, 1)  # 2-part of exponent is 8
+
+
+def test_galois_fixed_dim_far_above_the_exponent():
+    # units mod p^k beyond the p-part of the exponent only enlarge each
+    # stabilizer by the units = 1 mod that p-part
+    for spec, p, k in (("Sym(4)", 2, 7), ("Q8", 2, 6), ("Dih(9)", 3, 4), ("Cyc(2)*Q8", 2, 5), ("Cyc(5)", 5, 3)):
+        G = named_group(spec)
+        assert galois_fixed_dim(G, p, k) == rank_prediction(G, p, 1)
+
+
+def test_galois_fixed_dim_checks_its_cap_before_listing_units(monkeypatch):
+    G = named_group("Sym(4)")
+    with pytest.raises(CapExceeded):
+        galois_fixed_dim(G, 2, 40)
+    with pytest.raises(CapExceeded):
+        galois_fixed_dim(G, 2, 10**12)  # p^k is never formed
+    with pytest.raises(ValueError):
+        galois_fixed_dim(G, 2, -1)
+    monkeypatch.setattr(charmap, "GALOIS_DIM_CAP", 64)  # phi(16)^2
+    assert galois_fixed_dim(G, 2, 4) == 4
+    with pytest.raises(CapExceeded):
+        galois_fixed_dim(G, 2, 5)
 
 
 def test_table_cap():

@@ -22,6 +22,23 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_python(args):
+    """A fresh interpreter with the package on its path; returns the finished
+    process and its wall time in seconds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    return done, time.perf_counter() - start
+
+
+def assert_one_line_failure(done, needle):
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and needle in done.stderr
+
+
 def test_rank_json_frozen(capsys):
     code, out, _ = invoke(capsys, ["rank", "--group", "Cyc(4)", "--p", "2", "--n", "2", "--no-cache"])
     assert code == 0
@@ -98,11 +115,8 @@ def test_non_prime_p_is_usage_error(capsys, p):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["rank", "--group", "Cyc(4)", "--p", "2", "--n", "2", "--no-cache", "--format", "plain"]
-    done = subprocess.run([sys.executable, "-m", "hkr", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done, _ = run_python(["-m", "hkr", *argv])
     assert done.returncode == 0
     assert done.stdout == "16\n"
 
@@ -223,17 +237,48 @@ def test_loops_check_takes_no_p(capsys):
 
 def test_zpn_sets_refuses_huge_level_quickly():
     # p^40 entries used to be allocated before any cap ran (MemoryError)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["zpn-sets", "--p", "2", "--n", "1", "--k", "40", "--no-cache"]
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "hkr", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert time.perf_counter() - start < 5
-    assert done.returncode == 1
+    done, seconds = run_python(["-m", "hkr", *argv])
+    assert seconds < 5
+    assert_one_line_failure(done, "cap")
+
+
+def test_galois_dim_refuses_a_huge_level_quickly():
+    # every unit mod 2^40 used to be listed first (MemoryError)
+    argv = ["galois-dim", "--group", "Sym(4)", "--p", "2", "--k", "40", "--no-cache"]
+    done, seconds = run_python(["-m", "hkr", *argv])
+    assert seconds < 5
+    assert_one_line_failure(done, "cap")
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--only", "11"],
+    ["selftest", "--only", "2", "0"],
+    ["psi-level", "--group", "Sym(3)", "--p", "2", "--k", "-1"],
+    ["galois-dim", "--group", "Sym(3)", "--p", "2", "--k", "-1"],
+    ["fgl", "wdeg", "additive", "--p", "2", "--k", "-1"],
+], ids=["only-11", "only-0", "psi-level-k-1", "galois-dim-k-1", "wdeg-k-1"])
+def test_out_of_range_arguments_are_usage_errors(argv):
+    # --only 11 used to exit 0 with no output, --only 2 0 ran criterion 2,
+    # psi-level and galois-dim exited 1, fgl wdeg died with a TypeError
+    done, _ = run_python(["-m", "hkr", *argv, "--no-cache"])
+    assert done.returncode == 2
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert len(done.stderr.splitlines()) == 1 and "cap" in done.stderr
+    assert "error: argument --" in done.stderr.splitlines()[-1]
+
+
+def test_memory_error_is_a_one_line_failure():
+    script = (
+        "import sys\n"
+        "import hkr.cli as cli\n"
+        "def exhaust(args):\n"
+        "    raise MemoryError\n"
+        "cli.HANDLERS['chartable'] = exhaust\n"
+        "sys.exit(cli.run(['chartable', '--group', 'Sym(3)', '--no-cache']))\n"
+    )
+    done, _ = run_python(["-c", script])
+    assert_one_line_failure(done, "out of memory")
 
 
 def test_fix_accepts_gset_file(tmp_path, capsys):
@@ -300,14 +345,7 @@ def test_no_cache_reads_no_sources(capsys, monkeypatch):
 @pytest.mark.parametrize("p,n,k", [(2, 2, 8), (2, 3, 6)])
 def test_subgroups_refuses_large_enumerations_quickly(p, n, k):
     # the ambient group passes its size cap; the scan work does not
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["subgroups", "--p", str(p), "--n", str(n), "--k", str(k), "--no-cache"]
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "hkr", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert time.perf_counter() - start < 5
-    assert done.returncode == 1
-    assert done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert len(done.stderr.splitlines()) == 1 and "cap" in done.stderr
+    done, seconds = run_python(["-m", "hkr", *argv])
+    assert seconds < 5
+    assert_one_line_failure(done, "cap")

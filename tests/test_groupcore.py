@@ -9,12 +9,14 @@ from hkr.groupcore import (
     ConjugacyClass,
     Permutation,
     centralizer,
+    class_index,
     conjugacy_classes,
     cyc_group,
     dih_group,
     direct_product,
     make_group,
     named_group,
+    power_map,
     q8_group,
     sym_group,
 )
@@ -148,6 +150,20 @@ def test_conjugacy_class_invariants():
         # canonical order: by size, then least representative
         keys = [(c.size, c.representative) for c in classes]
         assert keys == sorted(keys)
+
+
+def test_power_map_matches_powers_of_every_member():
+    for spec in ("Sym(4)", "Q8", "Dih(6)", "Cyc(2)*Sym(3)"):
+        G = named_group(spec)
+        loc = class_index(G)
+        walks = power_map(G)
+        assert power_map(G) is walks  # built once per group
+        for k, cls in enumerate(conjugacy_classes(G)):
+            assert len(walks[k]) == cls.representative.order()
+            for g in cls.members:
+                assert loc[g] == k
+                for e in range(-3, 2 * g.order() + 1):
+                    assert walks[k][e % len(walks[k])] == loc[g**e]
 
 
 def test_centralizer_against_brute_force():

@@ -27,10 +27,26 @@ from hkr.rings import (
     poly_to_text,
     poly_trim,
     poly_xgcd,
-    prime_field,
     rref_mod,
     zeta,
 )
+
+
+def test_integer_cyclotomic_polynomials_match_the_fraction_route():
+    # the route they were computed by before: Fraction division of x^m - 1
+    # by the cyclotomic polynomials of the proper divisors
+    by_fractions = {}
+    for m in range(1, 201):
+        num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+        for d in range(1, m):
+            if m % d == 0:
+                num, rem = poly_divmod(num, by_fractions[d])
+                assert rem == []
+        by_fractions[m] = num
+        got = cyclotomic_int_poly(m)
+        assert got == num
+        assert all(type(c) is int for c in got)
+        assert len(got) - 1 == euler_phi(m)
 
 
 def test_euler_phi_matches_gcd_count():
@@ -39,7 +55,7 @@ def test_euler_phi_matches_gcd_count():
 
 
 def test_prime_field_arithmetic():
-    F = prime_field(7)
+    F = ModularIntegers(7, 1)
     for a in range(1, 7):
         assert F.mul(a, F.inv(a)) == F.one
     assert F.add(5, 4) == 2
