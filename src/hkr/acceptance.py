@@ -38,7 +38,7 @@ from .fgl import (
     coprimality_check,
     m_series,
     make_fgl,
-    reduce_series_mod,
+    series_to_poly,
     weierstrass_degree,
 )
 from .groupcore import (
@@ -195,13 +195,18 @@ def criterion_4():
     mult = make_fgl("multiplicative", D=16)
     laws = 2
 
-    # [p^k] = product of the angle factors, multiplicative law, p^k <= 27
+    # [p^k] = product of the angle factors, multiplicative law, p^k <= 27;
+    # each factor within the truncation is Phi_(p^i)(1+x), the polynomial
+    # coprimality_check works on
     prod_cases = 0
     for p, k in _prime_powers_upto(27):
         series = m_series(mult, p**k)
-        prod = angle_series(mult, p, 0)
-        for i in range(1, k + 1):
-            prod = prod * angle_series(mult, p, i)
+        prod = None
+        for i in range(k + 1):
+            factor = angle_series(mult, p, i)
+            if p**i <= mult.degree and series_to_poly(factor) != _cyclo_in_one_plus_x(p**i):
+                return False, f"angle factor ({p};{i}) != Phi_{p**i}(1+x)"
+            prod = factor if prod is None else prod * factor
         if series != prod:
             return False, f"[{p}^{k}] != angle product for the multiplicative law"
         prod_cases += 1
@@ -226,7 +231,7 @@ def criterion_4():
                 return False, f"honda({p},{n}) coefficient not {p}-integral at {exps}"
         k = 1
         while p ** (k * n) <= 16:
-            wdeg = weierstrass_degree(reduce_series_mod(m_series(law, p**k), p, 1))
+            wdeg = weierstrass_degree(m_series(law, p**k), p)
             if wdeg != p ** (k * n):
                 return False, f"honda({p},{n}): wdeg([{p}^{k}]) = {wdeg} != {p**(k*n)}"
             wdeg_cases += 1

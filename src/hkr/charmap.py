@@ -825,10 +825,10 @@ class ClassFunction:
 # the character map and its companions
 
 
-def _p_power_class_indices(table: CharacterTable, p: int) -> list[int]:
+def _p_power_class_indices(classes, p: int) -> list[int]:
     return [
         k
-        for k, cls in enumerate(table.classes)
+        for k, cls in enumerate(classes)
         if is_p_power_order(cls.representative, p)
     ]
 
@@ -844,7 +844,7 @@ def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:
         raise ValueError("class function is not defined on the full class list")
     target = _p_part(G.exponent(), p)
     down = math.gcd(chi.conductor, target)
-    idx = _p_power_class_indices(table, p)
+    idx = _p_power_class_indices(table.classes, p)
     classes = [table.classes[k] for k in idx]
     values = [chi.values[k].descend(down).promote(target) for k in idx]
     return ClassFunction(G, classes, values, target, chi.label and f"{chi.label}|p={p}")
@@ -864,7 +864,7 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
     """
     table = character_table(G)
     m = table.conductor
-    idx = _p_power_class_indices(table, p)
+    idx = _p_power_class_indices(table.classes, p)
     if not idx:
         return 0
     if G.is_abelian():
@@ -996,8 +996,7 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
     expo = G.exponent()
     if _p_part(expo, p) > pk:
         raise HkrError(f"p^k = {pk} is below the p-part of the exponent {expo}")
-    table = character_table(G)
-    idx = set(_p_power_class_indices(table, p))
+    idx = set(_p_power_class_indices(conjugacy_classes(G), p))
     if pk == 1:
         return len(idx)
     phi = pk - pk // p

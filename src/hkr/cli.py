@@ -52,8 +52,7 @@ from .fgl import (
     coprimality_check,
     m_series,
     make_fgl,
-    reduce_series_mod,
-    weierstrass_degree,
+    p_power_weierstrass_degree,
 )
 from .groupcore import named_group
 from .inertia import (
@@ -273,8 +272,7 @@ def _cmd_fgl(args):
         return payload, "coprime" if cert.coprime else "not coprime", None
     law = make_fgl(args.name, D=args.D)
     if args.action == "wdeg":
-        reduced = reduce_series_mod(m_series(law, args.p**args.k), args.p, 1)
-        degree = weierstrass_degree(reduced)
+        degree = p_power_weierstrass_degree(law, args.p, args.k)
         shown = "inf" if degree == math.inf else degree
         return _echo(args, law=law.name, D=law.degree, degree=shown), str(shown), None
     if args.action == "series":
@@ -568,8 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--k", type=_level, required=True)
         if action == "coprime":
             sp.add_argument("--p", type=_prime, required=True)
-            sp.add_argument("i", type=int)
-            sp.add_argument("j", type=int)
+            sp.add_argument("i", type=_level)
+            sp.add_argument("j", type=_level)
 
     c0 = sub.add_parser("c0-demo", help="level ring demonstrations")
     c0_sub = c0.add_subparsers(dest="action", required=True)

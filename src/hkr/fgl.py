@@ -1,9 +1,11 @@
-"""Formal group laws as exactly truncated power series.
+"""Formal group laws over the rationals as exactly truncated power series.
 
-Series live in 1 to 3 variables over an exact coefficient ring and are cut off
-at a total degree D.  A law is a two-variable series F with F(x, 0) = x,
-F(0, y) = y, F symmetric, and F(F(x, y), z) = F(x, F(y, z)) up to degree D;
-the associativity check really substitutes into three variables.
+Series live in 1 to 3 variables with exact rational coefficients (int or
+Fraction) and are cut off at a total degree D.  A law is a two-variable series
+F with F(x, 0) = x, F(0, y) = y and F symmetric, whose logarithm l, the
+integral of 1 / (dF/dy)(x, 0), satisfies l(F(x, y)) = l(x) + l(y) up to
+degree D.  Since l = x + ... is invertible, F is then l^-1(l(x) + l(y)) and so
+associative up to degree D (Hazewinkel, Formal Groups and Applications, §5).
 
 Supported constructions: the additive law x + y, the multiplicative law
 x + y + xy, and for each prime p and height n the p-typical law with logarithm
@@ -17,7 +19,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import QQ, ModularIntegers, Rationals, poly_trim
+from .levelrings import _cyclo_in_one_plus_x
+from .rings import is_prime, poly_add, poly_mul, poly_trim, poly_xgcd
 
 __all__ = [
     "TruncatedSeries",
@@ -31,7 +34,7 @@ __all__ = [
     "m_series",
     "angle_series",
     "weierstrass_degree",
-    "reduce_series_mod",
+    "p_power_weierstrass_degree",
     "series_to_poly",
     "coprimality_check",
     "DEFAULT_TRUNCATION",
@@ -46,53 +49,63 @@ def _check_degree(D: int):
         raise ValueError(f"truncation degree must be in 1..{MAX_TRUNCATION}, got {D}")
 
 
+def _capped_power(base: int, k: int, bound: int) -> int:
+    """base^k, or the first partial product above bound, one factor at a time."""
+    out = 1
+    for _ in range(k):
+        out *= base
+        if out > bound:
+            break
+    return out
+
+
 class TruncatedSeries:
     """A power series in nvars variables, exact up to total degree D.
 
-    Coefficients are stored sparsely as {exponent tuple: ring element}; zero
+    Coefficients are stored sparsely as {exponent tuple: int or Fraction},
+    an integral Fraction as an int (which multiplies faster); zero
     coefficients are never stored.  Arithmetic between series of different
     degrees truncates to the smaller degree.
     """
 
-    __slots__ = ("ring", "nvars", "degree", "coeffs")
+    __slots__ = ("nvars", "degree", "coeffs")
 
-    def __init__(self, ring, nvars: int, degree: int, coeffs: dict):
+    def __init__(self, nvars: int, degree: int, coeffs: dict):
         if nvars not in (1, 2, 3):
             raise ValueError("series support 1 to 3 variables")
         _check_degree(degree)
-        self.ring = ring
         self.nvars = nvars
         self.degree = degree
         clean = {}
         for exps, c in coeffs.items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent {exps} does not have {nvars} entries")
-            if sum(exps) > degree or ring.is_zero(c):
+            if sum(exps) > degree or c == 0:
                 continue
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
             clean[exps] = c
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, nvars: int, degree: int) -> TruncatedSeries:
-        return cls(ring, nvars, degree, {})
+    def zero(cls, nvars: int, degree: int) -> TruncatedSeries:
+        return cls(nvars, degree, {})
 
     @classmethod
-    def constant(cls, ring, nvars: int, degree: int, c) -> TruncatedSeries:
-        return cls(ring, nvars, degree, {(0,) * nvars: c})
+    def constant(cls, nvars: int, degree: int, c) -> TruncatedSeries:
+        return cls(nvars, degree, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, ring, nvars: int, degree: int, index: int = 0) -> TruncatedSeries:
+    def variable(cls, nvars: int, degree: int, index: int = 0) -> TruncatedSeries:
         exps = [0] * nvars
         exps[index] = 1
-        return cls(ring, nvars, degree, {tuple(exps): ring.one})
+        return cls(nvars, degree, {tuple(exps): 1})
 
     # -- ring operations ----------------------------------------------------
 
     def _common(self, other: TruncatedSeries) -> int:
-        if self.ring != other.ring and repr(self.ring) != repr(other.ring):
-            raise ValueError(f"coefficient rings differ: {self.ring!r} vs {other.ring!r}")
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
         return min(self.degree, other.degree)
@@ -100,30 +113,24 @@ class TruncatedSeries:
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         D = self._common(other)
         out = dict(self.coeffs)
-        ring = self.ring
         for e, c in other.coeffs.items():
             got = out.get(e)
-            out[e] = c if got is None else ring.add(got, c)
-        return TruncatedSeries(ring, self.nvars, D, out)
+            out[e] = c if got is None else got + c
+        return TruncatedSeries(self.nvars, D, out)
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         D = self._common(other)
         out = dict(self.coeffs)
-        ring = self.ring
         for e, c in other.coeffs.items():
             got = out.get(e)
-            out[e] = ring.neg(c) if got is None else ring.sub(got, c)
-        return TruncatedSeries(ring, self.nvars, D, out)
+            out[e] = -c if got is None else got - c
+        return TruncatedSeries(self.nvars, D, out)
 
     def __neg__(self) -> TruncatedSeries:
-        ring = self.ring
-        return TruncatedSeries(
-            ring, self.nvars, self.degree, {e: ring.neg(c) for e, c in self.coeffs.items()}
-        )
+        return TruncatedSeries(self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         D = self._common(other)
-        ring = self.ring
         out: dict = {}
         for e1, c1 in self.coeffs.items():
             d1 = sum(e1)
@@ -133,57 +140,42 @@ class TruncatedSeries:
                 if d1 + sum(e2) > D:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = ring.mul(c1, c2)
+                c = c1 * c2
                 got = out.get(e)
-                out[e] = c if got is None else ring.add(got, c)
-        return TruncatedSeries(ring, self.nvars, D, out)
-
-    def __pow__(self, k: int) -> TruncatedSeries:
-        if k < 0:
-            raise ValueError("negative series powers are not defined here")
-        out = TruncatedSeries.constant(self.ring, self.nvars, self.degree, self.ring.one)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+                out[e] = c if got is None else got + c
+        return TruncatedSeries(self.nvars, D, out)
 
     # -- structure ----------------------------------------------------------
 
     def coefficient(self, exps) -> object:
         exps = tuple(exps) if not isinstance(exps, int) else (exps,)
-        return self.coeffs.get(exps, self.ring.zero)
+        return self.coeffs.get(exps, 0)
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.nvars, self.ring.zero)
+        return self.coeffs.get((0,) * self.nvars, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def truncate(self, D: int) -> TruncatedSeries:
         _check_degree(D)
-        return TruncatedSeries(
-            self.ring, self.nvars, D, {e: c for e, c in self.coeffs.items() if sum(e) <= D}
-        )
+        return TruncatedSeries(self.nvars, D, {e: c for e, c in self.coeffs.items() if sum(e) <= D})
 
     def substitute(self, args: list[TruncatedSeries]) -> TruncatedSeries:
         """Substitute one series per variable.
 
         Every argument must have zero constant term (otherwise truncation
-        would lose information), live over the same ring, and share a common
-        variable count.  Evaluation is by nested Horner passes so the number
-        of series multiplications stays linear in the degree.
+        would lose information) and share a common variable count.
+        Evaluation is by nested Horner passes so the number of series
+        multiplications stays linear in the degree.
         """
         if len(args) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution arguments")
         target = args[0]
-        ring = self.ring
         for a in args:
             if a.nvars != target.nvars or a.degree != target.degree:
                 raise ValueError("substitution arguments must match in shape")
-            if not ring.is_zero(a.constant_term()):
+            if a.constant_term() != 0:
                 raise ValueError("substitution arguments must have zero constant term")
         D = min(self.degree, target.degree)
         nt = target.nvars
@@ -192,12 +184,12 @@ class TruncatedSeries:
             # coeffs: {exponents of variables var.. : coefficient}; Horner in
             # args[var] over the exponent of that variable, recursing on the rest
             if var == self.nvars:
-                return TruncatedSeries.constant(ring, nt, D, coeffs[()])
+                return TruncatedSeries.constant(nt, D, coeffs[()])
             by_exp: dict[int, dict] = {}
             for exps, c in coeffs.items():
                 by_exp.setdefault(exps[0], {})[exps[1:]] = c
             top = max(by_exp, default=0)
-            acc = TruncatedSeries.zero(ring, nt, D)
+            acc = TruncatedSeries.zero(nt, D)
             for e in range(top, -1, -1):
                 if e < top:
                     acc = acc * args[var]
@@ -221,8 +213,7 @@ class TruncatedSeries:
                 for i, e in enumerate(exps)
                 if e
             )
-            ctext = self.ring.text(c)
-            parts.append(f"{ctext}*{mono}" if mono else ctext)
+            parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts)
 
     def __eq__(self, other) -> bool:
@@ -248,36 +239,34 @@ def ps_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 
 def ps_reversion(f: TruncatedSeries) -> TruncatedSeries:
-    """The compositional inverse of f = c1 x + ... with c1 a unit.
+    """The compositional inverse of f = c1 x + ... with c1 != 0.
 
     Solves f(g(x)) = x degree by degree: each new coefficient of g is fixed by
     one division by c1.
     """
     if f.nvars != 1:
         raise ValueError("reversion works on 1-variable series")
-    ring = f.ring
-    if not ring.is_zero(f.constant_term()):
+    if f.constant_term() != 0:
         raise ValueError("reversion needs zero constant term")
     c1 = f.coefficient((1,))
-    if not ring.is_unit(c1):
+    if c1 == 0:
         raise ValueError("reversion needs an invertible linear coefficient")
-    inv_c1 = ring.inv(c1)
+    inv_c1 = 1 / Fraction(c1)
     D = f.degree
     coeffs = {(1,): inv_c1}
     for d in range(2, D + 1):
-        g = TruncatedSeries(ring, 1, D, coeffs)
+        g = TruncatedSeries(1, D, coeffs)
         err = ps_compose(f, g).coefficient((d,))
-        if not ring.is_zero(err):
-            coeffs[(d,)] = ring.neg(ring.mul(err, inv_c1))
-    return TruncatedSeries(ring, 1, D, coeffs)
+        if err != 0:
+            coeffs[(d,)] = -(err * inv_c1)
+    return TruncatedSeries(1, D, coeffs)
 
 
 @dataclass(frozen=True)
 class FormalGroupLaw:
-    """A validated two-variable law together with its name and ring."""
+    """A validated two-variable law together with its name."""
 
     name: str
-    ring: object
     series: TruncatedSeries
 
     @property
@@ -285,42 +274,52 @@ class FormalGroupLaw:
         return self.series.degree
 
     def __repr__(self):
-        return f"FormalGroupLaw[{self.name} over {self.ring!r} to degree {self.degree}]"
+        return f"FormalGroupLaw[{self.name} to degree {self.degree}]"
+
+
+def _logarithm(F: TruncatedSeries) -> TruncatedSeries:
+    """The integral of 1 / (dF/dy)(x, 0) = 1 / sum_i c_(i,1) x^i, for a law
+    with c_(0,1) = 1."""
+    D = F.degree
+    g = [F.coefficient((i, 1)) for i in range(D)]
+    inv = [1]
+    for d in range(1, D):
+        inv.append(-sum(g[i] * inv[d - i] for i in range(1, d + 1)))
+    return TruncatedSeries(1, D, {(d + 1,): Fraction(c, d + 1) for d, c in enumerate(inv)})
 
 
 def _validate_law(F: TruncatedSeries, name: str):
-    ring = F.ring
     D = F.degree
+    if {e: c for e, c in F.coeffs.items() if 0 in e} != {(1, 0): 1, (0, 1): 1}:
+        raise ValueError(f"{name}: F(x, 0) != x or F(0, y) != y")
     for (i, j), c in F.coeffs.items():
-        if j == 0 and not (i == 1 and c == ring.one) and not ring.is_zero(c):
-            raise ValueError(f"{name}: F(x, 0) != x at exponent {(i, j)}")
-        if i == 0 and not (j == 1 and c == ring.one) and not ring.is_zero(c):
-            raise ValueError(f"{name}: F(0, y) != y at exponent {(i, j)}")
-    for (i, j), c in F.coeffs.items():
-        if F.coeffs.get((j, i), ring.zero) != c:
+        if F.coeffs.get((j, i), 0) != c:
             raise ValueError(f"{name}: law is not symmetric at exponent {(i, j)}")
-    x3 = TruncatedSeries.variable(ring, 3, D, 0)
-    y3 = TruncatedSeries.variable(ring, 3, D, 1)
-    z3 = TruncatedSeries.variable(ring, 3, D, 2)
-    fxy = F.substitute([x3, y3])
-    fyz = F.substitute([y3, z3])
-    left = F.substitute([fxy, z3])
-    right = F.substitute([x3, fyz])
-    if left != right:
+    # l(F) = l(x) + l(y), with l scaled to integer coefficients so that the
+    # substitution multiplies ints when F is integral
+    log = _logarithm(F)
+    scale = math.lcm(*(c.denominator for c in log.coeffs.values()))
+    log = TruncatedSeries(1, D, {e: c * scale for e, c in log.coeffs.items()})
+    split = {}
+    for (d,), c in log.coeffs.items():
+        split[(d, 0)] = split[(0, d)] = c
+    if log.substitute([F]) != TruncatedSeries(2, D, split):
         raise ValueError(f"{name}: associativity fails up to degree {D}")
 
 
-def _honda_law_rational(p: int, n: int, D: int) -> TruncatedSeries:
+def _honda_law(p: int, n: int, D: int) -> TruncatedSeries:
     # logarithm sum x^(p^(n i)) / p^i, then F = log^(-1)(log x + log y)
+    step = _capped_power(p, n, D)
     log_coeffs = {}
-    i = 0
-    while p ** (n * i) <= D:
-        log_coeffs[(p ** (n * i),)] = Fraction(1, p**i)
+    q, i = 1, 0
+    while q <= D:
+        log_coeffs[(q,)] = Fraction(1, p**i)
+        q *= step
         i += 1
-    log = TruncatedSeries(QQ, 1, D, log_coeffs)
+    log = TruncatedSeries(1, D, log_coeffs)
     exp = ps_reversion(log)
-    x2 = TruncatedSeries.variable(QQ, 2, D, 0)
-    y2 = TruncatedSeries.variable(QQ, 2, D, 1)
+    x2 = TruncatedSeries.variable(2, D, 0)
+    y2 = TruncatedSeries.variable(2, D, 1)
     logsum = log.substitute([x2]) + log.substitute([y2])
     F = exp.substitute([logsum])
     for exps, c in F.coeffs.items():
@@ -331,60 +330,30 @@ def _honda_law_rational(p: int, n: int, D: int) -> TruncatedSeries:
 _HONDA_NAME = re.compile(r"honda\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-def make_fgl(name: str, ring=QQ, D: int = DEFAULT_TRUNCATION, *, check: bool = True) -> FormalGroupLaw:
-    """Build a named law: "additive", "multiplicative", or "honda(p,n)".
+def make_fgl(name: str, D: int = DEFAULT_TRUNCATION) -> FormalGroupLaw:
+    """Build a named law over Q: "additive", "multiplicative", or "honda(p,n)"
+    for a prime p and a height n >= 1.
 
-    The p-typical laws are built over the rationals from their logarithm and
-    reduced into the requested ring afterwards; their coefficients are checked
-    to be p-integral.  With check=True (the default) the law axioms, including
-    three-variable associativity, are verified up to degree D.
+    The p-typical laws are built from their logarithm, and their coefficients
+    are checked to be p-integral.  Every law is validated up to degree D:
+    unit, symmetry, and associativity through its logarithm.
     """
     _check_degree(D)
     key = name.replace(" ", "")
     if key == "additive":
-        F = TruncatedSeries(ring, 2, D, {(1, 0): ring.one, (0, 1): ring.one})
+        F = TruncatedSeries(2, D, {(1, 0): 1, (0, 1): 1})
     elif key == "multiplicative":
-        F = TruncatedSeries(
-            ring, 2, D, {(1, 0): ring.one, (0, 1): ring.one, (1, 1): ring.one}
-        )
+        F = TruncatedSeries(2, D, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     else:
         m = _HONDA_NAME.fullmatch(key)
         if m is None:
             raise ValueError(f"unknown law {name!r}")
         p, n = int(m.group(1)), int(m.group(2))
-        if n < 1:
-            raise ValueError("honda(p, n) needs n >= 1")
-        rational = _honda_law_rational(p, n, D)
-        if isinstance(ring, Rationals):
-            F = rational
-        elif isinstance(ring, ModularIntegers):
-            if ring.p != p:
-                raise ValueError(f"ring modulus prime {ring.p} does not match p = {p}")
-            F = _map_series(rational, ring)
-        else:
-            raise ValueError("honda laws live over QQ or over integers mod p^N")
-    law = FormalGroupLaw(key, ring, F)
-    if check:
-        _validate_law(F, key)
-    return law
-
-
-def _map_series(s: TruncatedSeries, ring: ModularIntegers) -> TruncatedSeries:
-    out = {}
-    for e, c in s.coeffs.items():
-        c = Fraction(c)
-        if c.denominator % ring.p == 0:
-            raise ArithmeticError(f"coefficient at {e} has denominator divisible by {ring.p}")
-        out[e] = ring.mul(c.numerator % ring.modulus, ring.inv(c.denominator % ring.modulus))
-    return TruncatedSeries(ring, s.nvars, s.degree, out)
-
-
-def reduce_series_mod(s: TruncatedSeries, p: int, N: int = 1) -> TruncatedSeries:
-    """Reduce a series over QQ into integers mod p^N (denominators must be
-    prime to p)."""
-    if isinstance(s.ring, Rationals):
-        return _map_series(s, ModularIntegers(p, N))
-    raise ValueError("reduction applies to series over QQ")
+        if not is_prime(p) or n < 1:
+            raise ValueError(f"honda(p, n) needs a prime p and n >= 1, got {key}")
+        F = _honda_law(p, n, D)
+    _validate_law(F, key)
+    return FormalGroupLaw(key, F)
 
 
 def fgl_sum(law: FormalGroupLaw, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -398,7 +367,7 @@ def fgl_inverse(law: FormalGroupLaw, f: TruncatedSeries) -> TruncatedSeries:
     Newton-style iteration i <- i - F(f, i); each pass fixes one more degree
     because dF/dy = 1 + higher terms.
     """
-    if not law.ring.is_zero(f.constant_term()):
+    if f.constant_term() != 0:
         raise ValueError("formal inverse needs zero constant term")
     inv = -f
     for _ in range(f.degree):
@@ -419,8 +388,8 @@ def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
     O(log |m|) substitutions; [-m] is the formal inverse of [m].
     """
     D = law.degree
-    out = TruncatedSeries.zero(law.ring, 1, D)
-    power = TruncatedSeries.variable(law.ring, 1, D, 0)  # [2^i](x)
+    out = TruncatedSeries.zero(1, D)
+    power = TruncatedSeries.variable(1, D, 0)  # [2^i](x)
     k = abs(m)
     while k:
         if k & 1:
@@ -443,30 +412,45 @@ def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:
     if k < 0:
         raise ValueError("k must be >= 0")
     D = law.degree
-    ring = law.ring
     if k == 0:
-        return TruncatedSeries.variable(ring, 1, D, 0)
+        return TruncatedSeries.variable(1, D, 0)
     pser = m_series(law, p)
-    if not ring.is_zero(pser.constant_term()):
+    if pser.constant_term() != 0:
         raise ArithmeticError("p-series has a constant term")
-    e = TruncatedSeries(ring, 1, D, {(d - 1,): c for (d,), c in pser.coeffs.items()})
+    e = TruncatedSeries(1, D, {(d - 1,): c for (d,), c in pser.coeffs.items()})
     inner = m_series(law, p ** (k - 1))
     return e.substitute([inner]) if k > 1 else e
 
 
-def weierstrass_degree(s: TruncatedSeries):
-    """Index of the first coefficient that is a unit mod p, or math.inf.
+def weierstrass_degree(s: TruncatedSeries, p: int):
+    """Index of the first coefficient of a 1-variable series over Z_(p) whose
+    numerator is prime to p, or math.inf if there is none up to the truncation.
 
-    The series must live over integers mod p^N; reduce first if needed.
+    Raises ArithmeticError if a denominator is divisible by p.
     """
-    ring = s.ring
-    if not isinstance(ring, ModularIntegers):
-        raise ValueError("weierstrass_degree needs a series over integers mod p^N")
-    best = None
+    best = math.inf
     for (d,), c in s.coeffs.items():
-        if c % ring.p != 0 and (best is None or d < best):
+        if c.denominator % p == 0:
+            raise ArithmeticError(f"coefficient at {(d,)} has denominator divisible by {p}")
+        if c.numerator % p and d < best:
             best = d
-    return math.inf if best is None else best
+    return best
+
+
+def p_power_weierstrass_degree(law: FormalGroupLaw, p: int, k: int):
+    """weierstrass_degree([p^k](x), p), read from [p](x) alone.
+
+    Reduction mod p is a ring map and Weierstrass degrees multiply under
+    composition over F_p, so the answer is w^k for w that of [p](x), or
+    math.inf once w^k exceeds the truncation; [p^0](x) = x has degree 1.
+    """
+    if k == 0:
+        return 1
+    w = weierstrass_degree(m_series(law, p), p)
+    if w == math.inf:
+        return w
+    wk = _capped_power(w, k, law.degree)
+    return wk if wk <= law.degree else math.inf
 
 
 def series_to_poly(s: TruncatedSeries) -> list:
@@ -474,7 +458,7 @@ def series_to_poly(s: TruncatedSeries) -> list:
     really is a polynomial of degree <= its truncation)."""
     if s.nvars != 1:
         raise ValueError("series_to_poly works on 1-variable series")
-    out = [s.ring.zero] * (s.degree + 1)
+    out = [0] * (s.degree + 1)
     for (d,), c in s.coeffs.items():
         out[d] = c
     return poly_trim(out)
@@ -497,24 +481,23 @@ def coprimality_check(p: int, i: int, j: int) -> CoprimalityCertificate:
     """Angle factors of the multiplicative law at distinct levels are coprime
     over QQ; returns the certificate u*f_i + v*f_j = 1.
 
-    The factors are honest polynomials (the multiplicative p^k-series is
-    (1+x)^(p^k) - 1), so the extended Euclidean algorithm applies verbatim.
+    The multiplicative p^k-series is (1+x)^(p^k) - 1, so the level-k factor is
+    the polynomial Phi_(p^k)(1+x) (x itself at level 0) and the extended
+    Euclidean algorithm applies verbatim.
     """
-    from .rings import poly_add as padd, poly_mul as pmul, poly_xgcd
-
     if i == j:
         raise ValueError("levels must be distinct for a coprimality certificate")
-    D = min(max(p ** max(i, j), 2), MAX_TRUNCATION)
-    if p ** max(i, j) > MAX_TRUNCATION:
+    if min(i, j) < 0:
+        raise ValueError("levels must be >= 0")
+    if _capped_power(p, max(i, j), MAX_TRUNCATION) > MAX_TRUNCATION:
         raise ValueError(
             f"angle factor degree p^{max(i, j)} exceeds the supported truncation {MAX_TRUNCATION}"
         )
-    law = make_fgl("multiplicative", QQ, D, check=False)
-    fi = series_to_poly(angle_series(law, p, i))
-    fj = series_to_poly(angle_series(law, p, j))
+    fi = _cyclo_in_one_plus_x(p**i)
+    fj = _cyclo_in_one_plus_x(p**j)
     g, u, v = poly_xgcd(fi, fj)
     ok = g == [Fraction(1)]
-    combo = padd(pmul(u, fi), pmul(v, fj))
+    combo = poly_add(poly_mul(u, fi), poly_mul(v, fj))
     if ok and combo != [Fraction(1)]:
         raise ArithmeticError("Bezout certificate failed to verify")
     return CoprimalityCertificate(p, i, j, ok, tuple(g), tuple(u), tuple(v))

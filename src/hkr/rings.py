@@ -1,5 +1,5 @@
-"""Exact coefficient arithmetic: dense rational polynomials, modular integers,
-cyclotomic numbers, and Gaussian elimination over any of these.
+"""Exact arithmetic: dense rational polynomials, cyclotomic numbers, number
+theory, and Gaussian elimination, exact or over a prime field F_q.
 
 Everything here is a small, self-contained building block used by the series,
 level-ring, and character modules.  All arithmetic is exact; there is no
@@ -12,10 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
-    "Rationals",
-    "ModularIntegers",
     "CyclotomicNumber",
-    "QQ",
     "euler_phi",
     "is_prime",
     "prime_factors",
@@ -239,99 +236,6 @@ def cyclotomic_int_poly(m: int) -> list[int]:
             num = quot
     _CYCLO_CACHE[m] = num
     return num
-
-
-# ---------------------------------------------------------------------------
-# coefficient ring contexts
-
-
-class Rationals:
-    """The field of rational numbers (Fraction elements)."""
-
-    name = "QQ"
-    zero = ZERO
-    one = ONE
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a != 0
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return 1 / Fraction(a)
-
-    def text(self, a):
-        return str(a)
-
-    def __repr__(self):
-        return "QQ"
-
-
-class ModularIntegers:
-    """Integers modulo p^N for a prime p; a field when N == 1."""
-
-    def __init__(self, p: int, N: int = 1):
-        if p < 2 or N < 1:
-            raise ValueError("need a prime p >= 2 and N >= 1")
-        self.p = p
-        self.N = N
-        self.modulus = p**N
-        self.name = f"Z/{p}^{N}" if N > 1 else f"F{p}"
-        self.zero = 0
-        self.one = 1 % self.modulus
-
-    def add(self, a, b):
-        return (a + b) % self.modulus
-
-    def sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def mul(self, a, b):
-        return (a * b) % self.modulus
-
-    def neg(self, a):
-        return (-a) % self.modulus
-
-    def is_zero(self, a):
-        return a % self.modulus == 0
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"{a} is not a unit modulo {self.p}^{self.N}")
-        return pow(a, -1, self.modulus)
-
-    def text(self, a):
-        return str(a % self.modulus)
-
-    def __eq__(self, other):
-        return isinstance(other, ModularIntegers) and (self.p, self.N) == (other.p, other.N)
-
-    def __hash__(self):
-        return hash(("mod", self.p, self.N))
-
-    def __repr__(self):
-        return self.name
-
-
-QQ = Rationals()
 
 
 # ---------------------------------------------------------------------------

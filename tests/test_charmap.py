@@ -544,6 +544,7 @@ def test_galois_fixed_dim_equals_rank_prediction():
         ("Q8", 2, 2),
         ("Dih(4)", 2, 2),
         ("Cyc(15)", 5, 1),
+        ("Sym(7)", 2, 4),  # above the table cap, which it used to hit
     ):
         G = named_group(spec)
         assert galois_fixed_dim(G, p, k) == rank_prediction(G, p, 1)

@@ -252,6 +252,36 @@ def test_galois_dim_refuses_a_huge_level_quickly():
 
 
 @pytest.mark.parametrize("argv", [
+    ["fgl", "series", "honda(4,1)", "2"],
+    ["fgl", "series", "honda(1,1)", "2"],
+    ["fgl", "series", "honda(0,1)", "2"],
+    ["fgl", "wdeg", "honda(9,2)", "--p", "3", "--k", "1"],
+    ["fgl", "coprime", "--p", "2", "1", "100000000"],
+], ids=["honda-4-1", "honda-1-1", "honda-0-1", "honda-9-2", "coprime-huge-level"])
+def test_fgl_probes_are_quick_usage_errors(argv):
+    # honda(1,1) looped forever, honda(0,1) exited 1 on Fraction(1, 0), the
+    # others answered; coprime computed 2^100000000 before refusing
+    done, seconds = run_python(["-m", "hkr", *argv, "--no-cache"])
+    assert seconds < 5
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,answer", [
+    (["fgl", "series", "honda(2,99999999)", "2"], "2*x"),
+    (["fgl", "wdeg", "multiplicative", "--p", "2", "--k", "3000"], "inf"),
+    (["fgl", "wdeg", "honda(2,1)", "--p", "2", "--k", "30"], "inf"),
+], ids=["honda-huge-height", "wdeg-mult-k3000", "wdeg-honda-k30"])
+def test_fgl_probes_answer_quickly(argv, answer):
+    done, seconds = run_python(["-m", "hkr", *argv, "--no-cache", "--format", "plain"])
+    assert seconds < 5
+    assert done.returncode == 0
+    assert done.stdout == answer + "\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["selftest", "--only", "11"],
     ["selftest", "--only", "2", "0"],
     ["psi-level", "--group", "Sym(3)", "--p", "2", "--k", "-1"],

@@ -1,30 +1,33 @@
 """Formal group laws: axioms, multiplication series, angle factors."""
 
+import hashlib
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
+from hkr.cli import run
 from hkr.fgl import (
     TruncatedSeries,
+    _validate_law,
     angle_series,
     coprimality_check,
     fgl_inverse,
     fgl_sum,
     m_series,
     make_fgl,
+    p_power_weierstrass_degree,
     ps_compose,
     ps_reversion,
-    reduce_series_mod,
     series_to_poly,
     weierstrass_degree,
 )
-from hkr.rings import QQ, ModularIntegers, poly_add, poly_mul, poly_trim
+from hkr.rings import poly_add, poly_mul, poly_trim
 
 
 def x_series(D=12):
-    return TruncatedSeries.variable(QQ, 1, D, 0)
+    return TruncatedSeries.variable(1, D, 0)
 
 
 def test_named_laws_have_expected_coefficients():
@@ -45,15 +48,18 @@ def test_unknown_law_and_bad_degree_are_rejected():
         make_fgl("additive", D=0)
     with pytest.raises(ValueError):
         make_fgl("additive", D=65)
-    with pytest.raises(ValueError):
-        make_fgl("honda(2,0)")
+    # honda(1,1) looped forever, honda(0,1) divided by zero, honda(4,1) answered
+    for name in ("honda(2,0)", "honda(1,1)", "honda(0,1)", "honda(4,1)"):
+        with pytest.raises(ValueError, match="prime p and n >= 1"):
+            make_fgl(name, D=6)
 
 
-def test_honda_ring_constraints():
-    with pytest.raises(ValueError):
-        make_fgl("honda(2,1)", ring=ModularIntegers(3, 1))
-    law = make_fgl("honda(2,1)", ring=ModularIntegers(2, 2), D=8)
-    assert law.ring.modulus == 4
+def test_honda_law_of_a_huge_height_is_quick():
+    # p^(n i) used to be computed before it was compared with D
+    start = time.perf_counter()
+    law = make_fgl("honda(2,99999999)", D=8)
+    assert time.perf_counter() - start < 5
+    assert law.series == make_fgl("additive", D=8).series
 
 
 def test_additive_m_series_is_mx():
@@ -94,9 +100,7 @@ def test_fgl_sum_is_commutative_on_samples():
 
 
 def test_ps_reversion_compose_identity():
-    f = TruncatedSeries(
-        QQ, 1, 10, {(1,): Fraction(1), (2,): Fraction(1), (3,): Fraction(3)}
-    )
+    f = TruncatedSeries(1, 10, {(1,): Fraction(1), (2,): Fraction(1), (3,): Fraction(3)})
     rev = ps_reversion(f)
     assert ps_compose(f, rev) == x_series(10)
     assert ps_compose(rev, f) == x_series(10)
@@ -105,8 +109,8 @@ def test_ps_reversion_compose_identity():
 def test_honda_p_series_mod_p_is_a_pure_power():
     for p, n in ((2, 1), (2, 2), (3, 1)):
         law = make_fgl(f"honda({p},{n})", D=16)
-        reduced = reduce_series_mod(m_series(law, p), p, 1)
-        assert reduced.coeffs == {(p**n,): 1}
+        reduced = {e: c % p for e, c in m_series(law, p).coeffs.items() if c % p}
+        assert reduced == {(p**n,): 1}
 
 
 def test_angle_factor_zero_is_x():
@@ -122,7 +126,7 @@ def test_angle_factors_multiply_to_p_series():
         ("honda(2,2)", 2, 1),
         ("honda(3,1)", 3, 1),
     ):
-        law = make_fgl(name, D=16, check=False)
+        law = make_fgl(name, D=16)
         prod = angle_series(law, p, 0)
         for i in range(1, k + 1):
             prod = prod * angle_series(law, p, i)
@@ -131,21 +135,15 @@ def test_angle_factors_multiply_to_p_series():
 
 def test_weierstrass_degrees():
     mult = make_fgl("multiplicative", D=16)
-    assert weierstrass_degree(reduce_series_mod(m_series(mult, 2), 2, 1)) == 2
-    assert weierstrass_degree(reduce_series_mod(m_series(mult, 4), 2, 1)) == 4
+    assert weierstrass_degree(m_series(mult, 2), 2) == 2
+    assert weierstrass_degree(m_series(mult, 4), 2) == 4
+    assert weierstrass_degree(m_series(mult, 6), 3) == 3
     h22 = make_fgl("honda(2,2)", D=16)
-    assert weierstrass_degree(reduce_series_mod(m_series(h22, 2), 2, 1)) == 4
+    assert weierstrass_degree(m_series(h22, 2), 2) == 4
     add = make_fgl("additive", D=16)
-    assert weierstrass_degree(reduce_series_mod(m_series(add, 2), 2, 1)) == math.inf
-    with pytest.raises(ValueError):
-        weierstrass_degree(m_series(mult, 2))  # not reduced
-
-
-def test_reduce_series_mod():
-    law = make_fgl("multiplicative", D=6)
-    s = reduce_series_mod(m_series(law, 6), 3, 1)
-    for (d,), c in s.coeffs.items():
-        assert c == math.comb(6, d) % 3
+    assert weierstrass_degree(m_series(add, 2), 2) == math.inf
+    with pytest.raises(ArithmeticError):
+        weierstrass_degree(TruncatedSeries(1, 4, {(1,): Fraction(1, 2), (2,): 1}), 2)
 
 
 def test_honda_coefficients_are_p_integral():
@@ -161,7 +159,7 @@ def test_coprimality_certificate_verifies_independently():
             for j in range(i + 1, 3):
                 cert = coprimality_check(p, i, j)
                 assert cert.coprime
-                law = make_fgl("multiplicative", D=max(p**j, 2), check=False)
+                law = make_fgl("multiplicative", D=max(p**j, 2))
                 fi = series_to_poly(angle_series(law, p, i))
                 fj = series_to_poly(angle_series(law, p, j))
                 combo = poly_add(
@@ -186,8 +184,8 @@ def test_series_equality_and_truncation():
 
 def _sequential_m_series(law, m):
     # m substitutions F(x, [j]) and the formal inverse for m < 0
-    x = TruncatedSeries.variable(law.ring, 1, law.degree, 0)
-    cur = TruncatedSeries.zero(law.ring, 1, law.degree)
+    x = TruncatedSeries.variable(1, law.degree, 0)
+    cur = TruncatedSeries.zero(1, law.degree)
     for _ in range(abs(m)):
         cur = fgl_sum(law, x, cur)
     return fgl_inverse(law, cur) if m < 0 else cur
@@ -210,3 +208,119 @@ def test_m_series_of_a_huge_index_is_quick(name, D):
     assert series.coefficient(1) == 10**7
     if name == "multiplicative":
         assert series.coefficient(2) == math.comb(10**7, 2)
+
+
+def _associative_in_three_variables(F):
+    """F(F(x, y), z) == F(x, F(y, z)) by substitution into three variables,
+    the reference for the logarithm certificate in _validate_law."""
+    D = F.degree
+    x, y, z = (TruncatedSeries.variable(3, D, i) for i in range(3))
+    return F.substitute([F.substitute([x, y]), z]) == F.substitute([x, F.substitute([y, z])])
+
+
+NAMED_LAWS = ["additive", "multiplicative", "honda(2,1)", "honda(2,2)", "honda(2,3)",
+              "honda(3,1)", "honda(3,2)", "honda(5,1)", "honda(7,1)", "honda(11,1)"]
+
+
+@pytest.mark.parametrize("name", NAMED_LAWS)
+def test_logarithm_certificate_agrees_with_three_variable_associativity(name):
+    law = make_fgl(name, D=12)
+    assert _associative_in_three_variables(law.series)
+    # a symmetric term that is no 2-cocycle breaks associativity at degree 4
+    bent = law.series + TruncatedSeries(2, 12, {(2, 2): 1})
+    assert not _associative_in_three_variables(bent)
+    with pytest.raises(ValueError, match="associativity"):
+        _validate_law(bent, name)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(1, 0): 1, (0, 1): 1, (2, 2): 1},
+    {(1, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1},
+], ids=["x+y+x2y2", "x+y+xy+x2y+xy2"])
+def test_certificate_rejects_symmetric_unital_non_associative_laws(coeffs):
+    F = TruncatedSeries(2, 8, coeffs)
+    assert not _associative_in_three_variables(F)
+    with pytest.raises(ValueError, match="associativity"):
+        _validate_law(F, "F")
+
+
+def test_certificate_rejects_a_law_without_a_linear_term():
+    with pytest.raises(ValueError, match="F\\(0, y\\) != y"):
+        _validate_law(TruncatedSeries(2, 4, {}), "zero")
+
+
+@pytest.mark.parametrize("name", NAMED_LAWS[:8])
+def test_p_power_weierstrass_degree_matches_the_direct_route(name):
+    for D in (4, 8, 16):
+        law = make_fgl(name, D=D)
+        for p in (2, 3, 5):
+            for k in range(5):
+                direct = weierstrass_degree(m_series(law, p**k), p)
+                assert p_power_weierstrass_degree(law, p, k) == direct, (D, p, k)
+
+
+@pytest.mark.parametrize("name,k", [("multiplicative", 3000), ("honda(2,1)", 30)])
+def test_p_power_weierstrass_degree_of_a_huge_level_is_quick(name, k):
+    # [2^k] itself took 38 s and 7.6 s
+    law = make_fgl(name, D=16)
+    start = time.perf_counter()
+    assert p_power_weierstrass_degree(law, 2, k) == math.inf
+    assert time.perf_counter() - start < 5
+
+
+def _law_argvs(law, p):
+    for D in ("4", "8"):
+        for m in ("2", "3", "-1"):
+            yield ["fgl", "series", law, m, "--D", D]
+        for k in ("0", "1", "2"):
+            yield ["fgl", "angle", law, "--p", str(p), "--k", k, "--D", D]
+            yield ["fgl", "wdeg", law, "--p", str(p), "--k", k, "--D", D]
+
+
+def _coprime_argvs(p):
+    levels = [i for i in range(7) if p**i <= 64]
+    for i in levels:
+        for j in levels:
+            if i != j:
+                yield ["fgl", "coprime", "--p", str(p), str(i), str(j)]
+
+
+def _stdout_digest(capsys, argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        assert run(argv + ["--no-cache"]) == 0, argv
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    return digest.hexdigest()
+
+
+# sha256 of the concatenated JSON stdout of the invocations above, taken from
+# the implementation that validated laws by substituting into three variables
+# and reduced series through coefficient-ring contexts
+LAW_STDOUT_SHA256 = {
+    ("additive", 2): "b2fe737f58bdb45bfa50309e1a9f7636c197d08b9971511a52ff215368bbee0a",
+    ("multiplicative", 2): "8abc71eb3448db3790efcffabda78b4b11650c5f3fcf15184c6cb4a9c26f61a3",
+    ("multiplicative", 3): "1fa8313e7c900a045045b5a1098d31451b464cc05bb745797285c1e379964e46",
+    ("honda(2,1)", 2): "07fd0358ba91e1ca98783be7c192db3c910562dad2e74a0d2e639971f6cb8ed8",
+    ("honda(2,2)", 2): "0ff8e849d8e16e8f1707e104364de36100329838a2821027f2a6fe50fefde975",
+    ("honda(2,3)", 2): "2db3b8a0af669756d3aeebe73929724995497b4e22787660b910998bd879de16",
+    ("honda(3,1)", 3): "8694333d305a38f2fe66254b31798a9f1e50415c3a3ec05bc2d6fe44bbabd00c",
+    ("honda(3,2)", 3): "bd7d16d9d0b537a74b5060343ba82fd206c4a947ee5e96a150caf1c8278e8b4e",
+    ("honda(5,1)", 5): "624e397f385be00cb38309f819f47819699e715d4af23e26299763a10c188def",
+    ("honda(7,1)", 7): "4eb56ee11f64df2ffff9a4757c4b0b9ce983c245e066bb480dc0d4101b4998fa",
+}
+COPRIME_STDOUT_SHA256 = {
+    2: "b522baa3bb0e6ed5d463ee34e5b52a1c325010c1ff9322decde703c1428be86f",
+    3: "a575132a9550c530e4b83d1053f9b81c5cfff2380ba20e64b12414e82794f7cd",
+    5: "e7717a4e564c337ee5880e7fcbb3cd79745ac18dfcceb99c5f1cbc7cb3cb02d4",
+    7: "b6d312b1cd057c3d71d492b810485355ec506a6434a7786ac87be68d0c2077c8",
+}
+
+
+@pytest.mark.parametrize("law,p", sorted(LAW_STDOUT_SHA256))
+def test_fgl_json_frozen(capsys, law, p):
+    assert _stdout_digest(capsys, _law_argvs(law, p)) == LAW_STDOUT_SHA256[(law, p)]
+
+
+@pytest.mark.parametrize("p", sorted(COPRIME_STDOUT_SHA256))
+def test_fgl_coprime_json_frozen(capsys, p):
+    assert _stdout_digest(capsys, _coprime_argvs(p)) == COPRIME_STDOUT_SHA256[p]
