@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .commuting import is_p_power_order
@@ -579,11 +579,8 @@ def irreducible_characters(G: FiniteGroup, *, cap: int = DEFAULT_TABLE_CAP):
 # orthogonality
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    rows_ok: bool
-    columns_ok: bool
-    failures: tuple
+class OrthogonalityReport(namedtuple("OrthogonalityReport", "rows_ok columns_ok failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ computation reported failure), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import io
@@ -22,48 +21,11 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
-from contextlib import redirect_stdout
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
-from . import acceptance
-from .charmap import (
-    adams_psi,
-    character_map,
-    character_table,
-    galois_fixed_dim,
-    psi_level,
-    total_power,
-)
-from .commuting import (
-    gl_action_orbits,
-    hom_tuples,
-    rank_prediction,
-    subgroup_count,
-    tuple_classes,
-    zpn_set_count,
-)
 from .errors import CapExceeded, HkrError, ParseError
-from .fgl import (
-    DEFAULT_TRUNCATION,
-    angle_series,
-    coprimality_check,
-    m_series,
-    make_fgl,
-    p_power_weierstrass_degree,
-)
-from .groupcore import named_group
-from .inertia import (
-    fix_n,
-    gset_from_json,
-    iterate_fix_check,
-    loops_pgroup_check,
-    orbit_census,
-    trivial_gset,
-)
-from .levelrings import cpk_ring, drinfeld_dk, localize_c0k, vandermonde_det
 from .rings import is_prime
 
 __all__ = ["CacheEntry", "run", "main", "GROUP_GRAMMAR", "SCHEMA_VERSION"]
@@ -77,16 +39,13 @@ GROUP_GRAMMAR = (
 )
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(namedtuple("CacheEntry", "key value version")):
     """One cached report: canonical key, rendered payload, schema version."""
 
-    key: str
-    value: str
-    version: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        return {"key": self.key, "value": self.value, "version": self.version}
+        return self._asdict()
 
     @staticmethod
     def from_json(doc: dict) -> CacheEntry:
@@ -206,10 +165,18 @@ def _class_functions_plain(functions) -> str:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, plain text, csv rows or None)
+# and imports its layer when it runs, so that a one-shot call loads only
+# what its command needs and a cache hit loads none
+
+
+def _group(args):
+    from .groupcore import named_group
+    return named_group(args.group)
 
 
 def _cmd_rank(args):
-    G = named_group(args.group)
+    from .commuting import rank_prediction
+    G = _group(args)
     value = rank_prediction(G, args.p, args.n)
     payload = _echo(args, G, rank=value)
     rows = [("group", "p", "n", "rank"), (G.name, args.p, args.n, value)]
@@ -217,7 +184,8 @@ def _cmd_rank(args):
 
 
 def _cmd_tuples(args):
-    G = named_group(args.group)
+    from .commuting import hom_tuples, tuple_classes
+    G = _group(args)
     homs = hom_tuples(G, args.p, args.n)
     classes = tuple_classes(G, args.p, args.n)
     payload = _echo(
@@ -232,7 +200,8 @@ def _cmd_tuples(args):
 
 
 def _cmd_gl_orbits(args):
-    G = named_group(args.group)
+    from .commuting import gl_action_orbits
+    G = _group(args)
     orbits = gl_action_orbits(G, args.p, args.n, args.k)
     payload = _echo(
         args, G, orbit_count=len(orbits),
@@ -248,16 +217,19 @@ def _cmd_gl_orbits(args):
 
 
 def _cmd_zpn_sets(args):
+    from .commuting import zpn_set_count
     value = zpn_set_count(args.p, args.n, args.k)
     return _echo(args, count=value), str(value), None
 
 
 def _cmd_subgroups(args):
+    from .commuting import subgroup_count
     value = subgroup_count(args.p, args.n, args.k)
     return _echo(args, count=value), str(value), None
 
 
 def _cmd_fgl(args):
+    from .fgl import angle_series, coprimality_check, m_series, make_fgl, p_power_weierstrass_degree
     if args.action == "coprime":
         cert = coprimality_check(args.p, args.i, args.j)
         payload = {
@@ -285,6 +257,7 @@ def _cmd_fgl(args):
 
 
 def _cmd_c0_demo(args):
+    from .levelrings import cpk_ring, drinfeld_dk, localize_c0k, vandermonde_det
     p, k = args.p, args.k
     if args.action == "ring":
         R = cpk_ring(p, k)
@@ -321,7 +294,8 @@ def _cmd_c0_demo(args):
 
 
 def _cmd_chartable(args):
-    G = named_group(args.group)
+    from .charmap import character_table
+    G = _group(args)
     table = character_table(G)
     payload = table.to_json()
     lines = [f"{G.name}: {table.size} classes, conductor {table.conductor}"]
@@ -332,7 +306,8 @@ def _cmd_chartable(args):
 
 
 def _cmd_charmap(args):
-    G = named_group(args.group)
+    from .charmap import character_map, character_table
+    G = _group(args)
     table = character_table(G)
     images = [
         character_map(G, args.p, table.irreducible(i)) for i in range(table.size)
@@ -343,7 +318,8 @@ def _cmd_charmap(args):
 
 
 def _cmd_adams(args):
-    G = named_group(args.group)
+    from .charmap import adams_psi, character_table
+    G = _group(args)
     table = character_table(G)
     images = [adams_psi(args.k, table.irreducible(i)) for i in range(table.size)]
     payload = _class_functions_payload(args, G, images, table.classes)
@@ -351,7 +327,8 @@ def _cmd_adams(args):
 
 
 def _cmd_power_op(args):
-    G = named_group(args.group)
+    from .charmap import character_table, total_power
+    G = _group(args)
     table = character_table(G)
     images = [total_power(args.k, table.irreducible(i)) for i in range(table.size)]
     payload = _echo(
@@ -369,7 +346,8 @@ def _cmd_power_op(args):
 
 
 def _cmd_psi_level(args):
-    G = named_group(args.group)
+    from .charmap import character_table, psi_level
+    G = _group(args)
     table = character_table(G)
     images = [
         psi_level(args.p, args.k, table.irreducible(i)) for i in range(table.size)
@@ -379,25 +357,28 @@ def _cmd_psi_level(args):
 
 
 def _cmd_galois_dim(args):
-    G = named_group(args.group)
+    from .charmap import galois_fixed_dim
+    G = _group(args)
     value = galois_fixed_dim(G, args.p, args.k)
     return _echo(args, G, dimension=value), str(value), None
 
 
 def _fix_gset(args):
+    from .inertia import gset_from_json, trivial_gset
     if args.gset:
         doc = json.loads(Path(args.gset).read_text(encoding="utf-8"))
         return gset_from_json(doc)
     if not args.group:
         raise ValueError("fix requires --group or --gset")
-    return trivial_gset(named_group(args.group))
+    return trivial_gset(_group(args))
 
 
 def _cmd_fix(args):
+    from .inertia import fix_n, iterate_fix_check, loops_pgroup_check, orbit_census
     if args.action == "loops-check":
         if not args.group:
             raise ValueError("loops-check requires --group")
-        G = named_group(args.group)
+        G = _group(args)
         result = loops_pgroup_check(G, args.n)
         payload = _echo(
             args, G, ok=result.ok, hom_count=result.hom_count, all_count=result.all_count,
@@ -447,6 +428,8 @@ HANDLERS = {
 def _selftest_cache_check() -> bool:
     """Cache transparency: a cold run, a warm run, and an uncached run of the
     same invocation must produce byte-identical reports."""
+    import tempfile
+    from contextlib import redirect_stdout
     samples = [
         ["rank", "--group", "Cyc(4)", "--p", "2", "--n", "2"],
         ["chartable", "--group", "Sym(3)"],
@@ -467,8 +450,9 @@ def _selftest_cache_check() -> bool:
 
 
 def _cmd_selftest(args) -> int:
+    from .acceptance import run_all
     only = set(args.only) if args.only else None
-    results = acceptance.run_all(only)
+    results = run_all(only)
     ok = all(r.ok for r in results)
     if only is None:
         cache_ok = _selftest_cache_check()
@@ -491,7 +475,11 @@ def _int(text: str) -> int:
 def _prime(text: str) -> int:
     """Argument type of every --p: a prime number."""
     value = _int(text)
-    if not is_prime(value):
+    try:
+        prime = is_prime(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"{value} is not a prime")
     return value
 
@@ -557,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(command="fgl")
         if action != "coprime":
             sp.add_argument("name", help="additive | multiplicative | honda(p,n)")
-            sp.add_argument("--D", type=int, default=DEFAULT_TRUNCATION,
+            # fgl.DEFAULT_TRUNCATION, spelled out so that parsing loads no fgl
+            sp.add_argument("--D", type=int, default=16,
                             help="truncation degree")
         if action == "series":
             sp.add_argument("m", type=int, help="multiplication index")
@@ -603,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", parents=[common],
                         help="run the acceptance criteria")
     st.add_argument("--only", type=int, nargs="+", metavar="N",
-                    choices=[num for num, _, _ in acceptance.CRITERIA],
+                    choices=range(1, 11),  # acceptance.CRITERIA
                     help="restrict to the given criterion numbers (1-10)")
     return parser
 
@@ -612,6 +601,7 @@ def _render(args, payload, plain, rows) -> str:
     if args.format == "csv":
         if rows is None:
             raise ValueError("csv output is only provided for rank")
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows)

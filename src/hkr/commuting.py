@@ -12,7 +12,7 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product as iter_product
 
 from .errors import CapExceeded
@@ -135,13 +135,10 @@ class CommutingTuple:
         return f"CommutingTuple({inner})"
 
 
-@dataclass(frozen=True)
-class TupleClass:
+class TupleClass(namedtuple("TupleClass", "representative size image_centralizer_order")):
     """A simultaneous-conjugation class of commuting tuples."""
 
-    representative: CommutingTuple
-    size: int
-    image_centralizer_order: int
+    __slots__ = ()
 
 
 def _extend_tuples(prefix, candidates, n, out, budget):

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from .errors import CapExceeded
 from .levelrings import _cyclo_in_one_plus_x
 from .rings import is_prime, poly_add, poly_mul, poly_trim, poly_xgcd
 
@@ -42,6 +43,9 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 64
+# caps on the passes of [p^(k-1)] in angle_series, see _charge_m_series
+ANGLE_BITS_CAP = 4096
+ANGLE_WORK_CAP = 1_000_000
 
 
 def _check_degree(D: int):
@@ -262,12 +266,10 @@ def ps_reversion(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(1, D, coeffs)
 
 
-@dataclass(frozen=True)
-class FormalGroupLaw:
+class FormalGroupLaw(namedtuple("FormalGroupLaw", "name series")):
     """A validated two-variable law together with its name."""
 
-    name: str
-    series: TruncatedSeries
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -402,6 +404,31 @@ def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
     return out
 
 
+def _charge_m_series(law: FormalGroupLaw, p: int, e: int):
+    """Raise CapExceeded, before any work, if m_series(law, p^e) would be slow.
+
+    Double-and-add makes a Horner pass of the law per doubling and per set
+    bit of p^e: P series products of up to D^2 coefficient pairs, P the slots
+    below the law's top exponents.  The first doubling and the first addition
+    work on x and on 0 and cost little.  Each doubling adds about D bits to
+    the top coefficients.
+    """
+    D = law.degree
+    tops: dict[int, int] = {}
+    for i, j in law.series.coeffs:
+        tops[i] = max(tops.get(i, 0), j)
+    P = max(tops) + sum(tops.values())
+    if e * (p.bit_length() - 1) * D <= ANGLE_BITS_CAP:  # else p^e is too long to build
+        m = p**e
+        passes = m.bit_length() - 1 + bin(m).count("1")
+        if passes * D <= ANGLE_BITS_CAP and max(passes - 2, 0) * P * D * D <= ANGLE_WORK_CAP:
+            return
+    raise CapExceeded(
+        f"[{p}^{e}](x) at D = {D} exceeds the angle caps of {ANGLE_BITS_CAP} bits "
+        f"and {ANGLE_WORK_CAP} coefficient products"
+    )
+
+
 def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:
     """The k-th angle factor of the p-series.
 
@@ -414,6 +441,7 @@ def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:
     D = law.degree
     if k == 0:
         return TruncatedSeries.variable(1, D, 0)
+    _charge_m_series(law, p, k - 1)
     pser = m_series(law, p)
     if pser.constant_term() != 0:
         raise ArithmeticError("p-series has a constant term")
@@ -464,17 +492,12 @@ def series_to_poly(s: TruncatedSeries) -> list:
     return poly_trim(out)
 
 
-@dataclass(frozen=True)
-class CoprimalityCertificate:
+class CoprimalityCertificate(
+    namedtuple("CoprimalityCertificate", "p i j coprime gcd cofactor_i cofactor_j")
+):
     """Bezout data for a pair of angle factors of the multiplicative law."""
 
-    p: int
-    i: int
-    j: int
-    coprime: bool
-    gcd: tuple
-    cofactor_i: tuple
-    cofactor_j: tuple
+    __slots__ = ()
 
 
 def coprimality_check(p: int, i: int, j: int) -> CoprimalityCertificate:

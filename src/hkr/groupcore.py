@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded, ParseError
 
@@ -218,13 +218,10 @@ class FiniteGroup:
         return f"FiniteGroup[{label}, order {self.order}]"
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(namedtuple("ConjugacyClass", "representative members centralizer_order")):
     """One conjugacy class: sorted members, least member as representative."""
 
-    representative: Permutation
-    members: tuple[Permutation, ...]
-    centralizer_order: int
+    __slots__ = ()
 
     @property
     def size(self) -> int:

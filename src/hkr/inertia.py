@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .commuting import (
     CommutingTuple,
@@ -149,12 +148,10 @@ class GSet:
         return f"GSet[{label}]"
 
 
-@dataclass(frozen=True)
-class FixPoint:
+class FixPoint(namedtuple("FixPoint", "alpha point")):
     """A commuting tuple together with a point fixed by all of its entries."""
 
-    alpha: CommutingTuple
-    point: object
+    __slots__ = ()
 
     def __repr__(self):
         inner = ", ".join(e.cycle_string() for e in self.alpha.entries)
@@ -288,8 +285,7 @@ def fix_n(X: GSet, p: int, n: int, *, work_cap=None) -> GSet:
     return F
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
+class OrbitCensus(namedtuple("OrbitCensus", "orbits total_points predicted consistent")):
     """Orbit census of fix_n(X, p, n) with the consistency contract evaluated.
 
     predicted is the sum of rank_prediction(H, p, n) over the orbits G/H of
@@ -297,10 +293,7 @@ class OrbitCensus:
     matches it.
     """
 
-    orbits: tuple
-    total_points: int
-    predicted: int
-    consistent: bool
+    __slots__ = ()
 
     @property
     def count(self) -> int:

@@ -11,7 +11,7 @@ the two settings agree coefficientwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -117,14 +117,6 @@ class QuotientRing:
     @property
     def x(self) -> RingElement:
         return self.element([0, 1])
-
-    def crt_project(self, a: RingElement) -> list[tuple]:
-        """Residues of a modulo each factor of the modulus."""
-        out = []
-        for f in self.crt_factors:
-            red = poly_mod([Fraction(c) for c in a.coeffs], [Fraction(c) for c in f])
-            out.append(tuple(red) + (Fraction(0),) * (len(f) - 1 - len(red)))
-        return out
 
     def crt_lift(self, residues) -> RingElement:
         """Reassemble an element from its list of component residues."""
@@ -261,14 +253,11 @@ def z_image(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> list[RingElement]:
     return out
 
 
-@dataclass(frozen=True)
-class VandermondeReport:
-    """Componentwise comparison of the Vandermonde determinant with the
-    product of the nonzero index images."""
+class VandermondeReport(namedtuple("VandermondeReport", "p k components")):
+    """Componentwise comparison of the Vandermonde determinant with the product of
+    the nonzero index images: (factor text, det, product, status, unit or None)."""
 
-    p: int
-    k: int
-    components: tuple  # (factor text, det residue, product residue, status, unit or None)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -323,16 +312,12 @@ def vandermonde_det(p: int, k: int, *, cap=VANDERMONDE_CAP):
     return det, VandermondeReport(p, k, tuple(comps))
 
 
-@dataclass(frozen=True)
-class LevelDescriptor:
+class LevelDescriptor(
+    namedtuple("LevelDescriptor", "p k dimension modulus surviving_factor root_description")
+):
     """What survives after inverting the nonzero index images at level k."""
 
-    p: int
-    k: int
-    dimension: int
-    modulus: tuple
-    surviving_factor: tuple
-    root_description: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

@@ -4,6 +4,7 @@ Everything drives hkr.cli.run(argv) directly; stdout is the interface under
 test, so most assertions are on captured bytes.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hkr.cli import CacheEntry, SCHEMA_VERSION, run
+from hkr.cli import CacheEntry, SCHEMA_VERSION, _build_parser, run
 
 
 def invoke(capsys, argv):
@@ -379,3 +380,74 @@ def test_subgroups_refuses_large_enumerations_quickly(p, n, k):
     done, seconds = run_python(["-m", "hkr", *argv])
     assert seconds < 5
     assert_one_line_failure(done, "cap")
+
+
+# what a one-shot call must not load unless its command needs it
+LAZY_MODULES = {"hkr.charmap", "hkr.acceptance", "hkr.fgl", "hkr.inertia", "hkr.levelrings",
+                "dataclasses", "inspect"}
+
+
+def loaded_modules(script):
+    """Modules a fresh interpreter loads for script beyond its own start-up."""
+    report = "\nimport json, sys\nsys.stderr.write(json.dumps(sorted(sys.modules)))"
+    names = []
+    for code in ("pass", script):
+        done, _ = run_python(["-c", code + report])
+        assert done.returncode == 0, done.stderr
+        names.append(set(json.loads(done.stderr)))
+    return names[1] - names[0]
+
+
+def test_import_loads_no_layer_module():
+    loaded = loaded_modules("import hkr.cli")
+    assert "hkr.cli" in loaded
+    assert not loaded & LAZY_MODULES
+
+
+def test_cache_hit_loads_no_layer_module(tmp_path):
+    argv = ["rank", "--group", "Cyc(4)", "--p", "2", "--n", "2", "--cache", str(tmp_path)]
+    script = f"import hkr.cli\nassert hkr.cli.run({argv!r}) == 0"
+    loaded = loaded_modules(script)  # the miss runs commuting and groupcore
+    assert {"hkr.commuting", "hkr.groupcore"} <= loaded
+    assert not loaded & LAZY_MODULES
+    loaded = loaded_modules(script)
+    assert not loaded & (LAZY_MODULES | {"hkr.commuting", "hkr.groupcore"})
+
+
+def _subparser(parser, *names):
+    for name in names:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+def test_parser_literals_match_the_library():
+    from hkr.acceptance import CRITERIA
+    from hkr.fgl import DEFAULT_TRUNCATION
+
+    parser = _build_parser()
+    only = next(a for a in _subparser(parser, "selftest")._actions if a.dest == "only")
+    assert list(only.choices) == [num for num, _, _ in CRITERIA]
+    for action in ("series", "angle", "wdeg"):
+        assert _subparser(parser, "fgl", action).get_default("D") == DEFAULT_TRUNCATION
+
+
+@pytest.mark.parametrize("argv,answer", [
+    (["rank", "--group", "Cyc(2)", "--p", "1000000000000000000000007", "--n", "1"], "1"),
+    (["fgl", "series", "honda(1000000000000000000000007,1)", "2", "--D", "8"], "2*x"),
+], ids=["rank", "honda"])
+def test_a_large_prime_answers_quickly(argv, answer):
+    # trial division never finished on p = 10^24 + 7
+    done, seconds = run_python(["-m", "hkr", *argv, "--no-cache", "--format", "plain"])
+    assert seconds < 2
+    assert done.returncode == 0 and done.stdout == answer + "\n"
+
+
+def test_primality_past_its_proven_bound_is_a_usage_error():
+    from hkr.rings import PRIMALITY_BOUND
+
+    argv = ["rank", "--group", "Cyc(2)", "--p", str(PRIMALITY_BOUND + 2), "--n", "1", "--no-cache"]
+    done, _ = run_python(["-m", "hkr", *argv])
+    assert done.returncode == 2 and done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "only decided below" in done.stderr.splitlines()[-1]

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from hkr.cli import run
+from hkr.errors import CapExceeded
 from hkr.fgl import (
     TruncatedSeries,
+    _charge_m_series,
     _validate_law,
     angle_series,
     coprimality_check,
@@ -266,6 +268,40 @@ def test_p_power_weierstrass_degree_of_a_huge_level_is_quick(name, k):
     start = time.perf_counter()
     assert p_power_weierstrass_degree(law, 2, k) == math.inf
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiplicative", "--p", "2", "--k", "3000", "--D", "16"],
+    ["honda(2,1)", "--p", "2", "--k", "200"],
+], ids=["mult-k3000", "honda-k200"])
+def test_angle_refuses_a_huge_level_at_once(capsys, argv):
+    # the first never finished, the second took 7.4 s
+    start = time.perf_counter()
+    code, captured = run(["fgl", "angle", *argv, "--no-cache"]), capsys.readouterr()
+    assert time.perf_counter() - start < 2
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "angle caps" in captured.err
+
+
+@pytest.mark.parametrize("name,p,D", [
+    ("multiplicative", 2, 64), ("multiplicative", 7, 16), ("honda(2,1)", 2, 8),
+    ("honda(2,1)", 2, 16), ("honda(3,1)", 3, 16), ("honda(2,1)", 7, 16),
+])
+def test_largest_admitted_angle_level_is_quick(name, p, D):
+    law = make_fgl(name, D=D)
+    k = 1
+    while True:  # angle_series(law, p, k) charges [p^(k-1)]
+        try:
+            _charge_m_series(law, p, k)
+        except CapExceeded:
+            break
+        k += 1
+    start = time.perf_counter()
+    factor = angle_series(law, p, k)
+    assert time.perf_counter() - start < 5
+    assert factor.coefficient(0) == p
+    with pytest.raises(CapExceeded):
+        angle_series(law, p, k + 1)
 
 
 def _law_argvs(law, p):

@@ -56,9 +56,11 @@ def test_z_image_values():
 
 
 def test_crt_round_trip():
+    # residues read in each factor's own field, as vandermonde_det reads them
     R = cpk_ring(2, 2)
+    fields = [QuotientRing(f, [f]) for f in R.crt_factors]
     for a in (R.x, R.x * R.x + 3, R.one, R.zero, (R.x + 1) ** 3):
-        assert R.crt_lift(R.crt_project(a)) == a
+        assert R.crt_lift([F.element(a.coeffs).coeffs for F in fields]) == a
 
 
 def leibniz_det(rows, one):

@@ -7,9 +7,11 @@ from itertools import permutations
 import pytest
 
 from hkr.rings import (
+    PRIMALITY_BOUND,
     CyclotomicNumber,
     cyclotomic_int_poly,
     euler_phi,
+    is_prime,
     mat_det,
     mat_nullspace,
     mat_nullspace_dim,
@@ -45,6 +47,24 @@ def test_integer_cyclotomic_polynomials_match_the_fraction_route():
         assert got == num
         assert all(type(c) is int for c in got)
         assert len(got) - 1 == euler_phi(m)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    sieve = bytearray([1]) * 10**5
+    sieve[0] = sieve[1] = 0
+    for f in range(2, 317):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, 10**5, f)))
+    assert [n for n in range(10**5) if is_prime(n)] == [n for n in range(10**5) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_knows_large_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the first nine primes
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(10**24 + 7) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert not is_prime(PRIMALITY_BOUND - 1)
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(PRIMALITY_BOUND)
 
 
 def test_euler_phi_matches_gcd_count():
