@@ -242,16 +242,11 @@ def criterion_4():
     )
 
 
-def _eisenstein_at_p(coeffs, p: int) -> bool:
-    ints = []
-    for c in coeffs:
-        if getattr(c, "denominator", 1) != 1:
-            return False
-        ints.append(int(c))
+def _eisenstein_at_p(coeffs: list[int], p: int) -> bool:
     return (
-        ints[-1] == 1
-        and all(c % p == 0 for c in ints[:-1])
-        and ints[0] % (p * p) != 0
+        coeffs[-1] == 1
+        and all(c % p == 0 for c in coeffs[:-1])
+        and coeffs[0] % (p * p) != 0
     )
 
 

@@ -46,8 +46,7 @@ from .groupcore import (
 )
 from .rings import (
     CyclotomicNumber,
-    _accumulate,
-    cyclotomic_int_poly,
+    capped_power,
     is_prime,
     mat_nullspace_dim,
     mat_rank,
@@ -81,8 +80,10 @@ _ABELIAN_WORK_CAP = 50_000_000
 
 
 def _tally_coords(terms, m: int) -> tuple[int, ...]:
-    """Power-basis coordinates of sum c * zeta_m^e over the (e, c) in terms."""
-    return tuple(_accumulate([0] * (len(cyclotomic_int_poly(m)) - 1), terms, m))
+    """Power-basis coordinates of sum c * zeta_m^e over the (e, c) in terms,
+    0 <= e < m, read from the field's table of powers."""
+    field = CyclotomicNumber.field(m)
+    return tuple(field.add_terms([0] * field.dimension, terms))
 
 
 def _unit_generators(units, n: int) -> list[int]:
@@ -961,7 +962,7 @@ def psi_level(p: int, k: int, chi: ClassFunction, *, j: int = 1) -> ClassFunctio
     """
     if math.gcd(j, p) != 1:
         raise ValueError("evaluation point must be a unit at p")
-    size = p**k
+    size = capped_power(p, k, MAX_POWER_OP_DEGREE)
     _check_power_degree(size)
     cayley = Permutation(tuple((x + j) % size for x in range(size)))
     (values,) = _cycle_products(chi, [cayley.cycle_lengths()])
@@ -983,13 +984,11 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"level k = {k} must be >= 0")
-    pk = 1
-    for _ in range(k):
-        pk *= p
-        if (pk - pk // p) ** 2 > GALOIS_DIM_CAP:
-            raise CapExceeded(
-                f"phi(p^k)^2 for p = {p}, k = {k} exceeds the Galois dimension cap {GALOIS_DIM_CAP}"
-            )
+    pk = capped_power(p, k, GALOIS_DIM_CAP)  # a pk past the cap has phi(pk)^2 past it
+    if (pk - pk // p) ** 2 > GALOIS_DIM_CAP:
+        raise CapExceeded(
+            f"phi(p^k)^2 for p = {p}, k = {k} exceeds the Galois dimension cap {GALOIS_DIM_CAP}"
+        )
     expo = G.exponent()
     if _p_part(expo, p) > pk:
         raise HkrError(f"p^k = {pk} is below the p-part of the exponent {expo}")

@@ -24,7 +24,7 @@ from .groupcore import (
     conjugacy_classes,
     orbit_search,
 )
-from .rings import rref_mod
+from .rings import capped_power, rref_mod
 
 __all__ = [
     "CommutingTuple",
@@ -299,9 +299,9 @@ class GLMatrix:
 
 def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[GLMatrix]:
     """All of GL_n(Z/p^k), ordered lexicographically by flattened entries."""
-    mod = p**k
-    if mod ** (n * n) > cap:
-        raise CapExceeded(f"GL enumeration size {mod ** (n * n)} exceeds cap {cap}")
+    mod = capped_power(p, k, cap)
+    if capped_power(mod, n * n, cap) > cap:
+        raise CapExceeded(f"GL enumeration size ({p}^{k})^{n * n} exceeds cap {cap}")
     out = []
     for flat in iter_product(range(mod), repeat=n * n):
         rows = [flat[i * n : (i + 1) * n] for i in range(n)]
@@ -335,9 +335,9 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int, *, work_cap=DEFAULT
     Requires p^k to annihilate every tuple entry (the exponents live in Z/p^k).
     Orbits are lists of TupleClass values; both layers are canonically ordered.
     """
-    mod = p**k
     pool = p_power_elements(G, p)
     worst = max((g.order() for g in pool), default=1)
+    mod = capped_power(p, k, worst)  # exact up to worst, a power of p
     if mod % worst != 0:
         raise ValueError(
             f"p^k = {mod} does not annihilate all p-power elements (max order {worst})"
@@ -375,9 +375,9 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
         raise ValueError("n and k must be >= 0")
     if k == 0 or n == 0:
         return 1 if k == 0 else 0
-    mod = p**k
-    if mod**n > cap:
-        raise CapExceeded(f"ambient group size {mod ** n} exceeds cap {cap}")
+    mod = capped_power(p, k, cap)
+    if capped_power(mod, n, cap) > cap:
+        raise CapExceeded(f"ambient group size ({p}^{k})^{n} exceeds cap {cap}")
     ambient = list(iter_product(range(mod), repeat=n))
     zero = (0,) * n
     level = {frozenset([zero])}
@@ -441,13 +441,10 @@ def zpn_set_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
     """
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
-    # the pass below takes (p^k + 2)/2 * sum_d (p^(k-d) + 1) steps; grow p^k
-    # one factor at a time so that a huge k is refused before p^k is built
-    size = 1
-    for _ in range(k):
-        size *= p
-        if size > cap:
-            raise CapExceeded(f"set size {p}^{k} exceeds cap {cap}")
+    # the pass below takes (p^k + 2)/2 * sum_d (p^(k-d) + 1) steps
+    size = capped_power(p, k, cap)
+    if size > cap:
+        raise CapExceeded(f"set size {p}^{k} exceeds cap {cap}")
     steps = (size + 2) * sum(size // p**d + 1 for d in range(k + 1)) // 2
     if steps > cap:
         raise CapExceeded(f"generating-function pass of {steps} steps exceeds cap {cap}")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded
 from .levelrings import _cyclo_in_one_plus_x
-from .rings import is_prime, poly_add, poly_mul, poly_trim, poly_xgcd
+from .rings import capped_power, is_prime, poly_add, poly_mul, poly_trim, poly_xgcd
 
 __all__ = [
     "TruncatedSeries",
@@ -43,7 +43,7 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 64
-# caps on the passes of [p^(k-1)] in angle_series, see _charge_m_series
+# caps on the passes of [m] in m_series, see _charge_m_series
 ANGLE_BITS_CAP = 4096
 ANGLE_WORK_CAP = 1_000_000
 
@@ -51,16 +51,6 @@ ANGLE_WORK_CAP = 1_000_000
 def _check_degree(D: int):
     if not 1 <= D <= MAX_TRUNCATION:
         raise ValueError(f"truncation degree must be in 1..{MAX_TRUNCATION}, got {D}")
-
-
-def _capped_power(base: int, k: int, bound: int) -> int:
-    """base^k, or the first partial product above bound, one factor at a time."""
-    out = 1
-    for _ in range(k):
-        out *= base
-        if out > bound:
-            break
-    return out
 
 
 class TruncatedSeries:
@@ -311,7 +301,7 @@ def _validate_law(F: TruncatedSeries, name: str):
 
 def _honda_law(p: int, n: int, D: int) -> TruncatedSeries:
     # logarithm sum x^(p^(n i)) / p^i, then F = log^(-1)(log x + log y)
-    step = _capped_power(p, n, D)
+    step = capped_power(p, n, D)
     log_coeffs = {}
     q, i = 1, 0
     while q <= D:
@@ -387,8 +377,10 @@ def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
     """The m-fold formal sum [m](x), for any integer m.
 
     Double-and-add on |m| with [a + b](x) = F([a](x), [b](x)), so the cost is
-    O(log |m|) substitutions; [-m] is the formal inverse of [m].
+    O(log |m|) substitutions, charged before any of them; [-m] is the formal
+    inverse of [m].
     """
+    _charge_m_series(law, abs(m))
     D = law.degree
     out = TruncatedSeries.zero(1, D)
     power = TruncatedSeries.variable(1, D, 0)  # [2^i](x)
@@ -404,28 +396,28 @@ def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
     return out
 
 
-def _charge_m_series(law: FormalGroupLaw, p: int, e: int):
+def _charge_m_series(law: FormalGroupLaw, p: int, e: int = 1):
     """Raise CapExceeded, before any work, if m_series(law, p^e) would be slow.
 
     Double-and-add makes a Horner pass of the law per doubling and per set
-    bit of p^e: P series products of up to D^2 coefficient pairs, P the slots
-    below the law's top exponents.  The first doubling and the first addition
-    work on x and on 0 and cost little.  Each doubling adds about D bits to
-    the top coefficients.
+    bit of m = p^e: P series products of up to D^2 coefficient pairs, P the
+    slots below the law's top exponents.  The first doubling and the first
+    addition work on x and on 0 and cost little.  Each doubling adds about D
+    bits to the top coefficients, so p^e is built only up to the first power
+    past 2^ANGLE_BITS_CAP, which is refused.
     """
     D = law.degree
     tops: dict[int, int] = {}
     for i, j in law.series.coeffs:
         tops[i] = max(tops.get(i, 0), j)
     P = max(tops) + sum(tops.values())
-    if e * (p.bit_length() - 1) * D <= ANGLE_BITS_CAP:  # else p^e is too long to build
-        m = p**e
-        passes = m.bit_length() - 1 + bin(m).count("1")
-        if passes * D <= ANGLE_BITS_CAP and max(passes - 2, 0) * P * D * D <= ANGLE_WORK_CAP:
-            return
+    m = capped_power(p, e, 1 << ANGLE_BITS_CAP)
+    passes = m.bit_length() - 1 + bin(m).count("1")
+    if passes * D <= ANGLE_BITS_CAP and max(passes - 2, 0) * P * D * D <= ANGLE_WORK_CAP:
+        return
     raise CapExceeded(
-        f"[{p}^{e}](x) at D = {D} exceeds the angle caps of {ANGLE_BITS_CAP} bits "
-        f"and {ANGLE_WORK_CAP} coefficient products"
+        f"[m](x) for an m of {m.bit_length()} bits at D = {D} exceeds the angle caps "
+        f"of {ANGLE_BITS_CAP} bits and {ANGLE_WORK_CAP} coefficient products"
     )
 
 
@@ -441,12 +433,12 @@ def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:
     D = law.degree
     if k == 0:
         return TruncatedSeries.variable(1, D, 0)
-    _charge_m_series(law, p, k - 1)
+    # [p^(k-1)] first: m_series refuses a huge level before any work
+    inner = m_series(law, capped_power(p, k - 1, 1 << ANGLE_BITS_CAP))
     pser = m_series(law, p)
     if pser.constant_term() != 0:
         raise ArithmeticError("p-series has a constant term")
     e = TruncatedSeries(1, D, {(d - 1,): c for (d,), c in pser.coeffs.items()})
-    inner = m_series(law, p ** (k - 1))
     return e.substitute([inner]) if k > 1 else e
 
 
@@ -477,7 +469,7 @@ def p_power_weierstrass_degree(law: FormalGroupLaw, p: int, k: int):
     w = weierstrass_degree(m_series(law, p), p)
     if w == math.inf:
         return w
-    wk = _capped_power(w, k, law.degree)
+    wk = capped_power(w, k, law.degree)
     return wk if wk <= law.degree else math.inf
 
 
@@ -512,7 +504,7 @@ def coprimality_check(p: int, i: int, j: int) -> CoprimalityCertificate:
         raise ValueError("levels must be distinct for a coprimality certificate")
     if min(i, j) < 0:
         raise ValueError("levels must be >= 0")
-    if _capped_power(p, max(i, j), MAX_TRUNCATION) > MAX_TRUNCATION:
+    if capped_power(p, max(i, j), MAX_TRUNCATION) > MAX_TRUNCATION:
         raise ValueError(
             f"angle factor degree p^{max(i, j)} exceeds the supported truncation {MAX_TRUNCATION}"
         )

@@ -12,21 +12,19 @@ the two settings agree coefficientwise.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 from .errors import CapExceeded
 from .rings import (
+    QuotientRing as _QuotientRing,
+    RingElement,
+    capped_power,
     cyclotomic_int_poly,
-    euler_phi,
     mat_det,
     mat_nullspace_dim,
-    poly_add,
     poly_compose,
     poly_divmod,
-    poly_mod,
     poly_mul,
-    poly_sub,
     poly_to_text,
     poly_trim,
     poly_xgcd,
@@ -54,203 +52,76 @@ DEFAULT_LEVEL_CAP = 10_000
 VANDERMONDE_CAP = 10_000_000
 
 
-def _one_plus_x_power(e: int) -> list[Fraction]:
-    """(1+x)^e as a dense polynomial."""
-    out = [Fraction(1)]
-    base = [Fraction(1), Fraction(1)]
-    while e:
-        if e & 1:
-            out = poly_mul(out, base)
-        base = poly_mul(base, base)
-        e >>= 1
+def _index_image(e: int) -> list[int]:
+    """(1+x)^e - 1, the image of the index e, from the binomial coefficients."""
+    out = [1]
+    for i in range(e):
+        out.append(out[-1] * (e - i) // (i + 1))
+    out[0] -= 1
     return out
 
 
-def _cyclo_in_one_plus_x(m: int) -> list[Fraction]:
+def _cyclo_in_one_plus_x(m: int) -> list[int]:
     """Phi_m(1+x)."""
-    return poly_compose([Fraction(c) for c in cyclotomic_int_poly(m)], [Fraction(1), Fraction(1)])
+    return poly_compose(cyclotomic_int_poly(m), [1, 1])
 
 
-class QuotientRing:
+def _substitute(coeffs, s: RingElement) -> RingElement:
+    """The polynomial with these coefficients evaluated at s, by Horner."""
+    out = s.ring.zero
+    for c in reversed(coeffs):
+        out = out * s + c
+    return out
+
+
+class QuotientRing(_QuotientRing):
     """Q[x]/(f) (or Z[x]/(f) when integral) with a fixed factorization of f.
 
     crt_factors lists the irreducible factors of the modulus (squarefree in
     every ring built here); they power the componentwise operations used by
-    the determinant and localization routines.
+    the determinant and localization routines.  The arithmetic is that of
+    hkr.rings.
     """
 
     def __init__(self, modulus, crt_factors, *, integral=False, label=""):
-        cast = (lambda c: int(c)) if integral else (lambda c: Fraction(c))
-        self.modulus = tuple(cast(c) for c in poly_trim(list(modulus)))
-        self.crt_factors = tuple(tuple(cast(c) for c in poly_trim(list(f))) for f in crt_factors)
-        self.integral = integral
-        self.label = label or f"Q[x]/({poly_to_text(self.modulus)})"
-        prod = [Fraction(1)]
+        super().__init__(modulus, integral=integral, label=label)
+        self.crt_factors = tuple(tuple(int(c) for c in poly_trim(list(f))) for f in crt_factors)
+        prod = [1]
         for f in self.crt_factors:
-            prod = poly_mul(prod, [Fraction(c) for c in f])
-        if poly_trim(poly_sub(prod, [Fraction(c) for c in self.modulus])):
+            prod = poly_mul(prod, list(f))
+        if tuple(prod) != self.modulus:
             raise ValueError("crt factors do not multiply to the modulus")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.modulus) - 1
-
-    def element(self, coeffs) -> RingElement:
-        if self.integral:
-            red = poly_mod([Fraction(c) for c in coeffs], [Fraction(c) for c in self.modulus])
-            for c in red:
-                if c.denominator != 1:
-                    raise ValueError("element does not reduce integrally")
-            red = [int(c) for c in red]
-        else:
-            red = poly_mod([Fraction(c) for c in coeffs], list(self.modulus))
-        return RingElement(self, tuple(red) + (0,) * (self.dimension - len(red)))
-
-    @property
-    def zero(self) -> RingElement:
-        return self.element([])
-
-    @property
-    def one(self) -> RingElement:
-        return self.element([1])
-
-    @property
-    def x(self) -> RingElement:
-        return self.element([0, 1])
 
     def crt_lift(self, residues) -> RingElement:
         """Reassemble an element from its list of component residues."""
         if len(residues) != len(self.crt_factors):
             raise ValueError("one residue per factor expected")
-        modulus = [Fraction(c) for c in self.modulus]
-        acc: list[Fraction] = []
+        acc = self.zero
         for f, res in zip(self.crt_factors, residues):
-            f = [Fraction(c) for c in f]
-            cof, _ = poly_divmod(modulus, f)
+            cof, _ = poly_divmod(self.modulus, f)
             g, u, _ = poly_xgcd(cof, f)
-            if g != [Fraction(1)]:
+            if g != [1]:
                 raise ArithmeticError("factors are not pairwise coprime")
-            idem = poly_mod(poly_mul(u, cof), modulus)
-            acc = poly_add(acc, poly_mod(poly_mul(list(res), idem), modulus))
-        return self.element(acc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuotientRing)
-            and self.modulus == other.modulus
-            and self.integral == other.integral
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.integral))
-
-    def __repr__(self):
-        return f"QuotientRing[{self.label}]"
-
-
-class RingElement:
-    """An element of a QuotientRing, as coefficients of degree < dimension."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: QuotientRing, coeffs: tuple):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _check(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.element([other])
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError("elements live in different rings")
-        return other
-
-    # sums of reduced elements are reduced: no division by the modulus
-
-    def __add__(self, other):
-        other = self._check(other)
-        return RingElement(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return RingElement(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __neg__(self):
-        return RingElement(self.ring, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return self.ring.element(poly_mul(list(self.coeffs), list(other.coeffs)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * self._check(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def inverse(self) -> RingElement:
-        """The multiplicative inverse; raises ZeroDivisionError on a non-unit."""
-        modulus = [Fraction(c) for c in self.ring.modulus]
-        g, u, _ = poly_xgcd([Fraction(c) for c in self.coeffs], modulus)
-        if g != [Fraction(1)]:
-            raise ZeroDivisionError(f"{self.to_text()} is not a unit in {self.ring.label}")
-        return self.ring.element(u)
-
-    def __pow__(self, k: int):
-        out = self.ring.one
-        base = self
-        if k < 0:
-            raise ValueError("negative powers are not defined in a quotient ring")
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def to_text(self) -> str:
-        return poly_to_text(list(self.coeffs))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.element([other])
-        return isinstance(other, RingElement) and self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring.modulus, self.coeffs))
-
-    def __repr__(self):
-        return f"RingElement[{self.to_text()}]"
+            # u * cof is the idempotent of this factor
+            acc = acc + self.element(poly_mul(list(res), poly_mul(u, cof)))
+        return acc
 
 
 def cpk_ring(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> QuotientRing:
     """The level-k ring Q[x]/((1+x)^(p^k) - 1) with its cyclotomic factors."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    size = p**k
+    size = capped_power(p, k, cap)
     if size > cap:
-        raise CapExceeded(f"p^k = {size} exceeds level cap {cap}")
-    modulus = poly_sub(_one_plus_x_power(size), [Fraction(1)])
+        raise CapExceeded(f"p^k = {p}^{k} exceeds level cap {cap}")
     factors = [_cyclo_in_one_plus_x(p**i) for i in range(k + 1)]
-    return QuotientRing(modulus, factors, label=f"C0'({p},{k})")
+    return QuotientRing(_index_image(size), factors, label=f"C0'({p},{k})")
 
 
 def z_image(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> list[RingElement]:
     """The images (1+x)^j - 1 of the nonzero level-k indices j = 1..p^k - 1."""
     ring = cpk_ring(p, k, cap=cap)
-    out = []
-    for j in range(1, p**k):
-        out.append(ring.element(poly_sub(_one_plus_x_power(j), [Fraction(1)])))
-    return out
+    return [ring.element(_index_image(j)) for j in range(1, ring.dimension)]
 
 
 class VandermondeReport(namedtuple("VandermondeReport", "p k components")):
@@ -273,13 +144,9 @@ def vandermonde_det(p: int, k: int, *, cap=VANDERMONDE_CAP):
     components where both sides vanish nothing more is claimed, elsewhere the
     quotient must be a unit and is recorded.
     """
-    size, degrees = 1, [1]  # p^j and the degrees of the CRT factors Phi_{p^j}(1+x)
-    for _ in range(k):
-        if size**3 > cap:
-            break
-        size *= p
-        degrees.append(size - size // p)
-    if size**3 * sum(d * d for d in degrees) > cap:
+    size = capped_power(p, k, cap)
+    # the CRT factors Phi_{p^i}(1+x) have degrees 1 and p^i - p^(i-1)
+    if size > cap or size**3 * (1 + sum((p**i - p ** (i - 1)) ** 2 for i in range(1, k + 1))) > cap:
         raise CapExceeded(f"Vandermonde work at p^k = {p}^{k} exceeds the cap {cap}")
     ring = cpk_ring(p, k)
     images = [ring.zero] + z_image(p, k)
@@ -319,15 +186,6 @@ class LevelDescriptor(
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "dimension": self.dimension,
-            "modulus": poly_to_text(self.modulus),
-            "surviving_factor": poly_to_text(self.surviving_factor),
-        }
-
 
 def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
     """Invert every nonzero index image in the level-k ring.
@@ -340,8 +198,8 @@ def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
     images = z_image(p, k, cap=cap)
     survivors = []
     for fi, factor in enumerate(ring.crt_factors):
-        f = [Fraction(c) for c in factor]
-        if all(poly_trim(poly_mod([Fraction(c) for c in a.coeffs], f)) for a in images):
+        field = QuotientRing(factor, [factor])
+        if not any(field.element(a.coeffs).is_zero() for a in images):
             survivors.append(fi)
     if survivors != [k]:
         raise ArithmeticError(
@@ -351,10 +209,10 @@ def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
     return LevelDescriptor(
         p,
         k,
-        euler_phi(p**k),
+        len(factor) - 1,
         ring.modulus,
         factor,
-        f"1 + x is a primitive {p**k}-th root of unity",
+        f"1 + x is a primitive {ring.dimension}-th root of unity",
     )
 
 
@@ -364,12 +222,9 @@ def drinfeld_dk(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> QuotientRing:
     Rationalizing its modulus must reproduce the surviving localization
     component, which is checked here.
     """
-    size = p**k
-    if size > cap:
-        raise CapExceeded(f"p^k = {size} exceeds level cap {cap}")
-    factor = _cyclo_in_one_plus_x(size)
-    desc = localize_c0k(p, k, cap=cap)
-    if tuple(Fraction(c) for c in desc.surviving_factor) != tuple(factor):
+    desc = localize_c0k(p, k, cap=cap)  # bounds p^k first
+    factor = _cyclo_in_one_plus_x(p**k)
+    if desc.surviving_factor != tuple(factor):
         raise ArithmeticError("integral modulus does not match the localization component")
     return QuotientRing(factor, [factor], integral=True, label=f"D({p},{k})")
 
@@ -383,9 +238,7 @@ def galois_action(p: int, k: int, u: int, a: RingElement) -> RingElement:
         u = u % size
     else:
         u = 1
-    sub = poly_sub(_one_plus_x_power(u), [Fraction(1)])
-    image = poly_compose([Fraction(c) for c in a.coeffs], sub)
-    return a.ring.element(image)
+    return _substitute(a.coeffs, a.ring.element(_index_image(u)))
 
 
 def galois_fixed_dimension(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> int:
@@ -393,7 +246,7 @@ def galois_fixed_dimension(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> int:
     ring = cpk_ring(p, k, cap=cap)
     n = ring.dimension
     stacked = []
-    for u in range(1, p**k):
+    for u in range(1, n):
         if gcd(u, p) != 1:
             continue
         columns = []
@@ -411,6 +264,4 @@ def galois_fixed_dimension(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> int:
 def tower_map(p: int, k: int, a: RingElement, *, cap=DEFAULT_LEVEL_CAP) -> RingElement:
     """Push a level-k element into level k+1 along x -> (1+x)^p - 1."""
     target = cpk_ring(p, k + 1, cap=cap)
-    sub = poly_sub(_one_plus_x_power(p), [Fraction(1)])
-    image = poly_compose([Fraction(c) for c in a.coeffs], sub)
-    return target.element(image)
+    return _substitute(a.coeffs, target.element(_index_image(p)))

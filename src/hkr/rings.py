@@ -1,5 +1,6 @@
-"""Exact arithmetic: dense rational polynomials, cyclotomic numbers, number
-theory, and Gaussian elimination, exact or over a prime field F_q.
+"""Exact arithmetic: dense rational polynomials, quotient rings Q[x]/(f) and
+the cyclotomic numbers among them, number theory, and Gaussian elimination,
+exact or over a prime field F_q.
 
 Everything here is a small, self-contained building block used by the series,
 level-ring, and character modules.  All arithmetic is exact; there is no
@@ -12,7 +13,10 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
+    "QuotientRing",
+    "RingElement",
     "CyclotomicNumber",
+    "capped_power",
     "euler_phi",
     "is_prime",
     "PRIMALITY_BOUND",
@@ -256,139 +260,165 @@ def cyclotomic_int_poly(m: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic numbers
-
-_POWER_COORDS: dict[int, list[tuple[tuple[int, int], ...]]] = {}
+# quotient rings Q[x]/(f), and the cyclotomic fields among them
 
 
-def _power_coords(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """Integer coordinates of x^e mod the m-th cyclotomic polynomial, e = 0..m-1,
-    each row kept sparse as its (index, coefficient) pairs with a nonzero
-    coefficient."""
-    got = _POWER_COORDS.get(m)
-    if got is not None:
-        return got
-    poly = cyclotomic_int_poly(m)
-    d = len(poly) - 1
-    rows = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(m):
-        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
-        # x * cur, with x^d replaced by -(lower part) since poly is monic
-        top = cur[d - 1]
-        nxt = [0] + cur[: d - 1]
-        if top:
-            for t in range(d):
-                if poly[t]:
-                    nxt[t] -= top * poly[t]
-        cur = nxt
-    _POWER_COORDS[m] = rows
-    return rows
+def capped_power(base: int, k: int, bound: int) -> int:
+    """base^k, or the first partial power above bound, built one factor at a
+    time, so that a level p^k is bounded before a huge k builds it."""
+    if base < 2:
+        return base ** min(k, 1)
+    out = 1
+    for _ in range(k):
+        out *= base
+        if out > bound:
+            break
+    return out
 
 
-def _accumulate(coords: list, terms, m: int) -> list:
-    """Add c * zeta_m^e to the power-basis coordinates for each (e, c) in terms."""
-    table = _power_coords(m)
-    for e, c in terms:
-        if c:
-            for i, r in table[e % m]:
-                coords[i] += c * r
-    return coords
+class QuotientRing:
+    """Q[x]/(f) for a monic integer polynomial f (Z[x]/(f) when integral).
 
-
-def _coordinate(c):
-    """An exact coordinate: an int when the value is integral, else a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-class CyclotomicNumber:
-    """An element of the m-th cyclotomic field, in the power basis of a fixed
-    primitive m-th root of unity.
-
-    Coordinates are plain ints whenever they are integral, which covers every
-    character value (an algebraic integer); a Fraction only appears for a
-    genuinely non-integral coordinate, in practice a result of inverse() or
-    descend().  An int and a Fraction with denominator 1 agree under str, ==
-    and hash, so the choice never shows in output.
+    Elements are reduced through one table per ring: the coordinates of x^e
+    mod f, grown on demand, each row kept sparse as its (index, coefficient)
+    pairs with a nonzero coefficient.  Coordinates are ints, except that a
+    Fraction appears after a division (or in a non-integral input); an
+    integral Fraction is stored as its int.
     """
 
-    __slots__ = ("conductor", "coords")
+    def __init__(self, modulus, *, integral=False, label=""):
+        f = poly_trim(list(modulus))
+        if len(f) < 2 or f[-1] != 1 or any(c != int(c) for c in f):
+            raise ValueError(f"modulus {poly_to_text(f)} is not a monic integer polynomial")
+        self.modulus = tuple(int(c) for c in f)
+        self.dimension = d = len(f) - 1
+        self.integral = integral
+        self.label = label or f"Q[x]/({poly_to_text(self.modulus)})"
+        self.element_type = RingElement
+        self._rows = [((e, 1),) for e in range(d)]
+        self._last = [0] * (d - 1) + [1]  # x^e for the last row, dense
 
-    def __init__(self, conductor: int, coords):
-        self.conductor = conductor
-        phi = euler_phi(conductor)
-        coords = tuple(_coordinate(c) for c in coords)
-        if len(coords) != phi:
-            raise ValueError(f"expected {phi} coordinates for conductor {conductor}")
-        self.coords = coords
+    def _grow(self, e: int):
+        """Extend the table to x^e: each row is x times the one before, with
+        x^d replaced by x^d - f."""
+        rows, cur = self._rows, self._last
+        low = [(t, c) for t, c in enumerate(self.modulus[:-1]) if c]
+        while len(rows) <= e:
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                for t, c in low:
+                    cur[t] -= top * c
+            rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
+        self._last = cur
 
-    @classmethod
-    def zero(cls, m: int) -> CyclotomicNumber:
-        return cls(m, (0,) * euler_phi(m))
+    def add_terms(self, coords: list, terms) -> list:
+        """Add c * x^e to the coordinates for each (e, c) in terms, in place."""
+        rows = self._rows
+        for e, c in terms:
+            if c:
+                if e >= len(rows):
+                    self._grow(e)
+                for i, r in rows[e]:
+                    coords[i] += c * r
+        return coords
 
-    @classmethod
-    def from_rational(cls, m: int, q) -> CyclotomicNumber:
-        coords = [0] * euler_phi(m)
-        coords[0] = q
-        return cls(m, coords)
+    def _make(self, coords) -> RingElement:
+        out = object.__new__(self.element_type)
+        out.ring = self
+        out.coeffs = tuple(
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in coords
+        )
+        return out
 
-    @classmethod
-    def root(cls, m: int, j: int) -> CyclotomicNumber:
-        """zeta_m^j."""
-        return cls.from_tally(m, {j: 1})
+    def element(self, coeffs) -> RingElement:
+        """The class of the polynomial with these coefficients, low degree first."""
+        coeffs, d = list(coeffs), self.dimension
+        head = coeffs[:d] + [0] * (d - len(coeffs))
+        out = self._make(self.add_terms(head, enumerate(coeffs[d:], d)))
+        if self.integral and any(type(c) is Fraction for c in out.coeffs):
+            raise ValueError("element does not reduce integrally")
+        return out
 
-    @classmethod
-    def from_tally(cls, m: int, tally) -> CyclotomicNumber:
-        """Sum of roots of unity given as {exponent: multiplicity}."""
-        return cls(m, _accumulate([0] * euler_phi(m), tally.items(), m))
+    def from_terms(self, terms) -> RingElement:
+        """The sum of c * x^e over the (e, c) in terms."""
+        return self._make(self.add_terms([0] * self.dimension, terms))
 
-    def _binop_check(self, other):
-        if not isinstance(other, CyclotomicNumber):
-            other = CyclotomicNumber.from_rational(self.conductor, other)
-        if other.conductor != self.conductor:
-            raise ValueError("conductor mismatch; promote explicitly first")
+    @property
+    def zero(self) -> RingElement:
+        return self.element([])
+
+    @property
+    def one(self) -> RingElement:
+        return self.element([1])
+
+    @property
+    def x(self) -> RingElement:
+        return self.element([0, 1])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, QuotientRing)
+            and self.modulus == other.modulus
+            and self.integral == other.integral
+        )
+
+    def __hash__(self):
+        return hash((self.modulus, self.integral))
+
+    def __repr__(self):
+        return f"QuotientRing[{self.label}]"
+
+
+class RingElement:
+    """An element of a QuotientRing, as its coordinates in 1, x, ..., x^(d-1)."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: QuotientRing, coeffs: tuple):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def _check(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.ring.element([other])
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError(f"elements live in different rings: {self.ring!r} and {other.ring!r}")
         return other
 
+    # sums of reduced elements are reduced: no table lookups
+
     def __add__(self, other):
-        other = self._binop_check(other)
-        return CyclotomicNumber(self.conductor, [a + b for a, b in zip(self.coords, other.coords)])
+        other = self._check(other)
+        return self.ring._make([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._binop_check(other)
-        return CyclotomicNumber(self.conductor, [a - b for a, b in zip(self.coords, other.coords)])
+        other = self._check(other)
+        return self.ring._make([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
-        return self._binop_check(other) - self
+        return self._check(other) - self
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, [-a for a in self.coords])
+        return self.ring._make([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        other = self._binop_check(other)
-        phi = len(self.coords)
-        if phi == 0:
-            return self
-        prod = [0] * (2 * phi - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                if b:
-                    prod[i + j] += a * b
-        m = self.conductor
-        coords = _accumulate(prod[:phi], enumerate(prod[phi:], phi), m)
-        return CyclotomicNumber(m, coords)
+        other = self._check(other)
+        a, b = self.coeffs, other.coeffs
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self.ring.element(prod)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * self._binop_check(other).inverse()
+        return self * self._check(other).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -396,7 +426,7 @@ class CyclotomicNumber:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = CyclotomicNumber.from_rational(self.conductor, 1)
+        out = self.ring.one
         base = self
         while k:
             if k & 1:
@@ -405,22 +435,101 @@ class CyclotomicNumber:
             k >>= 1
         return out
 
-    def inverse(self) -> CyclotomicNumber:
-        modpoly = [Fraction(c) for c in cyclotomic_int_poly(self.conductor)]
-        g, u, _ = poly_xgcd([Fraction(c) for c in self.coords], modpoly)
+    def inverse(self) -> RingElement:
+        """The multiplicative inverse; raises ZeroDivisionError on a non-unit."""
+        g, u, _ = poly_xgcd(list(self.coeffs), list(self.ring.modulus))
         if g != [ONE]:
-            raise ZeroDivisionError("not invertible (zero element)")
-        coords = poly_mod(u, modpoly)
-        coords = coords + [0] * (len(self.coords) - len(coords))
-        return CyclotomicNumber(self.conductor, coords)
+            raise ZeroDivisionError(f"{self.to_text()} is not a unit in {self.ring.label}")
+        return self.ring.element(u)
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def to_text(self) -> str:
+        return poly_to_text(list(self.coeffs))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
+        return (
+            isinstance(other, RingElement)
+            and (self.ring is other.ring or self.ring == other.ring)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.ring.modulus, self.coeffs))
+
+    def __repr__(self):
+        return f"{type(self).__name__}[{self.to_text()}]"
+
+
+_FIELDS: dict[int, QuotientRing] = {}
+
+
+class CyclotomicNumber(RingElement):
+    """An element of the m-th cyclotomic field Q[x]/(Phi_m), in the power basis
+    of a fixed primitive m-th root of unity zeta = x.
+
+    Every character value is an algebraic integer, so its coordinates are
+    ints; a Fraction only appears after inverse() or descend().  An int and
+    a Fraction with denominator 1 agree under str, == and hash, so the
+    choice never shows in output.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, conductor: int, coords):
+        field = CyclotomicNumber.field(conductor)
+        coords = list(coords)
+        if len(coords) != field.dimension:
+            raise ValueError(f"expected {field.dimension} coordinates for conductor {conductor}")
+        self.ring = field
+        self.coeffs = field.element(coords).coeffs
+
+    @staticmethod
+    def field(m: int) -> QuotientRing:
+        """Q[x]/(Phi_m), built once per m, whose elements are CyclotomicNumbers."""
+        got = _FIELDS.get(m)
+        if got is None:
+            if m < 1:
+                raise ValueError("m must be >= 1")
+            got = _FIELDS[m] = QuotientRing(cyclotomic_int_poly(m), label=f"Q(zeta_{m})")
+            got.conductor, got.element_type = m, CyclotomicNumber
+        return got
+
+    @property
+    def conductor(self) -> int:
+        return self.ring.conductor
+
+    @property
+    def coords(self) -> tuple:
+        return self.coeffs
+
+    @classmethod
+    def zero(cls, m: int) -> CyclotomicNumber:
+        return cls.field(m).zero
+
+    @classmethod
+    def from_rational(cls, m: int, q) -> CyclotomicNumber:
+        return cls.field(m).element([q])
+
+    @classmethod
+    def root(cls, m: int, j: int) -> CyclotomicNumber:
+        """zeta_m^j."""
+        return cls.field(m).from_terms([(j % m, 1)])
+
+    @classmethod
+    def from_tally(cls, m: int, tally) -> CyclotomicNumber:
+        """Sum of roots of unity given as {exponent: multiplicity}."""
+        return cls.field(m).from_terms((e % m, c) for e, c in tally.items())
 
     def galois(self, u: int) -> CyclotomicNumber:
         """Apply the field automorphism sending zeta to zeta^u (u coprime to m)."""
         m = self.conductor
         if gcd(u, m) != 1:
             raise ValueError(f"{u} is not a unit modulo {m}")
-        terms = ((t * u, c) for t, c in enumerate(self.coords))
-        return CyclotomicNumber(m, _accumulate([0] * len(self.coords), terms, m))
+        return self.ring.from_terms((t * u % m, c) for t, c in enumerate(self.coeffs))
 
     def promote(self, M: int) -> CyclotomicNumber:
         """Embed into the conductor-M field (m must divide M)."""
@@ -430,8 +539,7 @@ class CyclotomicNumber:
         if M == m:
             return self
         step = M // m
-        terms = ((t * step, c) for t, c in enumerate(self.coords))
-        return CyclotomicNumber(M, _accumulate([0] * euler_phi(M), terms, M))
+        return CyclotomicNumber.field(M).from_terms((t * step, c) for t, c in enumerate(self.coeffs))
 
     def descend(self, m2: int) -> CyclotomicNumber:
         """Rewrite in the conductor-m2 subfield; raises if the value is not there."""
@@ -440,40 +548,23 @@ class CyclotomicNumber:
             raise ValueError(f"{m2} does not divide {m}")
         if m2 == m:
             return self
-        phi2 = euler_phi(m2)
-        basis = [CyclotomicNumber.root(m2, j).promote(m) for j in range(phi2)]
-        cols = [b.coords for b in basis]
-        target = list(self.coords)
-        sol = mat_solve([list(col) for col in zip(*cols)], target)
+        field = CyclotomicNumber.field(m2)
+        cols = [CyclotomicNumber.root(m2, j).promote(m).coeffs for j in range(field.dimension)]
+        sol = mat_solve([list(col) for col in zip(*cols)], list(self.coeffs))
         if sol is None:
             raise ValueError("value does not lie in the requested subfield")
-        return CyclotomicNumber(m2, sol)
+        return field.element(sol)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return Fraction(self.coords[0]) if self.coords else ZERO
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.rational_value() == other
-        return (
-            isinstance(other, CyclotomicNumber)
-            and self.conductor == other.conductor
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.conductor, self.coords))
+        return Fraction(self.coeffs[0])
 
     def to_text(self) -> str:
-        return poly_to_text(list(self.coords), var="z")
+        return poly_to_text(list(self.coeffs), var="z")
 
     def __repr__(self):
         return f"CyclotomicNumber({self.conductor}, {self.to_text()})"

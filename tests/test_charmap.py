@@ -536,6 +536,45 @@ def test_chartable_json_frozen(capsys, group):
     assert digest == CHARTABLE_STDOUT_SHA256[group]
 
 
+# sha256 of the JSON stdout of `charmap` (values through descend and promote)
+# and of `galois-dim`, taken from the implementation whose cyclotomic numbers
+# had their own arithmetic beside the level rings' quotient ring
+CHARMAP_STDOUT_SHA256 = {
+    ("Sym(3)", 2): "f8d2041ea1958717653f5cc1db57926ce073cc33c73a6e302af51ac50a5e1cc1",
+    ("Sym(4)", 2): "80f768432355fbc0e54456db7d9f1a79e940563085119b3030b39c0c80b003f7",
+    ("Dih(5)", 5): "1b445db8c1e45397adcb29fb26ef1b24310a713228f72fbe322b0009a6a69bff",
+    ("Q8", 2): "e1aaad310c912eeff1ed0f5ccb3e93843ec6bacd1dbbd988b094419d59e1142a",
+    ("Cyc(12)", 3): "d89e66811e790c07511a660a636fd314f67081136772a043217a1b03ebcfa358",
+    ("Cyc(3)*Sym(3)", 3): "cee83818cfd1b83a4b42d18df82f0cdff1de91bcdcb8ed5b988d928617314039",
+}
+GALOIS_DIM_STDOUT_SHA256 = {
+    ("Cyc(8)", 2, 3): "fc4419131925d6e31b7e27ac8ca0304344602f5a7bdda73559d03285fffc65b2",
+    ("Sym(4)", 2, 2): "23bcd51404b61e87663750cd22462a974863f0a331014fc64278bfc05c9144da",
+    ("Dih(5)", 5, 1): "dc41cc89606a28a786149cf4ff2ba8873fb2b65397451ae829eacc85b3912d29",
+    ("Q8", 2, 2): "605e35bc92fd50e98acad345c651edb9c047e23a209c465cf47fa651e4f7dc3c",
+    ("Cyc(9)*Cyc(3)", 3, 2): "f9840151c3da3284606426369ef087d6ca9f452988b41784ea061cf1ca3af737",
+    ("Sym(5)", 2, 2): "eeef07b056968708b2fa58d863289cfb90e4fc1bdcfccd575e30a0abafe4f6cf",
+}
+
+
+@pytest.mark.parametrize("group,p", sorted(CHARMAP_STDOUT_SHA256))
+def test_charmap_json_frozen(capsys, group, p):
+    code = run(["charmap", "--group", group, "--p", str(p), "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == CHARMAP_STDOUT_SHA256[(group, p)]
+
+
+@pytest.mark.parametrize("group,p,k", sorted(GALOIS_DIM_STDOUT_SHA256))
+def test_galois_dim_json_frozen(capsys, group, p, k):
+    code = run(["galois-dim", "--group", group, "--p", str(p), "--k", str(k), "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == GALOIS_DIM_STDOUT_SHA256[(group, p, k)]
+
+
 def test_galois_fixed_dim_equals_rank_prediction():
     for spec, p, k in (
         ("Cyc(4)", 2, 2),

@@ -382,6 +382,25 @@ def test_subgroups_refuses_large_enumerations_quickly(p, n, k):
     assert_one_line_failure(done, "cap")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["psi-level", "--group", "Cyc(3)", "--p", "3", "--k", "300000000"], "limited to k <= 8"),
+    (["c0-demo", "ring", "--p", "3", "--k", "30000000"], "3^30000000 exceeds level cap"),
+    (["c0-demo", "localize", "--p", "3", "--k", "30000000"], "3^30000000 exceeds level cap"),
+    (["c0-demo", "drinfeld", "--p", "3", "--k", "30000000"], "3^30000000 exceeds level cap"),
+    (["c0-demo", "ring", "--p", "3", "--k", "2000"], "p^k = 3^2000 exceeds level cap"),
+    (["gl-orbits", "--group", "Cyc(3)", "--p", "3", "--n", "1", "--k", "30000000"], "cap"),
+    (["subgroups", "--p", "3", "--n", "1", "--k", "30000000"], "cap"),
+], ids=["psi-level", "c0-ring", "c0-localize", "c0-drinfeld", "c0-ring-3^2000", "gl-orbits", "subgroups"])
+def test_huge_levels_are_refused_before_they_are_built(argv, needle):
+    # psi-level ran past 60 s; the others built p^k and then exited 2 after
+    # 12.8-25 s, when their cap message printed its digits past Python's
+    # 4300-digit limit
+    done, seconds = run_python(["-m", "hkr", *argv, "--no-cache"])
+    assert seconds < 5
+    assert_one_line_failure(done, needle)
+    assert len(done.stderr) < 200
+
+
 # what a one-shot call must not load unless its command needs it
 LAZY_MODULES = {"hkr.charmap", "hkr.acceptance", "hkr.fgl", "hkr.inertia", "hkr.levelrings",
                 "dataclasses", "inspect"}

@@ -283,6 +283,20 @@ def test_angle_refuses_a_huge_level_at_once(capsys, argv):
     assert len(captured.err.splitlines()) == 1 and "angle caps" in captured.err
 
 
+@pytest.mark.parametrize("name,D", [("honda(2,1)", 16), ("multiplicative", 16)])
+def test_series_refuses_a_huge_index_at_once(capsys, name, D):
+    # honda(2,1) ran past 60 s; multiplicative exited 2 after 1.6 s on a
+    # coefficient past Python's 4300-digit limit for str
+    start = time.perf_counter()
+    code = run(["fgl", "series", name, str(10**300), "--D", str(D), "--no-cache"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "angle caps" in captured.err
+    with pytest.raises(CapExceeded):
+        m_series(make_fgl(name, D=D), -(10**300))
+
+
 @pytest.mark.parametrize("name,p,D", [
     ("multiplicative", 2, 64), ("multiplicative", 7, 16), ("honda(2,1)", 2, 8),
     ("honda(2,1)", 2, 16), ("honda(3,1)", 3, 16), ("honda(2,1)", 7, 16),

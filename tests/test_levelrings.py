@@ -2,14 +2,17 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from hkr import rings
 from hkr.errors import CapExceeded
 from hkr.levelrings import (
     QuotientRing,
+    RingElement,
     cpk_ring,
     drinfeld_dk,
     galois_action,
@@ -19,7 +22,7 @@ from hkr.levelrings import (
     vandermonde_det,
     z_image,
 )
-from hkr.rings import euler_phi, poly_mul, poly_trim
+from hkr.rings import euler_phi, poly_mod, poly_mul, poly_trim
 
 
 def test_cpk_ring_modulus_is_binomial():
@@ -247,6 +250,42 @@ def test_vandermonde_json_frozen(capsys, p, k):
     assert digest == VANDERMONDE_STDOUT_SHA256[(p, k)]
 
 
+# sha256 of the JSON stdout of `c0-demo ring`, `localize` and `drinfeld`,
+# taken from the implementation that reduced level-ring products by Fraction
+# long division
+C0_DEMO_STDOUT_SHA256 = {
+    ("ring", 2, 1): "2d0c3fa8a54843102853b0392acb3759df8f95b75109b317b80fac84fe211b65",
+    ("ring", 2, 2): "86ca8a946e33ab5798736983605769918cdc718b8468c5e2ee80f93ee1138805",
+    ("ring", 2, 3): "f48ebe293f4909ce2883a04e2414955206f19b309cfa0bfc9e1250d8a6c5d851",
+    ("ring", 3, 1): "805455a6f689e0a3e788850adef44a632628fa6329726ee61096c8ee7cae54d1",
+    ("ring", 3, 2): "b3b5f200d7aa0084dadf843168e761c184093a05b691bce3eb90752e4b05ea4c",
+    ("ring", 5, 1): "fb8d90af92ea6bccbe80b9c83284b33f0b900edeb7914ced3322a2ab3eb3e76e",
+    ("localize", 2, 1): "e6f5556f0d3d30d03eb4275100655d6c1c40c43ebc5abd9a68fa91ac8febab7f",
+    ("localize", 2, 2): "851ac641c872f8230568ab5759f490c01852ff30a4b17cf96e14f3ca085e69ec",
+    ("localize", 2, 3): "524a4bb3c036ec33a3a11c0854396cfff305f6c465b67fd0a131ecbb35d8e7ba",
+    ("localize", 3, 1): "becbae7276f19696ad303c447a237ab5c3bb8438b8e4f373a40331e6c2baf3bd",
+    ("localize", 3, 2): "77cb8e012243c6684cacf46afe71274ff7f6dd18af0003d882f63d333591e253",
+    ("localize", 5, 1): "65299b05345741c371d089a6bfdb71371b4ea10af3d69e0dcfb222aeb0b79b8f",
+    ("drinfeld", 2, 1): "e5357872972f75b4b1a95fdccd9223d6ad093b2e4f58583b4db7d27e9b5bfad3",
+    ("drinfeld", 2, 2): "09fd278614081c825d324c5ef4074d87abd57ef09a2db9dbd0823e731f4047a2",
+    ("drinfeld", 2, 3): "42981fcbd686de8e7e40b19052d16bed10b772f3a7086397cb2889c9db682156",
+    ("drinfeld", 3, 1): "8b6fe76ae8ffa0dd56997f6319cf5921240e16fa3694b1d7ab8d870113d19be6",
+    ("drinfeld", 3, 2): "5699c6d9da730ee03bafd2d092009f34c422629140f5ec1639525675fb01db6d",
+    ("drinfeld", 5, 1): "09d04d3f4d150c3a82af2cc06f87951f82edd8fa8409ba7a7ea74c5b85089dea",
+}
+
+
+@pytest.mark.parametrize("action,p,k", sorted(C0_DEMO_STDOUT_SHA256))
+def test_c0_demo_json_frozen(capsys, action, p, k):
+    from hkr.cli import run
+
+    code = run(["c0-demo", action, "--p", str(p), "--k", str(k), "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == C0_DEMO_STDOUT_SHA256[(action, p, k)]
+
+
 def test_ring_element_division_round_trips_in_a_component_field():
     top = cpk_ring(3, 2).crt_factors[-1]  # Phi_9(1+x), degree 6
     field = QuotientRing(top, [top])
@@ -269,3 +308,28 @@ def test_zero_divisor_has_no_inverse():
     unit = x + 1  # (1 + x)^2 = 1 in this ring
     assert 1 / unit == unit
     assert 1 - unit == -x
+
+
+def test_level_ring_reduction_table_matches_long_division():
+    # every level-ring modulus and CRT factor with p^k <= 27, against the
+    # Fraction remainder the level rings used to take after each product
+    rng = random.Random(13)
+    levels = [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23) for k in range(4) if p**k <= 27]
+    for p, k in levels:
+        ring = cpk_ring(p, k)
+        for f in (ring.modulus, *ring.crt_factors):
+            field = ring if f == ring.modulus else QuotientRing(f, [f])
+            n = field.dimension
+            for _ in range(3):
+                coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3 * n + 1))]
+                want = poly_mod(coeffs, list(f))
+                assert list(field.element(coeffs).coeffs) == want + [0] * (n - len(want))
+
+
+def test_level_rings_share_the_one_quotient_ring():
+    assert RingElement is rings.RingElement
+    assert issubclass(QuotientRing, rings.QuotientRing)
+    for name in ("element", "_make", "add_terms", "_grow", "__eq__", "__hash__"):
+        assert name not in vars(QuotientRing), name
+    R = cpk_ring(2, 2)
+    assert type(R.x * R.x) is RingElement and type(R.x**3) is RingElement

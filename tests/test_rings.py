@@ -1,6 +1,7 @@
 """Exact arithmetic: cyclotomic numbers, polynomials, linear algebra."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,6 +10,9 @@ import pytest
 from hkr.rings import (
     PRIMALITY_BOUND,
     CyclotomicNumber,
+    QuotientRing,
+    RingElement,
+    capped_power,
     cyclotomic_int_poly,
     euler_phi,
     is_prime,
@@ -315,3 +319,63 @@ def test_rref_mod_reduces_entries_as_it_copies():
     assert all(0 <= v < 5 for row in red for v in row)
     assert rows == [[7, 12, -3], [2, 4, 6], [9, 16, 3]]  # input left alone
     assert rref_mod([[5, 10], [15, 20]], 5) == ([], [])
+
+
+def _padded(coeffs, n):
+    return list(coeffs) + [0] * (n - len(coeffs))
+
+
+def test_cyclotomic_reduction_table_matches_long_division():
+    # element() reads one table of x^e mod Phi_m; poly_mod divides in Fractions
+    rng = random.Random(9)
+    for m in range(1, 61):
+        field = CyclotomicNumber.field(m)
+        n = field.dimension
+        assert field is CyclotomicNumber.field(m) and n == euler_phi(m)
+        for _ in range(3):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3 * n + 1))]
+            got = field.element(coeffs)
+            assert type(got) is CyclotomicNumber and got.conductor == m
+            assert list(got.coords) == _padded(poly_mod(coeffs, field.modulus), n)
+            assert all(type(c) is int for c in got.coords)
+
+
+def test_cyclotomic_numbers_are_ring_elements():
+    rng = random.Random(11)
+    for m in (1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 21, 30, 45, 60):
+        field = CyclotomicNumber.field(m)
+        a = CyclotomicNumber.from_tally(m, {rng.randrange(m): rng.randint(-3, 3) for _ in range(4)})
+        b = CyclotomicNumber.from_tally(m, {rng.randrange(m): rng.randint(-3, 3) for _ in range(4)})
+        assert isinstance(a, RingElement) and a.ring is field
+        prod = a * b
+        assert type(prod) is CyclotomicNumber
+        schoolbook = poly_mul(list(a.coords), list(b.coords))
+        assert list(prod.coords) == _padded(poly_mod(schoolbook, field.modulus), field.dimension)
+        assert type(a**3) is type(a + 1) is type(-a) is type(2 - a) is CyclotomicNumber
+
+
+def test_cyclotomic_numbers_inherit_all_their_arithmetic():
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__", "__pow__", "inverse", "is_zero"):
+        assert name not in vars(CyclotomicNumber), name
+        assert getattr(CyclotomicNumber, name) is getattr(RingElement, name)
+
+
+def test_quotient_ring_needs_a_monic_integer_modulus():
+    for bad in ([1], [1, 2], [Fraction(1, 2), 1], []):
+        with pytest.raises(ValueError):
+            QuotientRing(bad)
+    ring = QuotientRing([1, 0, 1])  # Q(i)
+    i = ring.x
+    assert i * i == -1 and (1 + i) ** -1 == ring.element([Fraction(1, 2), Fraction(-1, 2)])
+    assert i == zeta(4) and i + zeta(4) == 2 * i  # rings compare by modulus
+    with pytest.raises(ValueError):
+        i + zeta(8)
+    assert i != zeta(8)
+
+
+def test_capped_power_stops_past_the_bound():
+    assert capped_power(3, 4, 100) == 81
+    assert capped_power(3, 5, 100) == 243
+    assert capped_power(3, 10**12, 100) == 243  # p^k is never formed
+    assert capped_power(2, 0, 0) == 1
+    assert capped_power(1, 10**12, 5) == 1 and capped_power(0, 10**12, 5) == 0
