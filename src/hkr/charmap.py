@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 import operator
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .commuting import is_p_power_order
@@ -100,8 +100,8 @@ def _unit_generators(units, n: int) -> list[int]:
 
 def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
     """The classes grouped into orbits of g -> g^u over the units u mod ord(g):
-    for the first class k of each orbit, each member j with v = u^-1 mod
-    ord(g), where j is the class of g^u (walks is the group's power map)."""
+    for the first class k of each orbit, each member j with the least unit u
+    for which j is the class of g^u (walks is the group's power map)."""
     out, seen = [], set()
     for k, walk in enumerate(walks):
         if k in seen:
@@ -110,7 +110,7 @@ def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
         members = {}
         for u in range(1, o + 1):
             if math.gcd(u, o) == 1 and walk[u % o] not in members:
-                members[walk[u % o]] = pow(u, -1, o)
+                members[walk[u % o]] = u
         seen.update(members)
         out.append((k, list(members.items())))
     return out
@@ -143,48 +143,46 @@ def _abelian_rows(G: FiniteGroup, classes, m: int):
         raise CapExceeded("abelian dual-group enumeration work cap exceeded")
 
     cols = [[loc[x * g] for x in elements] for g in gens]
+    # uses[y]: how often each generator is taken on the breadth-first path
+    # from the identity to y, so a candidate c sends y to sum_j c_j uses[y]_j
     ident = loc[G.identity]
-    parent: list[tuple[int, int] | None] = [None] * size
+    uses: list[tuple[int, ...] | None] = [None] * size
+    uses[ident] = (0,) * r
     visit = [ident]
-    seen = {ident}
-    head = 0
-    while head < len(visit):
-        x = visit[head]
-        head += 1
+    for x in visit:  # the list grows while it is walked
         for gi in range(r):
             y = cols[gi][x]
-            if y not in seen:
-                seen.add(y)
-                parent[y] = (x, gi)
+            if uses[y] is None:
+                uses[y] = tuple(u + (j == gi) for j, u in enumerate(uses[x]))
                 visit.append(y)
     if len(visit) != size:
         raise HkrError("generators do not generate the group")
+    # the homomorphism equations exp[x * g_i] == exp[x] + c_i, one per x and
+    # i, read sum_j c_j rel_j == 0 mod m for rel = uses[x * g_i] - uses[x] -
+    # e_i; each distinct relation is checked once, the zero one always holds
+    relations = {
+        tuple(a - b - (j == gi) for j, (a, b) in enumerate(zip(uses[cols[gi][x]], uses[x])))
+        for gi in range(r)
+        for x in range(size)
+    }
+    relations.discard((0,) * r)
 
     steps = [m // o for o in orders]
+    by_generator = list(zip(*uses))
     found: dict[tuple[int, ...], None] = {}
     # generator images are constrained to c_i in (m/o_i) * {0..o_i-1}
     for cand in itertools.product(*[range(0, m, s) for s in steps]):
-        exp = [0] * size
-        for y in visit[1:]:
-            x, gi = parent[y]
-            exp[y] = (exp[x] + cand[gi]) % m
-        ok = True
-        for gi in range(r):
-            c = cand[gi]
-            col = cols[gi]
-            for x in range(size):
-                if exp[col[x]] != (exp[x] + c) % m:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found[tuple(exp)] = None
+        if all(sum(map(operator.mul, cand, rel)) % m == 0 for rel in relations):
+            exp = [0] * size
+            for c, col in zip(cand, by_generator):
+                exp = [e + c * u for e, u in zip(exp, col)]
+            found[tuple([e % m for e in exp])] = None
     if len(found) != size:
         raise HkrError(
             f"dual group has {len(found)} validated characters, expected {size}"
         )
-    return [tuple({e: 1} for e in vec) for vec in found]
+    tallies = [{e: 1} for e in range(m)]  # shared by every entry; never mutated
+    return [tuple(map(tallies.__getitem__, vec)) for vec in found]
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +354,24 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
     order = G.order
     q = _find_modular_prime(m, order)
 
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for x in G.elements:
-        i = loc[x]
-        xi = x.inverse()
-        ai = a[i]
-        for k, zk in enumerate(reps):
-            ai[loc[xi * zk]][k] += 1
+    class_at = {g.images: c for g, c in loc.items()}.__getitem__
+    inv_class = [loc[rep.inverse()] for rep in reps]
+
+    def class_matrix(i: int) -> list[Counter]:
+        """Column k of N_i as {j: a_ijk}, a_ijk the number of x in class i
+        with x^-1 z_k in class j (z_k = reps[k]).  x^-1 runs over the class
+        of inverses, and (x^-1 z_k).images is z_k.images looked up in
+        x^-1's images."""
+        inverses = [y.images for y in classes[inv_class[i]].members]
+        return [Counter(map(class_at, map(operator.itemgetter(*z.images), inverses))) for z in reps]
+
+    def combine(coeffs, vectors) -> list[int]:
+        """sum_s coeffs[s] * vectors[s], row by row, not reduced."""
+        out = [0] * r
+        for c, v in zip(coeffs, vectors):
+            if c:
+                out = [a + c * b for a, b in zip(out, v)]
+        return out
 
     # split the class algebra into common eigenlines over F_q
     spaces = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
@@ -370,7 +379,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
     for i in range(1, r):
         if all(len(B) == 1 for B in spaces):
             break
-        Ni = a[i]
+        Ni = class_matrix(i)
         next_spaces = []
         for B in spaces:
             d = len(B)
@@ -381,12 +390,16 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             # restriction of Ni to span(B), in the basis B
             cols = []
             for b in B:
-                w = [sum(Ni[j][k] * b[k] for k in range(r) if b[k]) % q for j in range(r)]
+                w = [0] * r
+                for bk, col in zip(b, Ni):
+                    if bk:
+                        for j, a in col.items():
+                            w[j] += a * bk
+                w = [x % q for x in w]
                 coords = [w[pc] for pc in piv]
                 # defensive reconstruction check
-                for jj in range(r):
-                    if sum(coords[s] * B[s][jj] for s in range(d)) % q != w[jj]:
-                        raise HkrError("subspace is not invariant; table build failed")
+                if any((x - y) % q for x, y in zip(combine(coords, B), w)):
+                    raise HkrError("subspace is not invariant; table build failed")
                 cols.append(coords)
             M = [[cols[t][s] for t in range(d)] for s in range(d)]
             if all(M[s][t] == (M[0][0] if s == t else 0) for s in range(d) for t in range(d)):
@@ -399,8 +412,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
                 null = _nullspace_mod(shifted, q)
                 if len(null) != mult:
                     raise HkrError("class matrix is not semisimple over F_q")
-                lifted = [[sum(c[s] * B[s][col] for s in range(d)) for col in range(r)] for c in null]
-                red, piv2 = rref_mod(lifted, q)
+                red, piv2 = rref_mod([combine(c, B) for c in null], q)
                 pivots_of[id(red)] = piv2
                 next_spaces.append(red)
                 total += mult
@@ -418,7 +430,6 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
         inv = pow(v[0], -1, q)
         vectors.append([x * inv % q for x in v])
 
-    inv_class = [loc[rep.inverse()] for rep in reps]
     inv_sizes = [pow(s, -1, q) for s in sizes]
     walks = power_map(G)
     lifts = _rational_classes(walks)
@@ -440,9 +451,8 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             step = m // o
             dts = _eigenvalue_multiplicities([w[c] for c in walks[k]], deg, zp[::step], q)
             # the eigenvalues of rho(g^u) are the u-th powers of those of rho(g)
-            for j, u_inv in members:
-                at_j = [dts[t * u_inv % o] for t in range(o)]
-                tallies[j] = {t * step: dt for t, dt in enumerate(at_j) if dt}
+            for j, u in members:
+                tallies[j] = {t * u % o * step: dt for t, dt in enumerate(dts) if dt}
         rows.append(tuple(tallies))
     return rows
 
@@ -603,19 +613,15 @@ def _uniform_sum_is_zero(exponents, m: int) -> bool:
     certified zero, False when it is visibly the all-zero exponent list
     (sum = len), and raises if the multiset has any other shape.
     """
-    counts: dict[int, int] = {}
-    g0 = m
-    for e in exponents:
-        e %= m
-        counts[e] = counts.get(e, 0) + 1
-        g0 = math.gcd(g0, e)
-    d = m // g0 if g0 else 1
+    counts = Counter(map(m.__rmod__, exponents))  # e % m for each e
+    g0 = math.gcd(m, *counts)
+    d = m // g0
     if d == 1:
         if set(counts) != {0}:
             raise HkrError("character sum has unexpected shape")
         return False
     each, rem = divmod(len(exponents), d)
-    if rem or len(counts) != d or any(counts.get(t * g0, 0) != each for t in range(d)):
+    if rem or counts != dict.fromkeys(range(0, m, g0), each):
         raise HkrError("character sum is not equidistributed over roots of unity")
     _certify_root_sum_zero(m, d)
     return True
@@ -636,21 +642,29 @@ def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     m = table.conductor
     G = table.group
     r = table.size
-    exps = [[next(iter(t)) for t in row] for row in table.rows]
+    exps = [list(map(next, map(iter, row))) for row in table.rows]
     elements = [cls.representative for cls in table.classes]
     loc = {g: j for j, g in enumerate(elements)}
     gen_cols = [loc[g] for g in G.generators]
-    index = {tuple(row[c] for c in gen_cols): i for i, row in enumerate(exps)}
+    vecs = [tuple([row[c] for c in gen_cols]) for row in exps]
+    index = {v: i for i, v in enumerate(vecs)}
     if len(index) != r:
         raise HkrError("generator exponents do not separate the characters")
 
     failures = []
     rows_ok = True
-    row_sum_zero = []
-    for i in range(r):
-        row_sum_zero.append(_uniform_sum_is_zero(exps[i], m))
+    row_sum_zero = [_uniform_sum_is_zero(row, m) for row in exps]
     trivial = next(i for i in range(r) if not row_sum_zero[i] and all(e == 0 for e in exps[i]))
-    for i in range(r):
+    # a row passes at once when its own difference is the trivial character
+    # and every later difference is a nontrivial one with a zero sum
+    passing = {v for v, k in index.items() if k != trivial and row_sum_zero[k]}
+    self_ok = index.get((0,) * len(gen_cols)) == trivial
+    by_generator = list(zip(*vecs))
+    for i, vi in enumerate(vecs):
+        # the differences vi - vj, j > i, one generator coordinate at a time
+        later = [map(m.__rmod__, map(a.__sub__, col[i + 1 :])) for a, col in zip(vi, by_generator)]
+        if self_ok and passing.issuperset(zip(*later)):
+            continue
         for j in range(i, r):
             diff = tuple((exps[i][c] - exps[j][c]) % m for c in gen_cols)
             k = index.get(diff)
@@ -670,10 +684,10 @@ def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     # identity and zero elsewhere; pairs (g, h) reduce to the element g*h^-1
     # by multiplicativity, so checking every element covers every pair.
     cols_ok = True
-    for c in range(r):
-        col = [exps[i][c] for i in range(r)]
+    ident = G.identity
+    for c, col in enumerate(zip(*exps)):
         is_zero = _uniform_sum_is_zero(col, m)
-        if is_zero == (elements[c] == G.identity):
+        if is_zero == (elements[c] == ident):
             cols_ok = False
             failures.append(("column", c, c))
     return OrthogonalityReport(rows_ok, cols_ok, tuple(failures))

@@ -207,9 +207,15 @@ class FiniteGroup:
         return got
 
     def exponent(self) -> int:
+        """The lcm of the element orders: of the generators' when the group
+        is abelian, of the class representatives' otherwise."""
         got = self._cache.get("exponent")
         if got is None:
-            got = math.lcm(*(g.order() for g in self.elements))
+            if self.is_abelian():
+                reps = self.generators
+            else:
+                reps = [cls.representative for cls in conjugacy_classes(self)]
+            got = math.lcm(*(g.order() for g in reps))
             self._cache["exponent"] = got
         return got
 
@@ -324,15 +330,19 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
 
     Each class is found as the orbit of one element under conjugation by the
     group's generators; centralizer orders come from the orbit-stabilizer count.
+    An abelian group's classes are its elements, in element order.
     """
     got = G._cache.get("classes")
     if got is not None:
         return got
-    classes = [
-        ConjugacyClass(orbit[0], tuple(orbit), G.order // len(orbit))
-        for orbit in orbit_search(G.elements, G.generators, Permutation.conjugate_by)
-    ]
-    classes.sort(key=lambda c: (c.size, c.representative.images))
+    if G.is_abelian():
+        classes = [ConjugacyClass(g, (g,), G.order) for g in G.elements]
+    else:
+        classes = [
+            ConjugacyClass(orbit[0], tuple(orbit), G.order // len(orbit))
+            for orbit in orbit_search(G.elements, G.generators, Permutation.conjugate_by)
+        ]
+        classes.sort(key=lambda c: (c.size, c.representative.images))
     G._cache["classes"] = classes
     return classes
 

@@ -50,6 +50,11 @@ DEFAULT_LEVEL_CAP = 10_000
 # in work units: each CRT component takes about (p^k)^3 field operations of
 # cost deg(factor)^2; 10^7 units is about 30 s on a 2-vCPU machine
 VANDERMONDE_CAP = 10_000_000
+# in work units: localization reduces the p^k - 1 index images, each of p^k
+# coefficients, into the top CRT factor of degree phi(p^k); 2 * 10^8 units
+# admits (5,4) (2.3 s) and (2,9) (5.4 s, the slowest admitted level) on a
+# 2-vCPU machine and refuses (3,6) (10 s) and (2,10) (80 s)
+LOCALIZE_CAP = 200_000_000
 
 
 def _index_image(e: int) -> list[int]:
@@ -192,8 +197,12 @@ def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
 
     A CRT component survives exactly when no image projects to zero on it.
     The survivor is always the top cyclotomic factor, of dimension phi(p^k);
-    this is asserted, not assumed.
+    this is asserted, not assumed.  Within the level cap, (p^k)^2 * phi(p^k)
+    is checked against LOCALIZE_CAP before any arithmetic.
     """
+    size = capped_power(p, k, cap)
+    if size <= cap and size * size * (size - size // p) > LOCALIZE_CAP:
+        raise CapExceeded(f"localization work at p^k = {p}^{k} exceeds the cap {LOCALIZE_CAP}")
     ring = cpk_ring(p, k, cap=cap)
     images = z_image(p, k, cap=cap)
     survivors = []

@@ -458,6 +458,9 @@ class RingElement:
         )
 
     def __hash__(self):
+        # a constant equals its rational (see __eq__), so it hashes as one
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.ring.modulus, self.coeffs))
 
     def __repr__(self):

@@ -52,6 +52,9 @@ from hkr.groupcore import (
 from hkr.rings import CyclotomicNumber, zeta
 
 
+NAMED_SUITE_TALLY_SHA256 = "a8e5373f11a47d854a0c4c631a6469674bd9927491834fa3afa6b94deb37c10c"
+
+
 def int_values(chi):
     return tuple(v.rational_value() for v in chi.values)
 
@@ -279,8 +282,81 @@ def test_uniform_sum_certificate():
     assert _uniform_sum_is_zero([0, 0, 0], 6) is False  # all-zero list, not a root sum
     assert _uniform_sum_is_zero([0, 2, 4], 6) is True  # full set of cube roots
     assert _uniform_sum_is_zero([0, 3, 0, 3], 6) is True  # doubled pair of square roots
-    with pytest.raises(HkrError):
-        _uniform_sum_is_zero([0, 0, 2], 6)
+    assert _uniform_sum_is_zero([6, 8, -2], 6) is True  # exponents are read mod m
+    for bad in ([0, 0, 2], [0, 2, 4, 4], [0, 2, 2, 4, 4, 0, 0], [1, 3, 5]):
+        with pytest.raises(HkrError, match="not equidistributed"):
+            _uniform_sum_is_zero(bad, 6)
+    for single in ([3], [2, 2, 2], [1, 1]):  # one nonzero value, however often
+        with pytest.raises(HkrError):
+            _uniform_sum_is_zero(single, 6)
+
+
+def tally_rows_digest(groups):
+    h = hashlib.sha256()
+    for G in groups:
+        rows = character_table(G).rows
+        h.update(repr((G.name, [[sorted(t.items()) for t in row] for row in rows])).encode())
+    return h.hexdigest()
+
+
+def test_tally_rows_of_the_named_suite_frozen():
+    # sha256 over every row of every named group of order <= 100, each tally
+    # as its sorted (exponent, count) pairs, taken before the table kernels
+    # worked on sparse class matrices and shared tallies
+    assert tally_rows_digest(named_suite(100)) == NAMED_SUITE_TALLY_SHA256
+
+
+def swapped(table, edits):
+    """The table with the entries of each row at the two given classes
+    swapped, for each (row, a, b) in edits."""
+    rows = [list(row) for row in table.rows]
+    for i, a, b in edits:
+        rows[i][a], rows[i][b] = rows[i][b], rows[i][a]
+    return CharacterTable(table.group, table.classes, table.conductor, [tuple(r) for r in rows])
+
+
+def test_orthogonality_failures_frozen():
+    # Dixon: two entries of one Sym(4) row swapped
+    sym4 = character_table(named_group("Sym(4)"))
+    assert orthogonality_report(swapped(sym4, [(2, 3, 4)])).failures == (
+        ("row", 0, 2), ("row", 1, 2), ("row", 2, 2), ("row", 2, 3), ("row", 2, 4),
+    )
+    # abelian: the identity entry swapped with another in every row
+    cyc12 = character_table(named_group("Cyc(12)"))
+    report = orthogonality_report(swapped(cyc12, [(i, 0, 2) for i in range(12)]))
+    assert (report.rows_ok, report.columns_ok) == (True, False)
+    assert report.failures == (("column", 0, 0), ("column", 2, 2))
+    # two entries of one row swapped: a column stops being equidistributed
+    with pytest.raises(HkrError, match="not equidistributed"):
+        orthogonality_report(swapped(cyc12, [(2, 3, 5)]))
+    # uniform rows and columns that are not closed under division
+    G = named_group("Cyc(2)*Cyc(2)")
+    exps = [(0, 0, 0, 0), (1, 2, 3, 0), (2, 3, 1, 0), (3, 1, 2, 0)]
+    fake = CharacterTable(G, conjugacy_classes(G), 4, [tuple({e: 1} for e in r) for r in exps])
+    report = orthogonality_report(fake)
+    assert (report.rows_ok, report.columns_ok) == (False, False)
+    assert report.failures == (
+        ("row-closure", 0, 1), ("row-closure", 0, 2), ("row-closure", 0, 3),
+        ("row-closure", 1, 2), ("row-closure", 1, 3), ("column", 0, 0), ("column", 3, 3),
+    )
+
+
+def test_tallies_are_never_mutated():
+    # abelian rows may share one tally per exponent, so no reader may write
+    # to a tally it was given
+    for spec, p in (("Cyc(12)", 2), ("Cyc(2)*Cyc(6)", 3), ("Sym(4)", 2), ("Dih(5)", 5)):
+        G = named_group(spec)
+        table = character_table(G)
+        before = [[dict(t) for t in row] for row in table.rows]
+        table.to_json()
+        for i in range(table.size):
+            table.irreducible(i)
+            for j in range(len(table.classes)):
+                table.value(i, j)
+        char_matrix_rank(G, p)
+        orthogonality_report(table)
+        character_map(G, p, table.irreducible(1))
+        assert [[dict(t) for t in row] for row in table.rows] == before
 
 
 def naive_inverse_dft(f, y, q):

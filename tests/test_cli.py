@@ -390,7 +390,12 @@ def test_subgroups_refuses_large_enumerations_quickly(p, n, k):
     (["c0-demo", "ring", "--p", "3", "--k", "2000"], "p^k = 3^2000 exceeds level cap"),
     (["gl-orbits", "--group", "Cyc(3)", "--p", "3", "--n", "1", "--k", "30000000"], "cap"),
     (["subgroups", "--p", "3", "--n", "1", "--k", "30000000"], "cap"),
-], ids=["psi-level", "c0-ring", "c0-localize", "c0-drinfeld", "c0-ring-3^2000", "gl-orbits", "subgroups"])
+    (["c0-demo", "localize", "--p", "2", "--k", "10"], "localization work at p^k = 2^10 exceeds the cap"),
+    (["c0-demo", "drinfeld", "--p", "97", "--k", "2"], "localization work at p^k = 97^2 exceeds the cap"),
+], ids=[
+    "psi-level", "c0-ring", "c0-localize", "c0-drinfeld", "c0-ring-3^2000", "gl-orbits", "subgroups",
+    "c0-localize-2^10", "c0-drinfeld-97^2",
+])
 def test_huge_levels_are_refused_before_they_are_built(argv, needle):
     # psi-level ran past 60 s; the others built p^k and then exited 2 after
     # 12.8-25 s, when their cap message printed its digits past Python's

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hkr.acceptance import named_suite
 from hkr.errors import CapExceeded, ParseError
 from hkr.groupcore import (
     ConjugacyClass,
@@ -16,6 +17,7 @@ from hkr.groupcore import (
     direct_product,
     make_group,
     named_group,
+    orbit_search,
     power_map,
     q8_group,
     sym_group,
@@ -138,6 +140,21 @@ def test_conjugacy_classes_match_brute_force():
         assert got == brute_classes(G)
 
 
+def test_abelian_classes_equal_the_conjugation_orbits():
+    # abelian classes are read off the element list; the orbit search is the
+    # reference they must reproduce, centralizer orders included
+    for G in named_suite(64):
+        if not G.is_abelian():
+            continue
+        orbits = orbit_search(G.elements, G.generators, Permutation.conjugate_by)
+        want = sorted(
+            (ConjugacyClass(o[0], tuple(o), G.order // len(o)) for o in orbits),
+            key=lambda c: (c.size, c.representative.images),
+        )
+        assert conjugacy_classes(G) == want
+        assert [c.representative for c in want] == list(G.elements)
+
+
 def test_conjugacy_class_invariants():
     for spec in ("Sym(4)", "Q8", "Dih(6)"):
         G = named_group(spec)
@@ -180,7 +197,7 @@ def test_centralizer_against_brute_force():
 
 
 def test_exponent_is_lcm_of_orders():
-    for spec in ("Sym(4)", "Q8", "Cyc(12)", "Dih(6)"):
+    for spec in ("Sym(4)", "Q8", "Cyc(12)", "Dih(6)", "Cyc(8)*Cyc(6)", "Cyc(2)*Q8", "Cyc(1)"):
         G = named_group(spec)
         assert G.exponent() == math.lcm(*(g.order() for g in G.elements))
 

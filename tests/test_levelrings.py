@@ -138,6 +138,17 @@ def test_localize_dimension_and_factor():
         assert str(p**k) in desc.root_description
 
 
+def test_localization_work_is_capped_before_any_arithmetic():
+    assert localize_c0k(7, 3).dimension == 294  # 343^2 * 294 units
+    for p, k in ((3, 6), (2, 10), (97, 2)):
+        with pytest.raises(CapExceeded, match="localization work"):
+            localize_c0k(p, k)
+        with pytest.raises(CapExceeded, match="localization work"):
+            drinfeld_dk(p, k)
+    with pytest.raises(CapExceeded, match="level cap"):
+        localize_c0k(2, 14)  # p^k past the level cap keeps its own message
+
+
 def test_drinfeld_ring_is_integral_form_of_survivor():
     for p, k in ((2, 2), (3, 1)):
         D = drinfeld_dk(p, k)

@@ -373,6 +373,17 @@ def test_quotient_ring_needs_a_monic_integer_modulus():
     assert i != zeta(8)
 
 
+def test_constants_hash_as_the_rationals_they_equal():
+    for m in (1, 2, 3, 4, 12, 15):
+        for q in (0, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(4, 1)):
+            a = CyclotomicNumber.from_rational(m, q)
+            assert a == q and hash(a) == hash(q)
+            assert len({a, q}) == 1 and {a: "element"}[q] == "element"
+    ring = QuotientRing([1, 0, 1])
+    assert hash(ring.element([Fraction(1, 2)])) == hash(Fraction(1, 2))
+    assert len({zeta(4), -1}) == 2 and zeta(4) ** 2 in {-1}
+
+
 def test_capped_power_stops_past_the_bound():
     assert capped_power(3, 4, 100) == 81
     assert capped_power(3, 5, 100) == 243
