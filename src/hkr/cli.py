@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import io
 import json
 import math
@@ -23,10 +22,15 @@ import os
 import sys
 import time
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .errors import CapExceeded, HkrError, ParseError
-from .rings import is_prime
+from .errors import HkrError, ParseError
+
+try:  # the interpreter's own BLAKE2; hashlib would load OpenSSL to key the cache
+    from _blake2 import blake2b as _hash
+except ImportError:
+    from hashlib import sha256 as _hash
 
 __all__ = ["CacheEntry", "run", "main", "GROUP_GRAMMAR", "SCHEMA_VERSION"]
 
@@ -71,9 +75,9 @@ def _resolve_cache_path(args) -> str | None:
 
 @functools.cache
 def _code_digest() -> str:
-    """sha256 over the package's own sources, so that a change to the code
+    """A hash of the package's own sources, so that a change to the code
     never serves bytes cached by an earlier version."""
-    digest = hashlib.sha256()
+    digest = _hash()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
     return digest.hexdigest()
@@ -88,13 +92,13 @@ def _cache_key(args) -> str:
         value = getattr(args, name)
         if name == "gset" and value:
             # key on content, not path, so edited files miss cleanly
-            value = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+            value = _hash(Path(value).read_bytes()).hexdigest()
         parts.append(f"{name}={value}")
     return "|".join(parts)
 
 
 def _cache_file(cache_path: str, key: str) -> Path:
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+    digest = _hash(key.encode("utf-8")).hexdigest()
     return Path(cache_path) / f"{digest}.json"
 
 
@@ -131,7 +135,23 @@ def _tuple_entry_strings(t) -> list[str]:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_lines(payload, "\n") + "\n"
+
+
+def _json_lines(value, newline: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), newline in place of each
+    line break.  Lists and dicts with string keys are laid out here, so that a
+    list of strings is one join in C, not one pure-Python step per item."""
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)) and value:
+        if all(isinstance(v, str) for v in value):
+            return "[" + inner + ("," + inner).join(map(_json_string, value)) + newline + "]"
+        return "[" + inner + ("," + inner).join(_json_lines(v, inner) for v in value) + newline + "]"
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        return "{" + inner + ("," + inner).join(
+            f"{_json_string(k)}: {_json_lines(value[k], inner)}" for k in sorted(value)
+        ) + newline + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _class_descriptors(classes) -> list[dict]:
@@ -474,6 +494,7 @@ def _int(text: str) -> int:
 
 def _prime(text: str) -> int:
     """Argument type of every --p: a prime number."""
+    from .rings import is_prime  # not at module level: it loads fractions and decimal
     value = _int(text)
     try:
         prime = is_prime(value)
@@ -492,7 +513,17 @@ def _level(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _subparsers(parser, dest, names, chosen):
+    """parser's subparsers action, and chosen alone or all names to build under it."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    if chosen in names:  # usage lines still list every name, as the full parser's do
+        sub.metavar, names = "{" + ",".join(names) + "}", (chosen,)
+    return sub, names
+
+
+def _build_parser(command=None, subcommand=None) -> argparse.ArgumentParser:
+    """The full parser of hkr or, given a call's first two words, one with only
+    the command and action they name, which parses that call alike."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json",
@@ -512,20 +543,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "laws, and height-1 character theory.",
         epilog=f"group grammar: {GROUP_GRAMMAR}",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub, commands = _subparsers(parser, "command", (*HANDLERS, "selftest"), command)
 
     def add(name, *, group=False, p=False, n=False, k=None, helptext=""):
-        sp = sub.add_parser(name, parents=[common], help=helptext)
-        if group:
-            sp.add_argument("--group", required=True, help="group expression")
-        if p:
-            sp.add_argument("--p", type=_prime, required=True, help="prime")
-        if n:
-            sp.add_argument("--n", type=int, required=True, help="tuple length")
-        if k:
-            sp.add_argument("--k", type=k, required=True,
-                            help="level exponent" if k is _level else "index")
-        return sp
+        if name in commands:
+            sp = sub.add_parser(name, parents=[common], help=helptext)
+            if group:
+                sp.add_argument("--group", required=True, help="group expression")
+            if p:
+                sp.add_argument("--p", type=_prime, required=True, help="prime")
+            if n:
+                sp.add_argument("--n", type=int, required=True, help="tuple length")
+            if k:
+                sp.add_argument("--k", type=k, required=True,
+                                help="level exponent" if k is _level else "index")
+            return sp
+
+    def actions(name, names, helptext):
+        if name in commands:
+            action_sub, chosen = _subparsers(sub.add_parser(name, help=helptext),
+                                             "action", names, subcommand)
+            for action in chosen:
+                sp = action_sub.add_parser(action, parents=[common])
+                sp.set_defaults(command=name)
+                yield action, sp
 
     add("rank", group=True, p=True, n=True,
         helptext="predicted free rank over the level ring")
@@ -538,11 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("subgroups", p=True, n=True, k=_level,
         helptext="open-subgroup count of index p^k in rank n")
 
-    fgl = sub.add_parser("fgl", help="formal group law computations")
-    fgl_sub = fgl.add_subparsers(dest="action", required=True)
-    for action in ("series", "angle", "wdeg", "coprime"):
-        sp = fgl_sub.add_parser(action, parents=[common])
-        sp.set_defaults(command="fgl")
+    for action, sp in actions("fgl", ("series", "angle", "wdeg", "coprime"),
+                              "formal group law computations"):
         if action != "coprime":
             sp.add_argument("name", help="additive | multiplicative | honda(p,n)")
             # fgl.DEFAULT_TRUNCATION, spelled out so that parsing loads no fgl
@@ -558,11 +596,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("i", type=_level)
             sp.add_argument("j", type=_level)
 
-    c0 = sub.add_parser("c0-demo", help="level ring demonstrations")
-    c0_sub = c0.add_subparsers(dest="action", required=True)
-    for action in ("ring", "vandermonde", "localize", "drinfeld"):
-        sp = c0_sub.add_parser(action, parents=[common])
-        sp.set_defaults(command="c0-demo")
+    for _, sp in actions("c0-demo", ("ring", "vandermonde", "localize", "drinfeld"),
+                         "level ring demonstrations"):
         sp.add_argument("--p", type=_prime, required=True)
         sp.add_argument("--k", type=_level, required=True)
 
@@ -577,11 +612,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("galois-dim", group=True, p=True, k=_level,
         helptext="dimension of the Galois-fixed class functions")
 
-    fix = sub.add_parser("fix", help="fixed-point groupoids")
-    fix_sub = fix.add_subparsers(dest="action", required=True)
-    for action in ("points", "census", "iterate-check", "loops-check"):
-        sp = fix_sub.add_parser(action, parents=[common])
-        sp.set_defaults(command="fix")
+    for action, sp in actions("fix", ("points", "census", "iterate-check", "loops-check"),
+                              "fixed-point groupoids"):
         sp.add_argument("--group", help="group expression (trivial action)")
         sp.add_argument("--gset", metavar="PATH", help="JSON description of the action")
         if action != "loops-check":
@@ -589,11 +621,11 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--p", type=_prime, required=True)
         sp.add_argument("--n", type=int, required=True)
 
-    st = sub.add_parser("selftest", parents=[common],
-                        help="run the acceptance criteria")
-    st.add_argument("--only", type=int, nargs="+", metavar="N",
-                    choices=range(1, 11),  # acceptance.CRITERIA
-                    help="restrict to the given criterion numbers (1-10)")
+    st = add("selftest", helptext="run the acceptance criteria")
+    if st:
+        st.add_argument("--only", type=int, nargs="+", metavar="N",
+                        choices=range(1, 11),  # acceptance.CRITERIA
+                        help="restrict to the given criterion numbers (1-10)")
     return parser
 
 
@@ -612,8 +644,9 @@ def _render(args, payload, plain, rows) -> str:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(*argv[:2]).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
@@ -645,9 +678,6 @@ def run(argv=None) -> int:
         print(f"hkr: {exc}", file=sys.stderr)
         print(f"hkr: group grammar: {GROUP_GRAMMAR}", file=sys.stderr)
         return 2
-    except CapExceeded as exc:
-        print(f"hkr: {exc}", file=sys.stderr)
-        return 1
     except (HkrError, ArithmeticError) as exc:
         print(f"hkr: {exc}", file=sys.stderr)
         return 1

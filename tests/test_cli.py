@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from hkr.cli import CacheEntry, SCHEMA_VERSION, _build_parser, run
+from hkr.rings import PRIMALITY_BOUND
 
 
 def invoke(capsys, argv):
@@ -409,6 +410,8 @@ def test_huge_levels_are_refused_before_they_are_built(argv, needle):
 # what a one-shot call must not load unless its command needs it
 LAZY_MODULES = {"hkr.charmap", "hkr.acceptance", "hkr.fgl", "hkr.inertia", "hkr.levelrings",
                 "dataclasses", "inspect"}
+# what no call loads, except hkr.rings (with fractions and decimal) for a --p
+ARGUMENT_MODULES = {"_hashlib", "fractions", "decimal", "hkr.rings"}
 
 
 def loaded_modules(script):
@@ -425,7 +428,7 @@ def loaded_modules(script):
 def test_import_loads_no_layer_module():
     loaded = loaded_modules("import hkr.cli")
     assert "hkr.cli" in loaded
-    assert not loaded & LAZY_MODULES
+    assert not loaded & (LAZY_MODULES | ARGUMENT_MODULES)
 
 
 def test_cache_hit_loads_no_layer_module(tmp_path):
@@ -436,13 +439,93 @@ def test_cache_hit_loads_no_layer_module(tmp_path):
     assert not loaded & LAZY_MODULES
     loaded = loaded_modules(script)
     assert not loaded & (LAZY_MODULES | {"hkr.commuting", "hkr.groupcore"})
+    argv = ["chartable", "--group", "Cyc(4)", "--cache", str(tmp_path)]
+    script = f"import hkr.cli\nassert hkr.cli.run({argv!r}) == 0"
+    assert "hkr.charmap" in loaded_modules(script)
+    loaded = loaded_modules(script)
+    assert not loaded & (LAZY_MODULES | ARGUMENT_MODULES | {"hkr.commuting", "hkr.groupcore"})
+
+
+# one valid call of every command and action, the command and action first
+VALID_CALLS = [
+    ["rank", "--group", "Q8", "--p", "2", "--n", "2"],
+    ["tuples", "--group", "Sym(3)", "--p", "3", "--n", "1"],
+    ["gl-orbits", "--group", "Cyc(4)", "--p", "2", "--n", "1", "--k", "2"],
+    ["zpn-sets", "--p", "2", "--n", "2", "--k", "2"],
+    ["subgroups", "--p", "3", "--n", "2", "--k", "1"],
+    ["fgl", "series", "multiplicative", "3", "--D", "8"],
+    ["fgl", "angle", "honda(2,1)", "--p", "2", "--k", "1"],
+    ["fgl", "wdeg", "additive", "--p", "2", "--k", "1"],
+    ["fgl", "coprime", "--p", "2", "1", "2"],
+    ["c0-demo", "ring", "--p", "2", "--k", "2"],
+    ["c0-demo", "vandermonde", "--p", "3", "--k", "1"],
+    ["c0-demo", "localize", "--p", "2", "--k", "2"],
+    ["c0-demo", "drinfeld", "--p", "2", "--k", "2"],
+    ["chartable", "--group", "Sym(3)"],
+    ["charmap", "--group", "Sym(3)", "--p", "2"],
+    ["adams", "--group", "Cyc(6)", "--k", "2"],
+    ["power-op", "--group", "Cyc(2)", "--k", "2"],
+    ["psi-level", "--group", "Cyc(3)", "--p", "3", "--k", "1"],
+    ["galois-dim", "--group", "Sym(3)", "--p", "2", "--k", "1"],
+    ["fix", "points", "--group", "Cyc(2)", "--p", "2", "--n", "1"],
+    ["fix", "census", "--gset", "x.json", "--p", "2", "--n", "2"],
+    ["fix", "iterate-check", "--group", "Cyc(4)", "--p", "2", "--n", "2"],
+    ["fix", "loops-check", "--group", "Dih(4)", "--n", "2"],
+    ["selftest", "--only", "1", "2"],
+]
+
+
+def _variants(call):
+    """call, and calls around it that print help or fail to parse."""
+    head = call[:2] if call[0] in ("fgl", "c0-demo", "fix") else call[:1]
+    variants = [call, head, head + ["-h"], call + ["--help"], call[:-1], call + ["extra"],
+                call + ["--bogus"], call + ["--format", "xml"],
+                call + ["--format", "plain", "--no-cache", "--cache", "c", "--verbose"],
+                ["--format", "json"] + call]
+    for option, bad in (("--p", "4"), ("--n", "x"), ("--k", "-1"), ("--D", "1.5"), ("--only", "11")):
+        if option in call:
+            at = call.index(option) + 1
+            variants.append(call[:at] + [bad] + call[at + 1:])
+    return variants
+
+
+PARSE_CASES = [argv for call in VALID_CALLS for argv in _variants(call)] + [
+    [], ["-h"], ["frobnicate"], ["frobnicate", "-h"], ["--format", "json", "rank"],
+    ["fgl", "bogus"], ["c0-demo", "--p", "2"], ["fix", "-h", "points"],
+    ["rank", "--group", "Q8", "--p", str(PRIMALITY_BOUND), "--n", "1"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_one_command_parser_parses_as_the_full_parser(argv, capsys):
+    full = _parse(_build_parser(), argv, capsys)
+    assert _parse(_build_parser(*argv[:1]), argv, capsys) == full
+    assert _parse(_build_parser(*argv[:2]), argv, capsys) == full
+
+
+def _choices(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _subparser(parser, *names):
     for name in names:
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = action.choices[name]
+        parser = _choices(parser)[name]
     return parser
+
+
+def test_a_call_builds_only_its_own_command():
+    assert list(_choices(_build_parser("rank", "--group"))) == ["rank"]
+    assert list(_choices(_subparser(_build_parser("fgl", "wdeg"), "fgl"))) == ["wdeg"]
+    assert len(_choices(_subparser(_build_parser("fgl", "-h"), "fgl"))) == 4
+    assert len(_choices(_build_parser("-h"))) == 15
 
 
 def test_parser_literals_match_the_library():

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
-from hkr.cli import CacheEntry, SCHEMA_VERSION, run
+from hkr.cli import HANDLERS, CacheEntry, SCHEMA_VERSION, _build_parser, _render_json, run
 from hkr.groupcore import named_group
 from hkr.inertia import regular_gset
 
@@ -24,6 +25,7 @@ CASES = [
     ("fgl", ["fgl", "angle", "honda(2,1)", "--p", "2", "--k", "1", "--D", "8"]),
     ("fgl", ["fgl", "wdeg", "honda(2,2)", "--p", "2", "--k", "1", "--D", "8"]),
     ("fgl", ["fgl", "wdeg", "additive", "--p", "2", "--k", "1", "--D", "8"]),
+    ("fgl", ["fgl", "wdeg", "multiplicative", "--p", "2", "--k", "0", "--D", "8"]),
     ("fgl", ["fgl", "coprime", "--p", "2", "1", "2"]),
     ("fgl", ["fgl", "coprime", "--p", "2", "0", "1"]),
     ("c0-demo", ["c0-demo", "ring", "--p", "2", "--k", "2"]),
@@ -63,6 +65,28 @@ def test_all_schemas_are_valid_json_schema():
 @pytest.mark.parametrize("name,argv", CASES, ids=lambda c: c if isinstance(c, str) else " ".join(c))
 def test_payload_matches_schema(name, argv):
     jsonschema.validate(capture(argv), load_schema(name))
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in CASES], ids=" ".join)
+def test_rendered_json_is_json_dumps(argv):
+    args = _build_parser().parse_args(argv)
+    payload = HANDLERS[args.command](args)[0]
+    assert _render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+json_text = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é", "\u2028", "\ud800", "😀", "/"])
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | json_text,
+    lambda children: st.lists(children) | st.lists(json_text, min_size=1)
+    | st.dictionaries(json_text, children) | st.tuples(json_text, children),
+    max_leaves=40,
+)
+
+
+@given(json_trees)
+def test_rendered_json_is_json_dumps_on_any_tree(tree):
+    assert _render_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 def test_gset_document_matches_schema():
