@@ -33,7 +33,6 @@ import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .commuting import is_p_power_order
 from .errors import CapExceeded, HkrError
 from .groupcore import (
     FiniteGroup,
@@ -47,8 +46,8 @@ from .groupcore import (
 from .rings import (
     CyclotomicNumber,
     capped_power,
+    fixed_space_dim,
     is_prime,
-    mat_nullspace_dim,
     mat_rank,
     prime_factors,
     rref_mod,
@@ -530,12 +529,12 @@ class CharacterTable:
         return f"CharacterTable[{name}, {self.size} rows]"
 
 
-def character_table(G: FiniteGroup, *, cap: int = DEFAULT_TABLE_CAP) -> CharacterTable:
+def character_table(G: FiniteGroup) -> CharacterTable:
     got = G._cache.get("character_table")
     if got is not None:
         return got
-    if G.order > cap:
-        raise CapExceeded(f"group order {G.order} exceeds table cap {cap}")
+    if G.order > DEFAULT_TABLE_CAP:
+        raise CapExceeded(f"group order {G.order} exceeds table cap {DEFAULT_TABLE_CAP}")
     classes = conjugacy_classes(G)
     m = G.exponent()
     if G.is_abelian():
@@ -581,8 +580,8 @@ def _canonical_order(rows, m: int) -> list:
     return [rows[i] for i in sorted(range(len(rows)), key=functools.cmp_to_key(compare))]
 
 
-def irreducible_characters(G: FiniteGroup, *, cap: int = DEFAULT_TABLE_CAP):
-    table = character_table(G, cap=cap)
+def irreducible_characters(G: FiniteGroup):
+    table = character_table(G)
     return [table.irreducible(i) for i in range(table.size)]
 
 
@@ -837,12 +836,9 @@ class ClassFunction:
 # the character map and its companions
 
 
-def _p_power_class_indices(classes, p: int) -> list[int]:
-    return [
-        k
-        for k, cls in enumerate(classes)
-        if is_p_power_order(cls.representative, p)
-    ]
+def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
+    """The classes of p-power order, each order read off the power map."""
+    return [k for k, walk in enumerate(power_map(G)) if _p_part(len(walk), p) == len(walk)]
 
 
 def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:
@@ -856,7 +852,7 @@ def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:
         raise ValueError("class function is not defined on the full class list")
     target = _p_part(G.exponent(), p)
     down = math.gcd(chi.conductor, target)
-    idx = _p_power_class_indices(table.classes, p)
+    idx = _p_power_class_indices(G, p)
     classes = [table.classes[k] for k in idx]
     values = [chi.values[k].descend(down).promote(target) for k in idx]
     return ClassFunction(G, classes, values, target, chi.label and f"{chi.label}|p={p}")
@@ -876,9 +872,7 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
     """
     table = character_table(G)
     m = table.conductor
-    idx = _p_power_class_indices(table.classes, p)
-    if not idx:
-        return 0
+    idx = _p_power_class_indices(G, p)  # never empty: the identity is there
     if G.is_abelian():
         exps = [tuple(next(iter(row[k])) for k in idx) for row in table.rows]
         distinct = sorted(set(exps))
@@ -945,7 +939,7 @@ def _cycle_products(chi: ClassFunction, cycle_types) -> list[list[CyclotomicNumb
 
 
 def _check_power_degree(k: int) -> None:
-    if not 1 <= k <= MAX_POWER_OP_DEGREE:
+    if k > MAX_POWER_OP_DEGREE:
         raise CapExceeded(f"total power operation limited to k <= {MAX_POWER_OP_DEGREE}")
 
 
@@ -955,6 +949,8 @@ def total_power(k: int, chi: ClassFunction) -> ClassFunction:
     Defined on pairs (class of Sym(k), class of chi's group); returned as a
     class function whose class list is the list of pairs in row-major order.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     _check_power_degree(k)
     sclasses = conjugacy_classes(sym_group(k))
     rows = _cycle_products(chi, [scls.representative.cycle_lengths() for scls in sclasses])
@@ -999,17 +995,15 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
     if k < 0:
         raise ValueError(f"level k = {k} must be >= 0")
     pk = capped_power(p, k, GALOIS_DIM_CAP)  # a pk past the cap has phi(pk)^2 past it
-    if (pk - pk // p) ** 2 > GALOIS_DIM_CAP:
+    phi = pk - pk // p
+    if phi**2 > GALOIS_DIM_CAP:
         raise CapExceeded(
             f"phi(p^k)^2 for p = {p}, k = {k} exceeds the Galois dimension cap {GALOIS_DIM_CAP}"
         )
     expo = G.exponent()
     if _p_part(expo, p) > pk:
         raise HkrError(f"p^k = {pk} is below the p-part of the exponent {expo}")
-    idx = set(_p_power_class_indices(conjugacy_classes(G), p))
-    if pk == 1:
-        return len(idx)
-    phi = pk - pk // p
+    idx = set(_p_power_class_indices(G, p))
     walks = power_map(G)
     dims: dict[tuple[int, ...], int] = {}  # by stabilizer, which many orbits share
     total = 0
@@ -1019,12 +1013,9 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
         walk = walks[c]
         stab = tuple(u for u in range(1, pk) if u % p and walk[u % len(walk)] == c)
         if stab not in dims:
-            stacked = []
-            for u in _unit_generators(stab, pk):
-                # matrix of sigma_u minus identity on the power basis
-                cols = [CyclotomicNumber.root(pk, u * t).coords for t in range(phi)]
-                for s in range(phi):
-                    stacked.append([cols[t][s] - (1 if s == t else 0) for t in range(phi)])
-            dims[stab] = mat_nullspace_dim(stacked) if stacked else phi
+            # sigma_u on the power basis, for each generator u of the stabilizer
+            maps = [[CyclotomicNumber.root(pk, u * t).coords for t in range(phi)]
+                    for u in _unit_generators(stab, pk)]
+            dims[stab] = fixed_space_dim(maps, phi)
         total += dims[stab]
     return total

@@ -170,8 +170,9 @@ def _echo(args, G=None, **fields) -> dict:
     return out
 
 
-def _class_functions_payload(args, G, functions, classes) -> dict:
-    return _echo(args, G, classes=_class_descriptors(classes),
+def _class_functions_payload(args, G, functions) -> dict:
+    """The functions, all on the class list of the first, with their classes."""
+    return _echo(args, G, classes=_class_descriptors(functions[0].classes),
                  characters=[f.to_json() for f in functions])
 
 
@@ -325,32 +326,31 @@ def _cmd_chartable(args):
     return payload, "\n".join(lines), None
 
 
-def _cmd_charmap(args):
-    from .charmap import character_map, character_table
+def _images(args, op):
+    """The group, and op applied to each of its irreducible characters."""
+    from .charmap import character_table
     G = _group(args)
     table = character_table(G)
-    images = [
-        character_map(G, args.p, table.irreducible(i)) for i in range(table.size)
-    ]
-    payload = _class_functions_payload(args, G, images, images[0].classes)
+    return G, [op(table.irreducible(i)) for i in range(table.size)]
+
+
+def _cmd_charmap(args):
+    from .charmap import character_map
+    G, images = _images(args, lambda chi: character_map(chi.group, args.p, chi))
+    payload = _class_functions_payload(args, G, images)
     payload["conductor"] = images[0].conductor
     return payload, _class_functions_plain(images), None
 
 
 def _cmd_adams(args):
-    from .charmap import adams_psi, character_table
-    G = _group(args)
-    table = character_table(G)
-    images = [adams_psi(args.k, table.irreducible(i)) for i in range(table.size)]
-    payload = _class_functions_payload(args, G, images, table.classes)
-    return payload, _class_functions_plain(images), None
+    from .charmap import adams_psi
+    G, images = _images(args, lambda chi: adams_psi(args.k, chi))
+    return _class_functions_payload(args, G, images), _class_functions_plain(images), None
 
 
 def _cmd_power_op(args):
-    from .charmap import character_table, total_power
-    G = _group(args)
-    table = character_table(G)
-    images = [total_power(args.k, table.irreducible(i)) for i in range(table.size)]
+    from .charmap import total_power
+    G, images = _images(args, lambda chi: total_power(args.k, chi))
     payload = _echo(
         args, G,
         classes=[
@@ -366,14 +366,9 @@ def _cmd_power_op(args):
 
 
 def _cmd_psi_level(args):
-    from .charmap import character_table, psi_level
-    G = _group(args)
-    table = character_table(G)
-    images = [
-        psi_level(args.p, args.k, table.irreducible(i)) for i in range(table.size)
-    ]
-    payload = _class_functions_payload(args, G, images, table.classes)
-    return payload, _class_functions_plain(images), None
+    from .charmap import psi_level
+    G, images = _images(args, lambda chi: psi_level(args.p, args.k, chi))
+    return _class_functions_payload(args, G, images), _class_functions_plain(images), None
 
 
 def _cmd_galois_dim(args):

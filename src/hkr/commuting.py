@@ -176,12 +176,12 @@ def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> 
     return [CommutingTuple._raw(t, G, p) for t in out]
 
 
-def commuting_tuples_all(G: FiniteGroup, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[tuple]:
+def commuting_tuples_all(G: FiniteGroup, n: int) -> list[tuple]:
     """All commuting n-tuples with no order restriction (entries as Permutations)."""
     if n == 0:
         return [()]
     out: list[tuple] = []
-    budget = [work_cap, work_cap]
+    budget = [DEFAULT_WORK_CAP, DEFAULT_WORK_CAP]
     _extend_tuples((), list(G.elements), n, out, budget)
     return out
 
@@ -190,10 +190,10 @@ def _conjugate_entries(entries: tuple, s: Permutation) -> tuple:
     return tuple(e.conjugate_by(s) for e in entries)
 
 
-def _indexed_tuple_classes(G: FiniteGroup, p: int, n: int, work_cap: int):
+def _indexed_tuple_classes(G: FiniteGroup, p: int, n: int):
     """Tuple classes in canonical order, and a map from the entries of every
     member tuple to the position of its class."""
-    entries = [t.entries for t in hom_tuples(G, p, n, work_cap=work_cap)]
+    entries = [t.entries for t in hom_tuples(G, p, n)]
     abelian = G.is_abelian()
     if abelian:
         orbits = [[e] for e in entries]
@@ -214,7 +214,7 @@ def _indexed_tuple_classes(G: FiniteGroup, p: int, n: int, work_cap: int):
     return classes, member_class
 
 
-def tuple_classes(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[TupleClass]:
+def tuple_classes(G: FiniteGroup, p: int, n: int) -> list[TupleClass]:
     """Conjugation classes of commuting tuples, canonically ordered.
 
     Classes are ordered by (size, least member); the representative is the
@@ -223,7 +223,7 @@ def tuple_classes(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) 
     by orbit-stabilizer must multiply with the class size to the group order
     (the stabilizer of a tuple is exactly the centralizer of its image).
     """
-    return _indexed_tuple_classes(G, p, n, work_cap)[0]
+    return _indexed_tuple_classes(G, p, n)[0]
 
 
 def _p_power_classes(G: FiniteGroup, p: int) -> list[ConjugacyClass]:
@@ -329,7 +329,7 @@ def apply_matrix(t: CommutingTuple, sigma: GLMatrix) -> CommutingTuple:
     return CommutingTuple._raw(tuple(entries), t.group, t.p)
 
 
-def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int, *, work_cap=DEFAULT_WORK_CAP, gl_cap=DEFAULT_GL_CAP) -> list[list[TupleClass]]:
+def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleClass]]:
     """Orbits of GL_n(Z/p^k) on the conjugation classes of commuting tuples.
 
     Requires p^k to annihilate every tuple entry (the exponents live in Z/p^k).
@@ -342,8 +342,8 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int, *, work_cap=DEFAULT
         raise ValueError(
             f"p^k = {mod} does not annihilate all p-power elements (max order {worst})"
         )
-    classes, member_class = _indexed_tuple_classes(G, p, n, work_cap)
-    mats = gl_matrices(p, n, k, cap=gl_cap)
+    classes, member_class = _indexed_tuple_classes(G, p, n)
+    mats = gl_matrices(p, n, k)
     seen = set()
     orbit_lists = []
     for idx in range(len(classes)):

@@ -79,7 +79,10 @@ class GSet:
             raise ValueError("one image list per group generator expected")
         gen_maps = []
         for imgs in gen_images:
-            row = tuple(self.index[x] for x in imgs)
+            try:
+                row = tuple(self.index[x] for x in imgs)
+            except KeyError as missing:
+                raise ValueError(f"generator image {missing} is not a point") from None
             if len(row) != len(self.points) or len(set(row)) != len(row):
                 raise ValueError("generator image is not a permutation of the points")
             gen_maps.append(row)
@@ -119,9 +122,6 @@ class GSet:
         """Orbits as sorted index lists, ordered by least member."""
         gen_maps = [self.maps[s] for s in self.group.generators]
         return orbit_search(range(len(self.points)), gen_maps, lambda x, gm: gm[x])
-
-    def orbits(self) -> list[list]:
-        return [[self.points[i] for i in orb] for orb in self.orbit_indices()]
 
     def stabilizer_order(self, x) -> int:
         i = self.index[x]
@@ -221,26 +221,20 @@ def product_gset(X: GSet, Y: GSet) -> GSet:
     return GSet(X.group, pts, images, name=f"{X.name or 'X'}x{Y.name or 'Y'}")
 
 
-def gset_from_json(doc: dict) -> GSet:
-    """Build a GSet from {group, points, action}.
-
-    The action is an object keyed by generator cycle strings (as printed by
-    the group mini-language parser), each value listing the image of every
-    point in order; a plain list aligned with the generator list is also
-    accepted.
-    """
+def gset_from_json(doc) -> GSet:
+    """Build a GSet from {group, points, action[, name]}, the shape that
+    docs/schemas/gset.schema.json documents (any other is a ValueError); the
+    action maps each generator's cycle string to the images of the points."""
+    if not (isinstance(doc, dict) and {"group", "points", "action"} <= doc.keys() <= {"group", "points", "action", "name"}
+            and isinstance(doc["group"], str) and isinstance(doc.get("name", ""), str) and isinstance(doc["action"], dict)
+            and all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in [doc["points"], *doc["action"].values()])):
+        raise ValueError("a G-set is {group, points, action[, name]}: group and name strings, points and images lists of strings")
     G = named_group(doc["group"])
-    points = list(doc["points"])
-    action = doc["action"]
-    gens = list(G.generators)
-    if isinstance(action, dict):
-        try:
-            gen_images = [action[s.cycle_string()] for s in gens]
-        except KeyError as missing:
-            raise ValueError(f"action missing generator {missing}") from None
-    else:
-        gen_images = list(action)
-    return GSet(G, points, gen_images, name=doc.get("name", ""))
+    try:
+        gen_images = [doc["action"][s.cycle_string()] for s in G.generators]
+    except KeyError as missing:
+        raise ValueError(f"action missing generator {missing}") from None
+    return GSet(G, doc["points"], gen_images, name=doc.get("name", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +243,7 @@ def gset_from_json(doc: dict) -> GSet:
 _fix_cache: dict = {}
 
 
-def fix_n(X: GSet, p: int, n: int, *, work_cap=None) -> GSet:
+def fix_n(X: GSet, p: int, n: int) -> GSet:
     """The G-set of pairs (alpha, x): alpha a commuting n-tuple of p-power
     order, x a point of X fixed by every entry of alpha.
 
@@ -257,13 +251,12 @@ def fix_n(X: GSet, p: int, n: int, *, work_cap=None) -> GSet:
     g.(alpha, x) = (g alpha g^-1, g.x), re-verified by the GSet constructor.
     Results are memoized per GSet instance.
     """
-    cache_key = (X, p, n, work_cap)
+    cache_key = (X, p, n)
     got = _fix_cache.get(cache_key)
     if got is not None:
         return got
     G = X.group
-    kwargs = {} if work_cap is None else {"work_cap": work_cap}
-    tuples = hom_tuples(G, p, n, **kwargs)
+    tuples = hom_tuples(G, p, n)
     pts = []
     for t in tuples:
         entry_maps = [X.maps[e] for e in t.entries]
@@ -315,7 +308,7 @@ class OrbitCensus(namedtuple("OrbitCensus", "orbits total_points predicted consi
         }
 
 
-def orbit_census(X: GSet, p: int, n: int, *, work_cap=None) -> OrbitCensus:
+def orbit_census(X: GSet, p: int, n: int) -> OrbitCensus:
     """Census of G-orbits on fix_n(X, p, n).
 
     Each orbit contributes (size, stabilizer order of the least
@@ -323,7 +316,7 @@ def orbit_census(X: GSet, p: int, n: int, *, work_cap=None) -> OrbitCensus:
     orbit-stabilizer product is asserted per orbit, and the census is
     compared with the subgroup rank-prediction sum over the orbits of X.
     """
-    F = fix_n(X, p, n, work_cap=work_cap)
+    F = fix_n(X, p, n)
     G = X.group
     records = []
     for orb in F.orbit_indices():
@@ -348,16 +341,16 @@ def orbit_census(X: GSet, p: int, n: int, *, work_cap=None) -> OrbitCensus:
 IterateFixResult = namedtuple("IterateFixResult", ["ok", "forward"])
 
 
-def iterate_fix_check(X: GSet, p: int, n: int, *, work_cap=None) -> IterateFixResult:
+def iterate_fix_check(X: GSet, p: int, n: int) -> IterateFixResult:
     """Verify Fix_1(Fix_{n-1}(X)) = Fix_n(X) via the regrouping bijection
     ((a_n), ((a_1..a_{n-1}), x)) -> ((a_1..a_n), x), including equivariance.
     """
     if n < 2:
         raise ValueError("iterated fix needs n >= 2")
     G = X.group
-    inner = fix_n(X, p, n - 1, work_cap=work_cap)
-    outer = fix_n(inner, p, 1, work_cap=work_cap)
-    direct = fix_n(X, p, n, work_cap=work_cap)
+    inner = fix_n(X, p, n - 1)
+    outer = fix_n(inner, p, 1)
+    direct = fix_n(X, p, n)
 
     forward = {}
     for q in outer.points:
@@ -455,7 +448,7 @@ LoopsCheck = namedtuple(
 )
 
 
-def loops_pgroup_check(G: FiniteGroup, n: int, *, work_cap=None) -> LoopsCheck:
+def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:
     """For a p-group, commuting n-tuples with no order restriction biject
     with p-power-order ones; counts and conjugation-orbit counts must agree.
 
@@ -465,10 +458,9 @@ def loops_pgroup_check(G: FiniteGroup, n: int, *, work_cap=None) -> LoopsCheck:
     if len(factors) != 1:
         raise HkrError(f"group of order {G.order} is not a p-group")
     (p,) = factors
-    kwargs = {} if work_cap is None else {"work_cap": work_cap}
-    homs = hom_tuples(G, p, n, **kwargs)
-    alls = commuting_tuples_all(G, n, **kwargs)
-    hom_classes = len(tuple_classes(G, p, n, **kwargs))
+    homs = hom_tuples(G, p, n)
+    alls = commuting_tuples_all(G, n)
+    hom_classes = len(tuple_classes(G, p, n))
     all_classes = len(orbit_search(alls, G.generators, _conjugate_entries))
     ok = len(homs) == len(alls) and hom_classes == all_classes
     return LoopsCheck(ok, len(homs), len(alls), hom_classes, all_classes)

@@ -20,8 +20,8 @@ from .rings import (
     RingElement,
     capped_power,
     cyclotomic_int_poly,
+    fixed_space_dim,
     mat_det,
-    mat_nullspace_dim,
     poly_compose,
     poly_divmod,
     poly_mul,
@@ -112,20 +112,20 @@ class QuotientRing(_QuotientRing):
         return acc
 
 
-def cpk_ring(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> QuotientRing:
+def cpk_ring(p: int, k: int) -> QuotientRing:
     """The level-k ring Q[x]/((1+x)^(p^k) - 1) with its cyclotomic factors."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    size = capped_power(p, k, cap)
-    if size > cap:
-        raise CapExceeded(f"p^k = {p}^{k} exceeds level cap {cap}")
+    size = capped_power(p, k, DEFAULT_LEVEL_CAP)
+    if size > DEFAULT_LEVEL_CAP:
+        raise CapExceeded(f"p^k = {p}^{k} exceeds level cap {DEFAULT_LEVEL_CAP}")
     factors = [_cyclo_in_one_plus_x(p**i) for i in range(k + 1)]
     return QuotientRing(_index_image(size), factors, label=f"C0'({p},{k})")
 
 
-def z_image(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> list[RingElement]:
+def z_image(p: int, k: int) -> list[RingElement]:
     """The images (1+x)^j - 1 of the nonzero level-k indices j = 1..p^k - 1."""
-    ring = cpk_ring(p, k, cap=cap)
+    ring = cpk_ring(p, k)
     return [ring.element(_index_image(j)) for j in range(1, ring.dimension)]
 
 
@@ -192,7 +192,7 @@ class LevelDescriptor(
     __slots__ = ()
 
 
-def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
+def localize_c0k(p: int, k: int) -> LevelDescriptor:
     """Invert every nonzero index image in the level-k ring.
 
     A CRT component survives exactly when no image projects to zero on it.
@@ -200,11 +200,11 @@ def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
     this is asserted, not assumed.  Within the level cap, (p^k)^2 * phi(p^k)
     is checked against LOCALIZE_CAP before any arithmetic.
     """
-    size = capped_power(p, k, cap)
-    if size <= cap and size * size * (size - size // p) > LOCALIZE_CAP:
+    size = capped_power(p, k, DEFAULT_LEVEL_CAP)
+    if size <= DEFAULT_LEVEL_CAP and size * size * (size - size // p) > LOCALIZE_CAP:
         raise CapExceeded(f"localization work at p^k = {p}^{k} exceeds the cap {LOCALIZE_CAP}")
-    ring = cpk_ring(p, k, cap=cap)
-    images = z_image(p, k, cap=cap)
+    ring = cpk_ring(p, k)
+    images = z_image(p, k)
     survivors = []
     for fi, factor in enumerate(ring.crt_factors):
         field = QuotientRing(factor, [factor])
@@ -225,13 +225,13 @@ def localize_c0k(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> LevelDescriptor:
     )
 
 
-def drinfeld_dk(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> QuotientRing:
+def drinfeld_dk(p: int, k: int) -> QuotientRing:
     """The integral level ring Z[x]/(Phi_(p^k)(1+x)).
 
     Rationalizing its modulus must reproduce the surviving localization
     component, which is checked here.
     """
-    desc = localize_c0k(p, k, cap=cap)  # bounds p^k first
+    desc = localize_c0k(p, k)  # bounds p^k first
     factor = _cyclo_in_one_plus_x(p**k)
     if desc.surviving_factor != tuple(factor):
         raise ArithmeticError("integral modulus does not match the localization component")
@@ -250,27 +250,16 @@ def galois_action(p: int, k: int, u: int, a: RingElement) -> RingElement:
     return _substitute(a.coeffs, a.ring.element(_index_image(u)))
 
 
-def galois_fixed_dimension(p: int, k: int, *, cap=DEFAULT_LEVEL_CAP) -> int:
+def galois_fixed_dimension(p: int, k: int) -> int:
     """Q-dimension of the subring of the level-k ring fixed by every unit."""
-    ring = cpk_ring(p, k, cap=cap)
+    ring = cpk_ring(p, k)
     n = ring.dimension
-    stacked = []
-    for u in range(1, n):
-        if gcd(u, p) != 1:
-            continue
-        columns = []
-        for t in range(n):
-            basis = ring.element([0] * t + [1])
-            columns.append(galois_action(p, k, u, basis).coeffs)
-        # constraints (M_u - I) a = 0, one row per output coordinate
-        for s in range(n):
-            stacked.append([columns[t][s] - (1 if s == t else 0) for t in range(n)])
-    if not stacked:
-        return n
-    return mat_nullspace_dim(stacked)
+    maps = [[galois_action(p, k, u, ring.element([0] * t + [1])).coeffs for t in range(n)]
+            for u in range(1, n) if gcd(u, p) == 1]
+    return fixed_space_dim(maps, n)
 
 
-def tower_map(p: int, k: int, a: RingElement, *, cap=DEFAULT_LEVEL_CAP) -> RingElement:
+def tower_map(p: int, k: int, a: RingElement) -> RingElement:
     """Push a level-k element into level k+1 along x -> (1+x)^p - 1."""
-    target = cpk_ring(p, k + 1, cap=cap)
+    target = cpk_ring(p, k + 1)
     return _substitute(a.coeffs, target.element(_index_image(p)))

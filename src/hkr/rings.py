@@ -29,15 +29,12 @@ __all__ = [
     "poly_mul",
     "poly_divmod",
     "poly_mod",
-    "poly_monic",
-    "poly_gcd",
     "poly_xgcd",
     "poly_compose",
-    "poly_eval",
     "poly_to_text",
     "mat_rank",
-    "mat_nullspace",
     "mat_nullspace_dim",
+    "fixed_space_dim",
     "mat_det",
     "mat_solve",
     "rref_mod",
@@ -113,21 +110,6 @@ def poly_mod(a, b):
     return poly_divmod(a, b)[1]
 
 
-def poly_monic(a):
-    a = poly_trim(a)
-    if not a:
-        return a
-    lead = a[-1]
-    return [Fraction(c) / lead for c in a]
-
-
-def poly_gcd(a, b):
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        a, b = b, poly_mod(a, b)
-    return poly_monic(a)
-
-
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, u, v) monic with u*a + v*b = g."""
     r0, r1 = poly_trim(a), poly_trim(b)
@@ -151,13 +133,6 @@ def poly_compose(a, b):
     for c in reversed(poly_trim(a)):
         out = poly_add(poly_mul(out, b), [c])
     return out
-
-
-def poly_eval(a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def poly_to_text(p, var="x") -> str:
@@ -375,10 +350,6 @@ class RingElement:
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: QuotientRing, coeffs: tuple):
-        self.ring = ring
-        self.coeffs = coeffs
-
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
             return self.ring.element([other])
@@ -561,11 +532,6 @@ class CyclotomicNumber(RingElement):
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return Fraction(self.coeffs[0])
-
     def to_text(self) -> str:
         return poly_to_text(list(self.coeffs), var="z")
 
@@ -668,23 +634,13 @@ def mat_nullspace_dim(rows) -> int:
     return len(rows[0]) - mat_rank(rows) if rows else 0
 
 
-def mat_nullspace(rows):
-    """Basis of the right nullspace, one vector per non-pivot column."""
-    if not rows:
-        return []
-    red, pivots, _ = _rref(rows)
-    ncols = len(rows[0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for r, col in enumerate(pivots):
-            vec[col] = -red[r][free]
-        basis.append(vec)
-    return basis
+def fixed_space_dim(maps, dim: int) -> int:
+    """Dimension of the subspace of a dim-dimensional space fixed by every
+    linear map in maps, each given by its columns (the coordinates of the
+    images of the basis vectors): the nullspace of the stacked blocks M - I,
+    or dim when there are no maps."""
+    stacked = [[col[s] - (s == t) for t, col in enumerate(cols)] for cols in maps for s in range(dim)]
+    return mat_nullspace_dim(stacked) if stacked else dim
 
 
 def mat_det(rows):

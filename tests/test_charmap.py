@@ -55,8 +55,13 @@ from hkr.rings import CyclotomicNumber, zeta
 NAMED_SUITE_TALLY_SHA256 = "a8e5373f11a47d854a0c4c631a6469674bd9927491834fa3afa6b94deb37c10c"
 
 
+def rational_value(v):
+    assert v.is_rational()
+    return Fraction(v.coords[0])
+
+
 def int_values(chi):
-    return tuple(v.rational_value() for v in chi.values)
+    return tuple(map(rational_value, chi.values))
 
 
 def test_cyclic_two_table():
@@ -71,7 +76,7 @@ def test_sym3_table_frozen():
     # classes in canonical order: identity, 3-cycles (size 2), transpositions (size 3)
     table = character_table(named_group("Sym(3)"))
     values = [
-        [table.value(i, j).rational_value() for j in range(3)] for i in range(3)
+        [rational_value(table.value(i, j)) for j in range(3)] for i in range(3)
     ]
     assert values == [[1, 1, 1], [1, 1, -1], [2, -1, 0]]
     assert [c.size for c in table.classes] == [1, 2, 3]
@@ -271,7 +276,7 @@ def test_column_orthogonality_values():
     for a in range(3):
         for b in range(3):
             total = sum(
-                table.value(i, a).rational_value() * table.value(i, b).rational_value()
+                rational_value(table.value(i, a)) * rational_value(table.value(i, b))
                 for i in range(3)
             )
             expected = centralizer_orders[a] if a == b else 0
@@ -475,6 +480,16 @@ def test_character_map_restricts_to_p_power_classes():
     assert len(img.classes) == rank_prediction(G, 2, 1)
 
 
+def test_character_map_classes_are_the_p_power_classes_on_the_suite():
+    # the classes come from the power map; the cycle walk of each
+    # representative is the independent route
+    for G in named_suite(100):
+        chi = character_table(G).irreducible(0)
+        for p in (2, 3, 5, 7):
+            want = [cls for cls in conjugacy_classes(G) if is_p_power_order(cls.representative, p)]
+            assert list(character_map(G, p, chi).classes) == want, (G.name, p)
+
+
 def test_adams_psi_is_power_evaluation():
     for spec in ("Sym(4)", "Q8", "Cyc(6)"):
         G = named_group(spec)
@@ -541,6 +556,9 @@ def test_total_power_degree_cap():
     chi = irreducible_characters(named_group("Cyc(2)"))[0]
     with pytest.raises(CapExceeded):
         total_power(MAX_POWER_OP_DEGREE + 1, chi)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            total_power(k, chi)
 
 
 def test_psi_level_equals_adams_on_small_suite():

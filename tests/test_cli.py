@@ -283,21 +283,24 @@ def test_fgl_probes_answer_quickly(argv, answer):
     assert done.stdout == answer + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["selftest", "--only", "11"],
-    ["selftest", "--only", "2", "0"],
-    ["psi-level", "--group", "Sym(3)", "--p", "2", "--k", "-1"],
-    ["galois-dim", "--group", "Sym(3)", "--p", "2", "--k", "-1"],
-    ["fgl", "wdeg", "additive", "--p", "2", "--k", "-1"],
-], ids=["only-11", "only-0", "psi-level-k-1", "galois-dim-k-1", "wdeg-k-1"])
-def test_out_of_range_arguments_are_usage_errors(argv):
+@pytest.mark.parametrize("argv,needle", [
+    (["selftest", "--only", "11"], "error: argument --"),
+    (["selftest", "--only", "2", "0"], "error: argument --"),
+    (["psi-level", "--group", "Sym(3)", "--p", "2", "--k", "-1"], "error: argument --"),
+    (["galois-dim", "--group", "Sym(3)", "--p", "2", "--k", "-1"], "error: argument --"),
+    (["fgl", "wdeg", "additive", "--p", "2", "--k", "-1"], "error: argument --"),
+    (["power-op", "--group", "Sym(3)", "--k", "0"], "hkr: k must be >= 1"),
+    (["power-op", "--group", "Sym(3)", "--k", "-1"], "hkr: k must be >= 1"),
+], ids=["only-11", "only-0", "psi-level-k-1", "galois-dim-k-1", "wdeg-k-1", "power-op-k0", "power-op-k-1"])
+def test_out_of_range_arguments_are_usage_errors(argv, needle):
     # --only 11 used to exit 0 with no output, --only 2 0 ran criterion 2,
-    # psi-level and galois-dim exited 1, fgl wdeg died with a TypeError
+    # psi-level and galois-dim exited 1, fgl wdeg died with a TypeError,
+    # power-op --k 0 exited 1 claiming a limit of k <= 8
     done, _ = run_python(["-m", "hkr", *argv, "--no-cache"])
     assert done.returncode == 2
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert "error: argument --" in done.stderr.splitlines()[-1]
+    assert needle in done.stderr.splitlines()[-1]
 
 
 def test_memory_error_is_a_one_line_failure():
@@ -325,6 +328,27 @@ def test_fix_accepts_gset_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["total_points"] == 6
+
+
+CYC2_ACTION = {"(0 1)": ["b", "a"]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"points": ["a", "b"], "action": CYC2_ACTION},
+    [{"group": "Cyc(2)", "points": ["a", "b"], "action": CYC2_ACTION}],
+    {"group": "Cyc(2)", "points": ["a", "b"], "action": {"(0 1)": ["b", "c"]}},
+    {"group": "Cyc(2)", "points": [["a"], ["b"]], "action": {"(0 1)": [["b"], ["a"]]}},
+], ids=["no-group", "top-level-list", "image-not-a-point", "list-valued-points"])
+def test_fix_rejects_a_malformed_gset_in_one_line(tmp_path, capsys, doc):
+    # each used to end in a KeyError or TypeError traceback
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(
+        capsys, ["fix", "points", "--gset", str(path), "--p", "2", "--n", "1", "--no-cache"]
+    )
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("hkr: ")
 
 
 def test_selftest_single_criterion(capsys):
