@@ -266,6 +266,16 @@ def _charpoly_mod(M: list[list[int]], q: int) -> list[int]:
     return polys[n]
 
 
+def _divide_by_root(poly: list[int], x: int, q: int) -> list[int]:
+    """poly // (X - x) over F_q by synthetic division, lowest degree first."""
+    out = [0] * (len(poly) - 1)
+    carry = 0
+    for t in range(len(poly) - 1, 0, -1):
+        carry = (poly[t] + carry * x) % q
+        out[t - 1] = carry
+    return out
+
+
 def _poly_roots_mod(coeffs: list[int], q: int, candidates) -> list[tuple[int, int]]:
     """Roots among the candidates as (position in candidates, multiplicity),
     in candidate order; raises unless the polynomial splits into them."""
@@ -281,13 +291,7 @@ def _poly_roots_mod(coeffs: list[int], q: int, candidates) -> list[tuple[int, in
                 acc = (acc * x + c) % q
             if acc:
                 break
-            # synthetic division by (X - x)
-            out = [0] * (len(poly) - 1)
-            carry = 0
-            for t in range(len(poly) - 1, 0, -1):
-                carry = (poly[t] + carry * x) % q
-                out[t - 1] = carry
-            poly = out
+            poly = _divide_by_root(poly, x, q)
             mult += 1
         if mult:
             roots.append((pos, mult))
@@ -345,6 +349,41 @@ def _nullspace_mod(M: list[list[int]], q: int) -> list[list[int]]:
     return basis
 
 
+def _eigenspaces_mod(M: list[list[int]], q: int) -> list[list[list[int]]]:
+    """A basis of each eigenspace of M over F_q, one per distinct eigenvalue
+    in increasing order; raises unless M is diagonalizable over F_q.
+
+    With mu the product of X - lam over the distinct roots, u = (mu/(X -
+    lam))(M) e_0 is read off the Krylov vectors M^j e_0, and (M - lam) u is
+    mu(M) e_0, checked once to vanish: a simple root takes u as its
+    eigenline unless u is zero.  Any other eigenspace is the nullspace."""
+    roots = _poly_roots_mod(_charpoly_mod(M, q), q, range(q))
+    mu = [1]
+    for lam, _ in roots:
+        mu = [(a - lam * b) % q for a, b in zip([0] + mu, mu + [0])]
+    krylov = [[1] + [0] * (len(M) - 1)]
+    while len(krylov) < len(mu):
+        krylov.append([sum(map(operator.mul, row, krylov[-1])) % q for row in M])
+    cols = list(zip(*krylov))
+    if any(sum(map(operator.mul, mu, col)) % q for col in cols):
+        raise HkrError("class matrix is not semisimple over F_q")
+    spaces = []
+    for lam, mult in roots:
+        if mult == 1:
+            coeffs = _divide_by_root(mu, lam, q)
+            u = [sum(map(operator.mul, coeffs, col)) % q for col in cols]
+            if any(u):
+                spaces.append([u])
+                continue
+        null = _nullspace_mod([[a - lam * (s == t) for t, a in enumerate(row)] for s, row in enumerate(M)], q)
+        if len(null) != mult:
+            raise HkrError("class matrix is not semisimple over F_q")
+        spaces.append(null)
+    if sum(map(len, spaces)) != len(M):
+        raise HkrError("eigenspaces do not fill the subspace")
+    return spaces
+
+
 def _dixon_rows(G: FiniteGroup, classes, m: int):
     r = len(classes)
     sizes = [len(cls.members) for cls in classes]
@@ -372,10 +411,11 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
                 out = [a + c * b for a, b in zip(out, v)]
         return out
 
-    # split the class algebra into common eigenlines over F_q
+    # split into common eigenlines over F_q, the largest classes first: a
+    # dihedral group's reflections split off its linear characters at once
     spaces = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
     pivots_of = {id(spaces[0]): list(range(r))}
-    for i in range(1, r):
+    for i in sorted(range(1, r), key=lambda i: -sizes[i]):
         if all(len(B) == 1 for B in spaces):
             break
         Ni = class_matrix(i)
@@ -404,19 +444,10 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             if all(M[s][t] == (M[0][0] if s == t else 0) for s in range(d) for t in range(d)):
                 next_spaces.append(B)
                 continue
-            roots = _poly_roots_mod(_charpoly_mod(M, q), q, range(q))
-            total = 0
-            for lam, mult in roots:
-                shifted = [[M[s][t] - (lam if s == t else 0) for t in range(d)] for s in range(d)]
-                null = _nullspace_mod(shifted, q)
-                if len(null) != mult:
-                    raise HkrError("class matrix is not semisimple over F_q")
+            for null in _eigenspaces_mod(M, q):
                 red, piv2 = rref_mod([combine(c, B) for c in null], q)
                 pivots_of[id(red)] = piv2
                 next_spaces.append(red)
-                total += mult
-            if total != d:
-                raise HkrError("eigenspaces do not fill the subspace")
         spaces = next_spaces
     if any(len(B) != 1 for B in spaces):
         raise HkrError("class algebra failed to split into eigenlines")

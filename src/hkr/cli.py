@@ -135,21 +135,29 @@ def _tuple_entry_strings(t) -> list[str]:
 
 
 def _render_json(payload: dict) -> str:
-    return _json_lines(payload, "\n") + "\n"
+    return _json_lines(payload, "\n", {}) + "\n"
 
 
-def _json_lines(value, newline: str) -> str:
+def _json_lines(value, newline: str, laid_out: dict) -> str:
     """json.dumps(value, indent=2, sort_keys=True), newline in place of each
     line break.  Lists and dicts with string keys are laid out here, so that a
-    list of strings is one join in C, not one pure-Python step per item."""
+    list of strings is one join in C, not one pure-Python step per item; a
+    list the payload shares (a table's coordinate lists) is laid out once per
+    depth, keyed by (id, newline) in laid_out while the payload holds it."""
     inner = newline + "  "
     if isinstance(value, (list, tuple)) and value:
-        if all(isinstance(v, str) for v in value):
-            return "[" + inner + ("," + inner).join(map(_json_string, value)) + newline + "]"
-        return "[" + inner + ("," + inner).join(_json_lines(v, inner) for v in value) + newline + "]"
+        key = (id(value), newline)
+        got = laid_out.get(key)
+        if got is None:
+            if all(isinstance(v, str) for v in value):
+                items = map(_json_string, value)
+            else:
+                items = (_json_lines(v, inner, laid_out) for v in value)
+            got = laid_out[key] = "[" + inner + ("," + inner).join(items) + newline + "]"
+        return got
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         return "{" + inner + ("," + inner).join(
-            f"{_json_string(k)}: {_json_lines(value[k], inner)}" for k in sorted(value)
+            f"{_json_string(k)}: {_json_lines(value[k], inner, laid_out)}" for k in sorted(value)
         ) + newline + "}"
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
@@ -381,6 +389,8 @@ def _cmd_galois_dim(args):
 def _fix_gset(args):
     from .inertia import gset_from_json, trivial_gset
     if args.gset:
+        if args.group is not None:
+            raise ValueError(f"fix {args.action} takes --group or --gset, not both")
         doc = json.loads(Path(args.gset).read_text(encoding="utf-8"))
         return gset_from_json(doc)
     if not args.group:

@@ -359,16 +359,16 @@ def class_index(G: FiniteGroup) -> dict[Permutation, int]:
 def power_map(G: FiniteGroup) -> list[list[int]]:
     """walks[i][e % len(walks[i])] is the class of g^e for g in class i, and
     len(walks[i]) is the order of g.  Built once per group, when first asked
-    for, by decreasing element order: a class that is no power of an earlier
-    one walks the powers of its representative g, and each power g^d reads
-    its walk off every d-th step of g's."""
+    for, in class order: a class no earlier walk reached walks the powers of
+    its representative g, and each power g^d not yet reached reads its walk
+    off every d-th step of g's (the same walk whichever g reaches it)."""
     got = G._cache.get("power_map")
     if got is None:
         classes = conjugacy_classes(G)
         loc = class_index(G)
         ident = G.identity
         got = [None] * len(classes)
-        for k in sorted(range(len(classes)), key=lambda k: -classes[k].representative.order()):
+        for k in range(len(classes)):
             if got[k] is not None:
                 continue
             g = h = classes[k].representative

@@ -453,14 +453,6 @@ class CyclotomicNumber(RingElement):
 
     __slots__ = ()
 
-    def __init__(self, conductor: int, coords):
-        field = CyclotomicNumber.field(conductor)
-        coords = list(coords)
-        if len(coords) != field.dimension:
-            raise ValueError(f"expected {field.dimension} coordinates for conductor {conductor}")
-        self.ring = field
-        self.coeffs = field.element(coords).coeffs
-
     @staticmethod
     def field(m: int) -> QuotientRing:
         """Q[x]/(Phi_m), built once per m, whose elements are CyclotomicNumbers."""
@@ -528,9 +520,6 @@ class CyclotomicNumber(RingElement):
         if sol is None:
             raise ValueError("value does not lie in the requested subfield")
         return field.element(sol)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
 
     def to_text(self) -> str:
         return poly_to_text(list(self.coeffs), var="z")

@@ -22,8 +22,10 @@ from hkr.charmap import (
     _canonical_order,
     _charpoly_mod,
     _dixon_rows,
+    _eigenspaces_mod,
     _eigenvalue_multiplicities,
     _find_modular_prime,
+    _nullspace_mod,
     _orthogonality_certificate,
     _rational_classes,
     _roots_of_unity,
@@ -49,14 +51,14 @@ from hkr.groupcore import (
     power_map,
     sym_group,
 )
-from hkr.rings import CyclotomicNumber, zeta
+from hkr.rings import CyclotomicNumber, rref_mod, zeta
 
 
 NAMED_SUITE_TALLY_SHA256 = "a8e5373f11a47d854a0c4c631a6469674bd9927491834fa3afa6b94deb37c10c"
 
 
 def rational_value(v):
-    assert v.is_rational()
+    assert not any(v.coords[1:])
     return Fraction(v.coords[0])
 
 
@@ -311,6 +313,27 @@ def test_tally_rows_of_the_named_suite_frozen():
     assert tally_rows_digest(named_suite(100)) == NAMED_SUITE_TALLY_SHA256
 
 
+# sha256 of the tally rows of Dih(m), order 102 to 200, one group each,
+# taken before the split walked the classes largest first and read simple
+# eigenlines off Krylov vectors
+DIHEDRAL_TALLY_SHA256 = {
+    51: "4b52ab8424ac2da48b1f9570419060d1ae99382a297f6e7c21ed3d1e4864cb8f",
+    60: "172ce795f60813b802b6541abc5d3325773cd037cbd60e43335a59f6e7233bd1",
+    64: "61d343449be6dbc114f33e3612b788e79614c8f885184fe4c238087ed96d4486",
+    75: "8ac083224e575d88775fd3e372a3bc54f27011599c5c11a29d3781b5006dff7e",
+    81: "0ada3d92571adf1ea1b8c1ea8a7922641b59197962d55029ba8a863a75921199",
+    90: "81596c9f33ba9e66d43655b5657ebae618b9b45754a52ed2e35d416c0cfd069c",
+    97: "5e06da9fbe967812deba8bf46c6f7c750ecd214c34d6b3afbd6c147cac601e19",
+    99: "f9bba1e036356fb5124e3d6525a1ad836ed1f9e805bbaafa5310f017085c5ef0",
+    100: "d4d48f234264e241e7fb0fcf82008938924466ddb8d160c7cffb59d83c932f43",
+}
+
+
+@pytest.mark.parametrize("m", sorted(DIHEDRAL_TALLY_SHA256))
+def test_tally_rows_of_large_dihedral_groups_frozen(m):
+    assert tally_rows_digest([named_group(f"Dih({m})")]) == DIHEDRAL_TALLY_SHA256[m]
+
+
 def swapped(table, edits):
     """The table with the entries of each row at the two given classes
     swapped, for each (row, a, b) in edits."""
@@ -430,6 +453,51 @@ def test_charpoly_against_leibniz_expansion():
     ]
     for M in mats:
         assert _charpoly_mod([row[:] for row in M], q) == brute_charpoly(M, q)
+
+
+def conjugated_diagonal(columns, eigenvalues, q):
+    """P diag(eigenvalues) P^-1 mod q, P with the given eigenvector columns."""
+    d = len(columns)
+    P = [list(row) for row in zip(*columns)]
+    red, pivots = rref_mod([row + [int(s == t) for t in range(d)] for s, row in enumerate(P)], q)
+    assert pivots == list(range(d))
+    Pinv = [row[d:] for row in red]
+    return [[sum(P[s][k] * eigenvalues[k] * Pinv[k][t] for k in range(d)) % q for t in range(d)]
+            for s in range(d)]
+
+
+def counting_nullspaces(monkeypatch):
+    calls = []
+    monkeypatch.setattr(charmap, "_nullspace_mod", lambda A, q: calls.append(A) or _nullspace_mod(A, q))
+    return calls
+
+
+def test_eigenspaces_fall_back_to_the_nullspace(monkeypatch):
+    q = 101
+    # e_0 = v1 + v3 + v5 has no component along v2, and 3 is a double root:
+    # both take the nullspace, 1 and 5 are read off the Krylov vectors
+    missing = [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1), (0, -1, -1, -1, 0)]
+    generic = [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)]
+    for columns, eigenvalues, nullspaces in ((missing, [1, 2, 3, 3, 5], 2), (generic, [4, 1, 9, 7], 0)):
+        M = conjugated_diagonal(columns, eigenvalues, q)
+        calls = counting_nullspaces(monkeypatch)
+        spaces = _eigenspaces_mod(M, q)
+        assert len(calls) == nullspaces
+        distinct = sorted(set(eigenvalues))
+        assert [len(B) for B in spaces] == [eigenvalues.count(lam) for lam in distinct]
+        for lam, B in zip(distinct, spaces):
+            shifted = [[a - lam * (s == t) for t, a in enumerate(row)] for s, row in enumerate(M)]
+            assert rref_mod(B, q) == rref_mod(_nullspace_mod(shifted, q), q)
+
+
+def test_eigenspaces_reject_a_matrix_that_is_not_semisimple(monkeypatch):
+    # a Jordan block at the double root 2: mu(M) e_0 != 0 when e_0 heads the
+    # chain, before any nullspace; the nullspace of M - 2 when e_0 misses it
+    calls = counting_nullspaces(monkeypatch)
+    for M, nullspaces in (([[2, 0, 0], [1, 2, 0], [0, 0, 1]], 0), ([[1, 0, 0], [0, 2, 1], [0, 0, 2]], 1)):
+        with pytest.raises(HkrError, match="not semisimple"):
+            _eigenspaces_mod(M, 101)
+        assert len(calls) == nullspaces
 
 
 def test_find_modular_prime_properties():

@@ -351,6 +351,20 @@ def test_fix_rejects_a_malformed_gset_in_one_line(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("hkr: ")
 
 
+@pytest.mark.parametrize("action", ["points", "census", "iterate-check"])
+@pytest.mark.parametrize("group", ["Nonsense", "Cyc(2)"])
+def test_fix_rejects_group_beside_gset_in_one_line(tmp_path, capsys, action, group):
+    # the group used to be ignored, a bad one too, and still keyed the cache
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"group": "Cyc(2)", "points": ["a", "b"], "action": CYC2_ACTION}))
+    argv = ["fix", action, "--gset", str(path), "--p", "2", "--n", "2"]
+    code, out, err = invoke(capsys, argv + ["--group", group, "--cache", str(tmp_path / "c")])
+    assert code == 2 and out == ""
+    assert err == f"hkr: fix {action} takes --group or --gset, not both\n"
+    assert not (tmp_path / "c").exists()
+    assert invoke(capsys, argv + ["--no-cache"])[0] == 0
+
+
 def test_selftest_single_criterion(capsys):
     code, out, _ = invoke(capsys, ["selftest", "--only", "2", "--no-cache"])
     assert code == 0

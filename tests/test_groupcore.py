@@ -183,6 +183,16 @@ def test_power_map_matches_powers_of_every_member():
                     assert walks[k][e % len(walks[k])] == loc[g**e]
 
 
+def test_power_map_matches_powers_on_the_named_suite():
+    # the walks fill each class from whichever walk reaches it first
+    for G in named_suite(200):
+        loc = class_index(G)
+        for cls, walk in zip(conjugacy_classes(G), power_map(G)):
+            g, o = cls.representative, len(walk)
+            assert o == g.order()
+            assert walk[2 % o] == loc[g**2] and walk[o - 1] == loc[g ** (o - 1)]
+
+
 def test_centralizer_against_brute_force():
     G = named_group("Sym(4)")
     for g in list(G.elements)[::5]:

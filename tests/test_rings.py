@@ -158,8 +158,8 @@ def test_from_tally_is_sum_of_roots():
 
 def test_rational_detection():
     total = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
-    assert total.is_rational() and total.coords == (-1, 0, 0, 0)
-    assert not zeta(5).is_rational()
+    assert total.coords == (-1, 0, 0, 0) and total == -1
+    assert any(zeta(5).coords[1:]) and zeta(5) != 0
 
 
 def test_poly_divmod_identity():
@@ -285,8 +285,8 @@ def test_integral_values_have_int_coordinates():
 
 def test_integral_fraction_coordinates_normalise_to_int():
     for m in (3, 4, 6):
-        a = CyclotomicNumber(m, [Fraction(3), 0])
-        b = CyclotomicNumber(m, [3, 0])
+        a = CyclotomicNumber.field(m).element([Fraction(3), 0])
+        b = CyclotomicNumber.field(m).element([3, 0])
         assert a == b
         assert hash(a) == hash(b)
         assert a.to_text() == b.to_text() == "3"

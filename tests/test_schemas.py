@@ -89,6 +89,15 @@ def test_rendered_json_is_json_dumps_on_any_tree(tree):
     assert _render_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
+def test_rendered_json_lays_out_a_shared_list_at_each_depth():
+    # chartable payloads share each coordinate list by identity, and a list
+    # laid out once is reused only at the same depth
+    shared = ["0", "-1"]
+    nested = [shared, ["x"]]
+    tree = {"a": [shared, shared], "b": shared, "c": [[shared, nested], nested], "d": (shared,)}
+    assert _render_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
 def test_gset_document_matches_schema():
     doc = regular_gset(named_group("Sym(3)")).to_json()
     jsonschema.validate(doc, load_schema("gset"))
