@@ -45,6 +45,7 @@ from .groupcore import (
     FiniteGroup,
     Permutation,
     conjugacy_classes,
+    cyc_group,
     make_group,
     named_group,
     sym_group,
@@ -64,7 +65,7 @@ from .levelrings import (
     localize_c0k,
     vandermonde_det,
 )
-from .rings import CyclotomicNumber, euler_phi, is_prime
+from .rings import CyclotomicNumber, euler_phi, is_prime, prime_factors
 
 __all__ = [
     "CriterionResult",
@@ -116,13 +117,6 @@ def named_suite(max_order: int) -> list[FiniteGroup]:
     return groups
 
 
-def _cyclic_direct(m: int) -> FiniteGroup:
-    # bypasses the named-group cache so large throwaway groups get collected
-    return make_group(
-        m, [Permutation(tuple((i + 1) % m for i in range(m)))], name=f"Cyc({m})"
-    )
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -135,7 +129,8 @@ def criterion_1():
         while p**k <= 4096:
             n = 1
             while p ** (k * n) <= 4096:
-                G = _cyclic_direct(p**k)
+                # not named_group, whose cache would keep the large groups alive
+                G = cyc_group(p**k)
                 got = rank_prediction(G, p, n)
                 if got != p ** (k * n):
                     return False, f"Cyc({p**k}) p={p} n={n}: {got} != {p**(k*n)}"
@@ -421,16 +416,9 @@ def criterion_9():
     census consistency, iterated Fix, GL functoriality, loop counts."""
     pgroups = []
     for G in named_suite(16):
-        order = G.order
-        if order == 1:
-            pgroups.append((G, 2))
-            continue
-        p = next(q for q in range(2, order + 1) if order % q == 0)
-        reduced = order
-        while reduced % p == 0:
-            reduced //= p
-        if reduced == 1:
-            pgroups.append((G, p))
+        factors = prime_factors(G.order) or [2]  # the trivial group at p = 2
+        if len(factors) == 1:
+            pgroups.append((G, factors[0]))
 
     rnd = random.Random(1009)
     census_cases = iterate_cases = gl_cases = loop_cases = 0

@@ -49,6 +49,7 @@ from .rings import (
     fixed_space_dim,
     is_prime,
     mat_rank,
+    p_part,
     prime_factors,
     rref_mod,
 )
@@ -113,14 +114,6 @@ def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
         seen.update(members)
         out.append((k, list(members.items())))
     return out
-
-
-def _p_part(n: int, p: int) -> int:
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +862,7 @@ class ClassFunction:
 
 def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
     """The classes of p-power order, each order read off the power map."""
-    return [k for k, walk in enumerate(power_map(G)) if _p_part(len(walk), p) == len(walk)]
+    return [k for k, walk in enumerate(power_map(G)) if p_part(len(walk), p) == len(walk)]
 
 
 def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:
@@ -881,7 +874,7 @@ def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:
     table = character_table(G)
     if chi.classes != table.classes:
         raise ValueError("class function is not defined on the full class list")
-    target = _p_part(G.exponent(), p)
+    target = p_part(G.exponent(), p)
     down = math.gcd(chi.conductor, target)
     idx = _p_power_class_indices(G, p)
     classes = [table.classes[k] for k in idx]
@@ -1032,7 +1025,7 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
             f"phi(p^k)^2 for p = {p}, k = {k} exceeds the Galois dimension cap {GALOIS_DIM_CAP}"
         )
     expo = G.exponent()
-    if _p_part(expo, p) > pk:
+    if p_part(expo, p) > pk:
         raise HkrError(f"p^k = {pk} is below the p-part of the exponent {expo}")
     idx = set(_p_power_class_indices(G, p))
     walks = power_map(G)

@@ -131,7 +131,7 @@ def _frac_list(coeffs) -> list[str]:
 
 
 def _tuple_entry_strings(t) -> list[str]:
-    return [g.cycle_string() for g in t.entries]
+    return [g.cycle_string() for g in t]
 
 
 def _render_json(payload: dict) -> str:
@@ -401,8 +401,6 @@ def _fix_gset(args):
 def _cmd_fix(args):
     from .inertia import fix_n, iterate_fix_check, loops_pgroup_check, orbit_census
     if args.action == "loops-check":
-        if not args.group:
-            raise ValueError("loops-check requires --group")
         G = _group(args)
         result = loops_pgroup_check(G, args.n)
         payload = _echo(
@@ -619,10 +617,12 @@ def _build_parser(command=None, subcommand=None) -> argparse.ArgumentParser:
 
     for action, sp in actions("fix", ("points", "census", "iterate-check", "loops-check"),
                               "fixed-point groupoids"):
-        sp.add_argument("--group", help="group expression (trivial action)")
-        sp.add_argument("--gset", metavar="PATH", help="JSON description of the action")
-        if action != "loops-check":
-            # loops-check takes p from the group order
+        if action == "loops-check":
+            # a group, no action, and p from the group order
+            sp.add_argument("--group", required=True, help="group expression")
+        else:
+            sp.add_argument("--group", help="group expression (trivial action)")
+            sp.add_argument("--gset", metavar="PATH", help="JSON description of the action")
             sp.add_argument("--p", type=_prime, required=True)
         sp.add_argument("--n", type=int, required=True)
 

@@ -1,12 +1,12 @@
 """Commuting tuples of p-power-order elements and the class counts they predict.
 
 For a finite group G, a prime p, and n >= 0, the basic object is the set of
-n-tuples of pairwise commuting elements whose orders are powers of p.  The
-group acts by simultaneous conjugation; the number of orbits is the rank
-prediction attached to (G, p, n).  The same number is computed along several
-independent routes (explicit orbits, centralizer recursion, and for symmetric
-groups a purely combinatorial count), which the test suite plays against each
-other.
+n-tuples of pairwise commuting elements whose orders are powers of p, each a
+plain tuple of Permutations.  The group acts by simultaneous conjugation; the
+number of orbits is the rank prediction attached to (G, p, n).  The same
+number is computed along several independent routes (explicit orbits,
+centralizer recursion, and for symmetric groups a purely combinatorial count),
+which the test suite plays against each other.
 """
 
 from __future__ import annotations
@@ -24,19 +24,18 @@ from .groupcore import (
     conjugacy_classes,
     orbit_search,
 )
-from .rings import capped_power, rref_mod
+from .rings import capped_power, p_part, rref_mod
 
 __all__ = [
-    "CommutingTuple",
     "TupleClass",
     "GLMatrix",
     "is_p_power_order",
     "p_power_elements",
     "hom_tuples",
-    "commuting_tuples_all",
     "tuple_classes",
     "rank_prediction",
     "gl_matrices",
+    "evaluate",
     "apply_matrix",
     "gl_action_orbits",
     "zpn_set_count",
@@ -51,24 +50,9 @@ DEFAULT_GL_CAP = 1_000_000
 
 
 def is_p_power_order(g: Permutation, p: int) -> bool:
-    """True if the order of g is a power of p (every cycle length is one)."""
-    img = g.images
-    seen = [False] * len(img)
-    for start in range(len(img)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        ln = 1
-        j = img[start]
-        while j != start:
-            seen[j] = True
-            ln += 1
-            j = img[j]
-        while ln % p == 0:
-            ln //= p
-        if ln != 1:
-            return False
-    return True
+    """True if the order of g is a power of p."""
+    order = g.order()
+    return p_part(order, p) == order
 
 
 def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
@@ -76,10 +60,7 @@ def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
     key = ("ppow", p)
     got = G._cache.get(key)
     if got is None:
-        order = G.order
-        while order % p == 0:
-            order //= p
-        if order == 1:
+        if p_part(G.order, p) == G.order:
             # Lagrange: in a p-group every element order is a p-power.
             got = list(G.elements)
         else:
@@ -88,54 +69,7 @@ def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
     return got
 
 
-class CommutingTuple:
-    """An n-tuple of pairwise commuting p-power-order elements of a group."""
-
-    __slots__ = ("entries", "group", "p")
-
-    def __init__(self, entries, group: FiniteGroup, p: int):
-        entries = tuple(entries)
-        for g in entries:
-            if g not in group:
-                raise ValueError(f"{g!r} is not in the group")
-            if not is_p_power_order(g, p):
-                raise ValueError(f"{g!r} does not have {p}-power order")
-        for i, a in enumerate(entries):
-            for b in entries[i + 1 :]:
-                if a * b != b * a:
-                    raise ValueError(f"entries {a!r} and {b!r} do not commute")
-        self.entries = entries
-        self.group = group
-        self.p = p
-
-    @classmethod
-    def _raw(cls, entries, group, p) -> CommutingTuple:
-        t = object.__new__(cls)
-        t.entries = entries
-        t.group = group
-        t.p = p
-        return t
-
-    def conjugate_by(self, g: Permutation) -> CommutingTuple:
-        return CommutingTuple._raw(
-            tuple(e.conjugate_by(g) for e in self.entries), self.group, self.p
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CommutingTuple) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(e.cycle_string() for e in self.entries)
-        return f"CommutingTuple({inner})"
-
-
-class TupleClass(namedtuple("TupleClass", "representative size image_centralizer_order")):
+class TupleClass(namedtuple("TupleClass", "representative size")):
     """A simultaneous-conjugation class of commuting tuples."""
 
     __slots__ = ()
@@ -158,7 +92,7 @@ def _extend_tuples(prefix, candidates, n, out, budget):
             _extend_tuples(prefix + (g,), narrowed, n, out, budget)
 
 
-def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[CommutingTuple]:
+def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[tuple]:
     """All commuting n-tuples of p-power-order elements, lexicographically ordered.
 
     Tuples are grown one entry at a time; the candidate pool for the next entry
@@ -168,21 +102,10 @@ def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> 
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return [CommutingTuple._raw((), G, p)]
-    pool = p_power_elements(G, p)
-    out: list[tuple] = []
-    budget = [work_cap, work_cap]
-    _extend_tuples((), pool, n, out, budget)
-    return [CommutingTuple._raw(t, G, p) for t in out]
-
-
-def commuting_tuples_all(G: FiniteGroup, n: int) -> list[tuple]:
-    """All commuting n-tuples with no order restriction (entries as Permutations)."""
-    if n == 0:
         return [()]
     out: list[tuple] = []
-    budget = [DEFAULT_WORK_CAP, DEFAULT_WORK_CAP]
-    _extend_tuples((), list(G.elements), n, out, budget)
+    budget = [work_cap, work_cap]
+    _extend_tuples((), p_power_elements(G, p), n, out, budget)
     return out
 
 
@@ -191,24 +114,18 @@ def _conjugate_entries(entries: tuple, s: Permutation) -> tuple:
 
 
 def _indexed_tuple_classes(G: FiniteGroup, p: int, n: int):
-    """Tuple classes in canonical order, and a map from the entries of every
-    member tuple to the position of its class."""
-    entries = [t.entries for t in hom_tuples(G, p, n)]
-    abelian = G.is_abelian()
-    if abelian:
-        orbits = [[e] for e in entries]
+    """Tuple classes in canonical order, and a map from every member tuple to
+    the position of its class."""
+    tuples = hom_tuples(G, p, n)
+    if G.is_abelian():
+        orbits = [[t] for t in tuples]
     else:
-        orbits = orbit_search(entries, G.generators, _conjugate_entries)
+        orbits = orbit_search(tuples, G.generators, _conjugate_entries)
     orbits.sort(key=lambda members: (len(members), [g.images for g in members[0]]))
     classes = []
     member_class = {}
     for idx, members in enumerate(orbits):
-        rep = members[0]
-        if abelian:
-            cent = G.order
-        else:
-            cent = sum(1 for g in G.elements if all(g * e == e * g for e in rep))
-        classes.append(TupleClass(CommutingTuple._raw(rep, G, p), len(members), cent))
+        classes.append(TupleClass(members[0], len(members)))
         for m in members:
             member_class[m] = idx
     return classes, member_class
@@ -218,10 +135,7 @@ def tuple_classes(G: FiniteGroup, p: int, n: int) -> list[TupleClass]:
     """Conjugation classes of commuting tuples, canonically ordered.
 
     Classes are ordered by (size, least member); the representative is the
-    least member.  image_centralizer_order is counted directly as the number
-    of group elements commuting with every entry of the representative, which
-    by orbit-stabilizer must multiply with the class size to the group order
-    (the stabilizer of a tuple is exactly the centralizer of its image).
+    least member.
     """
     return _indexed_tuple_classes(G, p, n)[0]
 
@@ -312,21 +226,22 @@ def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[GLMatrix]
     return out
 
 
-def apply_matrix(t: CommutingTuple, sigma: GLMatrix) -> CommutingTuple:
+def evaluate(entries: tuple, exponents, identity: Permutation) -> Permutation:
+    """prod_j entries[j] ** exponents[j]; the entries commute, so the order
+    of the factors does not matter."""
+    acc = identity
+    for g, e in zip(entries, exponents):
+        if e:
+            acc = acc * g**e
+    return acc
+
+
+def apply_matrix(t: tuple, sigma: GLMatrix, identity: Permutation) -> tuple:
     """Precompose a tuple with a matrix: entry i of the result is
     prod_j g_j ** sigma[j][i] (the column convention)."""
-    if len(t.entries) != sigma.n:
+    if len(t) != sigma.n:
         raise ValueError("matrix size does not match tuple length")
-    ident = t.group.identity
-    entries = []
-    for i in range(sigma.n):
-        acc = ident
-        for j, g in enumerate(t.entries):
-            e = sigma.rows[j][i]
-            if e:
-                acc = acc * g**e
-        entries.append(acc)
-    return CommutingTuple._raw(tuple(entries), t.group, t.p)
+    return tuple(evaluate(t, column, identity) for column in zip(*sigma.rows))
 
 
 def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleClass]]:
@@ -344,15 +259,14 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleC
         )
     classes, member_class = _indexed_tuple_classes(G, p, n)
     mats = gl_matrices(p, n, k)
+    ident = G.identity
     seen = set()
     orbit_lists = []
     for idx in range(len(classes)):
         if idx in seen:
             continue
-        hit = set()
-        for sigma in mats:
-            moved = apply_matrix(classes[idx].representative, sigma)
-            hit.add(member_class[moved.entries])
+        rep = classes[idx].representative
+        hit = {member_class[apply_matrix(rep, sigma, ident)] for sigma in mats}
         if idx not in hit:
             raise ValueError("identity matrix did not fix a class; inconsistent state")
         seen |= hit

@@ -19,11 +19,10 @@ import itertools
 from collections import namedtuple
 
 from .commuting import (
-    CommutingTuple,
     GLMatrix,
     _conjugate_entries,
     apply_matrix,
-    commuting_tuples_all,
+    evaluate,
     hom_tuples,
     rank_prediction,
     tuple_classes,
@@ -154,7 +153,7 @@ class FixPoint(namedtuple("FixPoint", "alpha point")):
     __slots__ = ()
 
     def __repr__(self):
-        inner = ", ".join(e.cycle_string() for e in self.alpha.entries)
+        inner = ", ".join(e.cycle_string() for e in self.alpha)
         return f"FixPoint[({inner}); {self.point!r}]"
 
 
@@ -259,7 +258,7 @@ def fix_n(X: GSet, p: int, n: int) -> GSet:
     tuples = hom_tuples(G, p, n)
     pts = []
     for t in tuples:
-        entry_maps = [X.maps[e] for e in t.entries]
+        entry_maps = [X.maps[e] for e in t]
         for i in range(X.size):
             if all(mp[i] == i for mp in entry_maps):
                 pts.append(FixPoint(t, X.points[i]))
@@ -269,7 +268,7 @@ def fix_n(X: GSet, p: int, n: int) -> GSet:
         row = []
         for fp in pts:
             row.append(
-                FixPoint(fp.alpha.conjugate_by(s), X.points[smap[X.index[fp.point]]])
+                FixPoint(_conjugate_entries(fp.alpha, s), X.points[smap[X.index[fp.point]]])
             )
         images.append(row)
     label = X.name or "X"
@@ -324,7 +323,7 @@ def orbit_census(X: GSet, p: int, n: int) -> OrbitCensus:
         stab = F.stabilizer_order(rep)
         if stab * len(orb) != G.order:
             raise HkrError("orbit-stabilizer product is off")
-        alpha_rep = tuple(e.cycle_string() for e in rep.alpha.entries)
+        alpha_rep = tuple(e.cycle_string() for e in rep.alpha)
         records.append((len(orb), stab, alpha_rep))
     predicted = 0
     for orb in X.orbit_indices():
@@ -352,12 +351,7 @@ def iterate_fix_check(X: GSet, p: int, n: int) -> IterateFixResult:
     outer = fix_n(inner, p, 1)
     direct = fix_n(X, p, n)
 
-    forward = {}
-    for q in outer.points:
-        (a_n,) = q.alpha.entries
-        beta = q.point.alpha
-        merged = CommutingTuple(beta.entries + (a_n,), G, p)
-        forward[q] = FixPoint(merged, q.point.point)
+    forward = {q: FixPoint(q.point.alpha + q.alpha, q.point.point) for q in outer.points}
 
     ok = set(forward.values()) == set(direct.points) and len(
         set(forward.values())
@@ -388,11 +382,12 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: GLMatrix) -> dict:
     F = fix_n(X, p, n)
     mod = p**k
     for fp in F.points:
-        for e in fp.alpha.entries:
+        for e in fp.alpha:
             if mod % e.order():
                 raise HkrError(f"k too small: entry of order {e.order()} at level p^{k}")
     tr = sigma.transpose()
-    mapping = {fp: FixPoint(apply_matrix(fp.alpha, tr), fp.point) for fp in F.points}
+    ident = X.group.identity
+    mapping = {fp: FixPoint(apply_matrix(fp.alpha, tr, ident), fp.point) for fp in F.points}
     if set(mapping.values()) != set(F.points):
         raise HkrError("matrix action is not a bijection on fixed points")
     for s in X.group.generators:
@@ -400,40 +395,34 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: GLMatrix) -> dict:
         for fp in F.points:
             moved = F.points[fmap[F.index[fp]]]
             if mapping[moved] != FixPoint(
-                mapping[fp].alpha.conjugate_by(s), X.act(s, mapping[fp].point)
+                _conjugate_entries(mapping[fp].alpha, s), X.act(s, mapping[fp].point)
             ):
                 raise HkrError("matrix action does not commute with the group action")
     return mapping
 
 
-def evaluation_hom_check(G: FiniteGroup, p: int, alpha: CommutingTuple, k: int) -> bool:
+def evaluation_hom_check(G: FiniteGroup, p: int, alpha: tuple, k: int) -> bool:
     """Exhaustively verify that (l, c) -> alpha(l) * c is a homomorphism
     (Z/p^k)^n x C(im alpha) -> G.
 
     alpha(l) = prod_i entry_i ** l_i; the check runs over all pairs of domain
     elements, so the domain size squared must stay under the work cap.
     """
-    n = len(alpha.entries)
+    n = len(alpha)
     mod = p**k
-    for e in alpha.entries:
+    for e in alpha:
         if mod % e.order():
             raise HkrError(f"k too small: entry of order {e.order()} at level p^{k}")
-    cent = [g for g in G.elements if all(g * e == e * g for e in alpha.entries)]
+    cent = [g for g in G.elements if all(g * e == e * g for e in alpha)]
     dom = mod**n * len(cent)
     if dom * dom > EVAL_CHECK_WORK_CAP:
         raise CapExceeded(f"evaluation check domain {dom}^2 exceeds cap")
 
-    def alpha_of(l):
-        acc = G.identity
-        for e, li in zip(alpha.entries, l):
-            if li:
-                acc = acc * e**li
-        return acc
-
+    ident = G.identity
     domain = [
         (l, c) for l in itertools.product(range(mod), repeat=n) for c in cent
     ]
-    value = {(l, c): alpha_of(l) * c for l, c in domain}
+    value = {(l, c): evaluate(alpha, l, ident) * c for l, c in domain}
     for l1, c1 in domain:
         base = value[(l1, c1)]
         for l2, c2 in domain:
@@ -449,18 +438,24 @@ LoopsCheck = namedtuple(
 
 
 def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:
-    """For a p-group, commuting n-tuples with no order restriction biject
-    with p-power-order ones; counts and conjugation-orbit counts must agree.
+    """For a p-group, commuting n-tuples with no order restriction are the
+    p-power-order ones; two routes must agree on their count and on their
+    number of conjugation classes.
 
+    The hom side enumerates the tuples and searches their orbits.  The other
+    side lists no tuple: rank_prediction's centralizer recursion counts the
+    classes, and Burnside's lemma the tuples.  A commuting n-tuple (t, g) is
+    an (n-1)-tuple t and an element g of its stabilizer under conjugation,
+    so there are |G| times as many as there are (n-1)-tuple classes.
     The trivial group counts as a p-group at p = 2 (any prime works).
     """
     factors = prime_factors(G.order) or [2]
     if len(factors) != 1:
         raise HkrError(f"group of order {G.order} is not a p-group")
     (p,) = factors
-    homs = hom_tuples(G, p, n)
-    alls = commuting_tuples_all(G, n)
+    hom_count = len(hom_tuples(G, p, n))
     hom_classes = len(tuple_classes(G, p, n))
-    all_classes = len(orbit_search(alls, G.generators, _conjugate_entries))
-    ok = len(homs) == len(alls) and hom_classes == all_classes
-    return LoopsCheck(ok, len(homs), len(alls), hom_classes, all_classes)
+    all_count = G.order * rank_prediction(G, p, n - 1) if n >= 1 else 1
+    all_classes = rank_prediction(G, p, n)
+    ok = hom_count == all_count and hom_classes == all_classes
+    return LoopsCheck(ok, hom_count, all_count, hom_classes, all_classes)

@@ -21,6 +21,7 @@ __all__ = [
     "is_prime",
     "PRIMALITY_BOUND",
     "prime_factors",
+    "p_part",
     "cyclotomic_int_poly",
     "poly_trim",
     "poly_add",
@@ -195,6 +196,15 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n >= 1."""
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return part
 
 
 def euler_phi(m: int) -> int:

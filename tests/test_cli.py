@@ -5,6 +5,7 @@ test, so most assertions are on captured bytes.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -226,15 +227,67 @@ def test_fix_loops_smoke(capsys):
 
 
 def test_loops_check_takes_no_p(capsys):
-    # p comes from the group order; an ignored --p used to split the cache
+    # p comes from the group order; an ignored --p used to split the cache, and
+    # an ignored --gset naming no file answered ok when the cache was off
     argv = ["fix", "loops-check", "--group", "Dih(4)", "--n", "2", "--no-cache", "--format", "plain"]
-    code, out, err = invoke(capsys, argv + ["--p", "3"])
-    assert code == 2
-    assert out == ""
-    assert "--p" in err
+    for extra in (["--p", "3"], ["--gset", "/nonexistent.json"]):
+        code, out, err = invoke(capsys, argv + extra)
+        assert code == 2
+        assert out == ""
+        assert extra[0] in err
+    code, out, err = invoke(capsys, argv[:2] + argv[4:])
+    assert code == 2 and out == "" and "--group" in err
     code, out, _ = invoke(capsys, argv)
     assert code == 0
     assert out == "ok\n"
+
+
+# sha256 of the JSON stdout of the commands over commuting tuples and fixed
+# points, taken from the implementation that wrapped each tuple in a class and
+# checked the loops identity by enumerating tuples with no order restriction;
+# GSET stands for the regular action of Sym(3), read from a file
+TUPLE_LAYER_STDOUT_SHA256 = {
+    "tuples --group Sym(4) --p 2 --n 2": "560ff4808b311e5306aaec6fffd7addc93ef04bf3ba054e9e3c5c680b0e88ed9",
+    "tuples --group Q8 --p 2 --n 2": "ede2f23884dbeabc57f905cd3d35ba59f444dded12ffdd368c88cc8e4fc24955",
+    "tuples --group Dih(6) --p 3 --n 2": "f0ab7711d5171ac8784fd4b4d839350185448687ba42c7f72c2287f6e6cbc876",
+    "tuples --group Cyc(3)*Sym(3) --p 3 --n 1": "1b301dc3c119a094bf6ab904997bbbeed70e9ab716e72f159ea09517606beee1",
+    "gl-orbits --group Cyc(4)*Cyc(2) --p 2 --n 2 --k 2": "519f42846bb3767e2ea7af2486bcf9f599f5a083602fe7cba8d812aacf762572",
+    "gl-orbits --group Q8 --p 2 --n 2 --k 2": "d5770cb7dd4519aebd4faa04f0c111f5b6855988a39ce8264f8de253831d9cb6",
+    "gl-orbits --group Sym(3) --p 3 --n 2 --k 1": "0e159396e722a56404e036f8d1a70cff1deef032b71f8deb8cf134d4736b54cd",
+    "fix points --group Dih(4) --p 2 --n 1": "068ef4b0974b1e4df817a48a5dcaf2b51ef1fd71d99a743ebceb22a0b5f432f6",
+    "fix census --group Q8 --p 2 --n 2": "4ef8cb05e17b545e563a21bf3208c7c70c3802b52e4318a814bb41d8d3c90c75",
+    "fix census --group Sym(4) --p 2 --n 1": "e06c4811f735e8370bb69cdd439757e76fe89b54ea2ad5db482fc6a0ff0b6b50",
+    "fix iterate-check --group Dih(4) --p 2 --n 2": "364b8bc4e233fb983624e1c66091461addf38467b15ee0e688e7b02448d7bbbe",
+    "fix points --gset GSET --p 2 --n 1": "785bc08391dc87bdfc7e99ad6dae55c98addd832d80a8e292a550af8a5dade27",
+    "fix census --gset GSET --p 3 --n 2": "381b4b89ba1a29fa31d8533d1c2658779571db0143c8858ab3db8e609786ac78",
+    "fix iterate-check --gset GSET --p 2 --n 2": "db64d9096f056f4e0523eda19a00d5832047875d7595e41238cc79c033f7e876",
+    "fix loops-check --group Dih(4) --n 0": "350c033959c8dbb82179262ba4ee9d4bdefe5ac32807c868d3f2c6ba6884e284",
+    "fix loops-check --group Dih(4) --n 1": "ed28496fcd568542957f7c63f138fd6754dd8fd9719599c32df81311f2a3ee55",
+    "fix loops-check --group Dih(4) --n 2": "38d2dc704c79abc809adcd0abed00a268958de0ca3c783b187274df5d91c33f2",
+    "fix loops-check --group Dih(4) --n 3": "6ba8e267c241e92fcccea6e942b543b22c7f6078b5f1e19f9047d944d369b91a",
+    "fix loops-check --group Q8 --n 0": "e8e6718e7105c817b1cb132cdba478c942669a6b8336197ae462c5c658b66a85",
+    "fix loops-check --group Q8 --n 1": "af086d2ccda6ec6056b672b42c2ec7fba74d7bdd5c47c204bcf912d4bc7ea07f",
+    "fix loops-check --group Q8 --n 2": "64049f6915301e6079c4cab5dedd2d8aaf3353d1e4b0e8e7f671ede3c879b240",
+    "fix loops-check --group Q8 --n 3": "c450065fb6f511433f3068e6b273d731b98dbf2e94e83bfb097b34a94f31ee48",
+    "fix loops-check --group Cyc(9) --n 0": "194dfd354cbf685d26cdd84532cfa099c0ef248cc93926294c9ca0b458cdbcb1",
+    "fix loops-check --group Cyc(9) --n 1": "2ec5ac8f9776027a15a6a6636f4af3d8fa128201e234d94ae65b965be3800a4f",
+    "fix loops-check --group Cyc(9) --n 2": "9979509275a7f57fdbebadc625ad4ca36a5f9c0bb7d45e9bff526b1aeab62056",
+    "fix loops-check --group Cyc(9) --n 3": "8f7f2336dc256f18a34745f565ddfdbb3d2c01851b50ebb5445b93b6107bcd49",
+}
+
+
+@pytest.mark.parametrize("call", sorted(TUPLE_LAYER_STDOUT_SHA256))
+def test_tuple_layer_json_frozen(tmp_path, capsys, call):
+    from hkr.groupcore import named_group
+    from hkr.inertia import regular_gset
+
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(regular_gset(named_group("Sym(3)")).to_json()))
+    argv = [str(path) if word == "GSET" else word for word in call.split()]
+    code, out, _ = invoke(capsys, argv + ["--no-cache"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == TUPLE_LAYER_STDOUT_SHA256[call]
 
 
 def test_zpn_sets_refuses_huge_level_quickly():

@@ -115,7 +115,7 @@ def test_fix_on_regular_action_sees_only_trivial_tuples():
         F = fix_n(regular_gset(G), p, n)
         assert F.size == G.order
         for fp in F.points:
-            assert all(e.is_identity() for e in fp.alpha.entries)
+            assert all(e.is_identity() for e in fp.alpha)
 
 
 def test_fix_point_action_formula():
@@ -126,7 +126,7 @@ def test_fix_point_action_formula():
         fmap = F.maps[s]
         for fp in F.points:
             moved = F.points[fmap[F.index[fp]]]
-            assert moved.alpha == fp.alpha.conjugate_by(s)
+            assert moved.alpha == tuple(e.conjugate_by(s) for e in fp.alpha)
             assert moved.point == X.act(s, fp.point)
 
 
@@ -226,11 +226,11 @@ def test_evaluation_hom_exhaustive():
 
 def test_evaluation_hom_level_and_cap():
     G = named_group("Q8")
-    bad = next(t for t in hom_tuples(G, 2, 1) if t.entries[0].order() == 4)
+    bad = next(t for t in hom_tuples(G, 2, 1) if t[0].order() == 4)
     with pytest.raises(HkrError):
         evaluation_hom_check(G, 2, bad, 1)
     C = named_group("Cyc(2)")
-    (triv,) = [t for t in hom_tuples(C, 2, 1) if t.entries[0].is_identity()]
+    (triv,) = [t for t in hom_tuples(C, 2, 1) if t[0].is_identity()]
     with pytest.raises(CapExceeded):
         evaluation_hom_check(C, 2, triv, 10)
 
@@ -244,6 +244,42 @@ def test_loops_counts_on_p_groups():
         assert (res.hom_classes, res.all_classes) == (22, 22)
     triv = loops_pgroup_check(named_group("Cyc(1)"), 2)
     assert triv.ok and triv.all_count == 1
+
+
+def loops_cases():
+    """The p-groups among the named groups of order <= 32, n from 0 to 3,
+    n <= 2 above order 16."""
+    from hkr.acceptance import named_suite
+    from hkr.rings import prime_factors
+
+    return [
+        (G, n)
+        for G in named_suite(32)
+        if len(prime_factors(G.order) or [2]) == 1
+        for n in range(4)
+        if n <= 2 or G.order <= 16
+    ]
+
+
+def test_loops_routes_agree_on_named_p_groups():
+    cases = loops_cases()
+    assert len(cases) == 127
+    for G, n in cases:
+        assert loops_pgroup_check(G, n).ok, (G.name, n)
+
+
+@pytest.mark.parametrize("route", ["rank_prediction", "hom_tuples"])
+def test_loops_check_fails_when_one_route_is_off(monkeypatch, route):
+    import hkr.inertia as inertia
+
+    good = getattr(inertia, route)
+    if route == "rank_prediction":
+        monkeypatch.setattr(inertia, route, lambda G, p, n: good(G, p, n) + 1)
+    else:
+        monkeypatch.setattr(inertia, route, lambda G, p, n: good(G, p, n)[1:])
+    for spec in ("Cyc(1)", "Cyc(4)", "Q8", "Dih(4)"):
+        for n in range(3):
+            assert not loops_pgroup_check(named_group(spec), n).ok, (spec, n)
 
 
 def test_loops_rejects_composite_order():
