@@ -27,10 +27,11 @@ from .charmap import (
 )
 from .commuting import (
     gl_matrices,
+    gl_mul,
     hnf_open_subgroup_count,
-    is_p_power_order,
     rank_prediction,
     subgroup_count,
+    tuple_classes,
     zpn_set_count,
 )
 from .fgl import (
@@ -46,6 +47,7 @@ from .groupcore import (
     Permutation,
     conjugacy_classes,
     cyc_group,
+    extend_to_group,
     make_group,
     named_group,
     sym_group,
@@ -275,14 +277,13 @@ def criterion_5():
 
 
 def criterion_6():
-    """char_matrix_rank == rank_prediction == number of p-power classes."""
+    """char_matrix_rank == rank_prediction == orbits of p-power 1-tuples."""
     cases = 0
     for G in named_suite(100):
-        classes = conjugacy_classes(G)
         for p in (2, 3, 5):
             a = char_matrix_rank(G, p)
             b = rank_prediction(G, p, 1)
-            c = sum(1 for cls in classes if is_p_power_order(cls.representative, p))
+            c = len(tuple_classes(G, p, 1))
             if not a == b == c:
                 name = G.name or f"order-{G.order}"
                 return False, f"{name} p={p}: rank {a}, prediction {b}, classes {c}"
@@ -291,7 +292,7 @@ def criterion_6():
 
 
 def _int_matrix_rep(G, gens, mats, field):
-    """Extend generator matrices along the Cayley graph and verify the whole
+    """Extend generator matrices to the group and verify the whole
     multiplication table, returning {element: matrix}."""
 
     def mul(A, B):
@@ -307,19 +308,7 @@ def _int_matrix_rep(G, gens, mats, field):
     ident = tuple(
         tuple(field(1) if r == c else field(0) for c in range(dim)) for r in range(dim)
     )
-    rep = {G.identity: ident}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s, ms in zip(gens, mats):
-                h = g * s
-                if h not in rep:
-                    rep[h] = mul(rep[g], ms)
-                    nxt.append(h)
-        frontier = nxt
-    if len(rep) != G.order:
-        raise ValueError("generators do not generate the group")
+    rep = extend_to_group(G, gens, mats, mul, ident)
     for g in G.elements:
         for h in G.elements:
             if rep[g * h] != mul(rep[g], rep[h]):
@@ -453,7 +442,7 @@ def criterion_9():
                 maps[sigma] = gl_on_fix(point, p, n, k, sigma)
             for sigma in mats:
                 for tau in mats:
-                    prod = sigma * tau
+                    prod = gl_mul(sigma, tau, p**k)
                     if prod not in maps:
                         maps[prod] = gl_on_fix(point, p, n, k, prod)
                     left = maps[sigma]

@@ -683,7 +683,8 @@ def run(argv=None) -> int:
         print(f"hkr: {exc}", file=sys.stderr)
         print(f"hkr: group grammar: {GROUP_GRAMMAR}", file=sys.stderr)
         return 2
-    except (HkrError, ArithmeticError) as exc:
+    except (HkrError, ArithmeticError, RecursionError) as exc:
+        # a RecursionError is a too-deep --n: rank and tuples recurse once per entry
         print(f"hkr: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

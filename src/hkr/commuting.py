@@ -28,13 +28,13 @@ from .rings import capped_power, p_part, rref_mod
 
 __all__ = [
     "TupleClass",
-    "GLMatrix",
     "is_p_power_order",
     "p_power_elements",
     "hom_tuples",
     "tuple_classes",
     "rank_prediction",
     "gl_matrices",
+    "gl_mul",
     "evaluate",
     "apply_matrix",
     "gl_action_orbits",
@@ -166,64 +166,25 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
     return total
 
 
-class GLMatrix:
-    """An invertible n x n matrix over Z/p^k, acting on exponent columns."""
-
-    __slots__ = ("p", "k", "n", "rows")
-
-    def __init__(self, p: int, k: int, n: int, rows):
-        self.p = p
-        self.k = k
-        self.n = n
-        self.rows = tuple(tuple(x % p**k for x in r) for r in rows)
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValueError(f"expected a {n} x {n} matrix")
-        if not self._invertible():
-            raise ValueError("matrix is not invertible modulo p")
-
-    def _invertible(self) -> bool:
-        return len(rref_mod(self.rows, self.p)[1]) == self.n
-
-    def __mul__(self, other: GLMatrix) -> GLMatrix:
-        mod = self.p**self.k
-        rows = [
-            [
-                sum(self.rows[i][j] * other.rows[j][l] for j in range(self.n)) % mod
-                for l in range(self.n)
-            ]
-            for i in range(self.n)
-        ]
-        return GLMatrix(self.p, self.k, self.n, rows)
-
-    def transpose(self) -> GLMatrix:
-        return GLMatrix(self.p, self.k, self.n, list(zip(*self.rows)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GLMatrix)
-            and (self.p, self.k, self.n, self.rows) == (other.p, other.k, other.n, other.rows)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.n, self.rows))
-
-    def __repr__(self) -> str:
-        return f"GLMatrix(p={self.p}, k={self.k}, rows={self.rows})"
-
-
-def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[GLMatrix]:
-    """All of GL_n(Z/p^k), ordered lexicographically by flattened entries."""
+def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[tuple]:
+    """All of GL_n(Z/p^k) as tuples of rows, lexicographic in the flattened
+    entries; a matrix over Z/p^k is invertible when it is invertible mod p."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     mod = capped_power(p, k, cap)
     if capped_power(mod, n * n, cap) > cap:
         raise CapExceeded(f"GL enumeration size ({p}^{k})^{n * n} exceeds cap {cap}")
     out = []
     for flat in iter_product(range(mod), repeat=n * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-        try:
-            out.append(GLMatrix(p, k, n, rows))
-        except ValueError:
-            continue
+        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+        if len(rref_mod(rows, p)[1]) == n:
+            out.append(rows)
     return out
+
+
+def gl_mul(a: tuple, b: tuple, mod: int) -> tuple:
+    """The product a b of two square matrices over Z/mod, as a tuple of rows."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % mod for col in zip(*b)) for row in a)
 
 
 def evaluate(entries: tuple, exponents, identity: Permutation) -> Permutation:
@@ -236,12 +197,12 @@ def evaluate(entries: tuple, exponents, identity: Permutation) -> Permutation:
     return acc
 
 
-def apply_matrix(t: tuple, sigma: GLMatrix, identity: Permutation) -> tuple:
-    """Precompose a tuple with a matrix: entry i of the result is
-    prod_j g_j ** sigma[j][i] (the column convention)."""
-    if len(t) != sigma.n:
+def apply_matrix(t: tuple, sigma: tuple, identity: Permutation) -> tuple:
+    """Precompose a tuple with a matrix given as a tuple of rows: entry i of
+    the result is prod_j g_j ** sigma[j][i] (the column convention)."""
+    if len(t) != len(sigma):
         raise ValueError("matrix size does not match tuple length")
-    return tuple(evaluate(t, column, identity) for column in zip(*sigma.rows))
+    return tuple(evaluate(t, column, identity) for column in zip(*sigma))
 
 
 def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleClass]]:
@@ -257,8 +218,8 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleC
         raise ValueError(
             f"p^k = {mod} does not annihilate all p-power elements (max order {worst})"
         )
+    mats = gl_matrices(p, n, k)  # its cap runs before any tuple is built
     classes, member_class = _indexed_tuple_classes(G, p, n)
-    mats = gl_matrices(p, n, k)
     ident = G.identity
     seen = set()
     orbit_lists = []

@@ -13,7 +13,7 @@ import math
 import re
 from collections import namedtuple
 
-from .errors import CapExceeded, ParseError
+from .errors import CapExceeded, HkrError, ParseError
 
 __all__ = [
     "Permutation",
@@ -25,6 +25,7 @@ __all__ = [
     "class_index",
     "power_map",
     "orbit_search",
+    "extend_to_group",
     "centralizer",
     "direct_product",
     "cyc_group",
@@ -323,6 +324,29 @@ def orbit_search(items, gens, move) -> list[list]:
         orbit.sort()
         orbits.append(orbit)
     return orbits
+
+
+def extend_to_group(G: FiniteGroup, gens, images, compose, one) -> dict:
+    """{element: image} grown breadth first along the Cayley graph of gens:
+    the identity maps to one, and g * s to compose(image of g, image of s).
+    HkrError unless the walk covers G and every edge g -> g * s obeys that
+    rule, which makes the map a homomorphism (for a G-set, a left action)."""
+    edges = list(zip(gens, images))
+    out = {G.identity: one}
+    walk = [G.identity]
+    for g in walk:  # the list grows while it is walked
+        for s, image in edges:
+            h = g * s
+            if h not in out:
+                out[h] = compose(out[g], image)
+                walk.append(h)
+    if len(out) != G.order:
+        raise HkrError("action table does not cover the group")
+    for g in G.elements:
+        for s, image in edges:
+            if out[g * s] != compose(out[g], image):
+                raise HkrError("action is not compatible with multiplication")
+    return out
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:

@@ -18,17 +18,9 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .commuting import (
-    GLMatrix,
-    _conjugate_entries,
-    apply_matrix,
-    evaluate,
-    hom_tuples,
-    rank_prediction,
-    tuple_classes,
-)
+from .commuting import _conjugate_entries, evaluate, hom_tuples, rank_prediction, tuple_classes
 from .errors import CapExceeded, HkrError
-from .groupcore import FiniteGroup, Permutation, make_group, named_group, orbit_search
+from .groupcore import FiniteGroup, Permutation, extend_to_group, make_group, named_group, orbit_search
 from .rings import prime_factors
 
 __all__ = [
@@ -85,30 +77,11 @@ class GSet:
             if len(row) != len(self.points) or len(set(row)) != len(row):
                 raise ValueError("generator image is not a permutation of the points")
             gen_maps.append(row)
-
-        n = len(self.points)
-        ident = tuple(range(n))
-        maps = {group.identity: ident}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                base = maps[g]
-                for s, smap in zip(gens, gen_maps):
-                    h = g * s
-                    if h not in maps:
-                        # left action: (g s).x = g.(s.x)
-                        maps[h] = tuple(base[smap[x]] for x in range(n))
-                        nxt.append(h)
-            frontier = nxt
-        if len(maps) != group.order:
-            raise HkrError("action table does not cover the group")
-        for g in group.elements:
-            base = maps[g]
-            for s, smap in zip(gens, gen_maps):
-                if maps[g * s] != tuple(base[smap[x]] for x in range(n)):
-                    raise HkrError("action is not compatible with multiplication")
-        self.maps = maps
+        # left action: (g s).x = g.(s.x)
+        self.maps = extend_to_group(
+            group, gens, gen_maps, lambda a, b: tuple(map(a.__getitem__, b)),
+            tuple(range(len(self.points))),
+        )
 
     @property
     def size(self) -> int:
@@ -369,25 +342,26 @@ def iterate_fix_check(X: GSet, p: int, n: int) -> IterateFixResult:
     return IterateFixResult(ok, forward)
 
 
-def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: GLMatrix) -> dict:
+def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: tuple) -> dict:
     """The automorphism (alpha, x) -> (alpha composed with sigma, x) of
-    fix_n(X, p, n), as a point mapping.
+    fix_n(X, p, n), as a point mapping; sigma is a tuple of n rows over Z/p^k.
 
     Precomposition alone composes contravariantly, so sigma acts through its
-    transpose; that choice makes gl_on_fix(sigma) o gl_on_fix(tau) equal
-    gl_on_fix(sigma * tau).  Requires p^k to annihilate every tuple entry.
+    rows: entry i of the new alpha is prod_j alpha_j ** sigma[i][j], and
+    gl_on_fix(sigma) o gl_on_fix(tau) is gl_on_fix(gl_mul(sigma, tau, p^k)).
+    Requires p^k to annihilate every tuple entry.
     """
-    if (sigma.p, sigma.n) != (p, n) or sigma.k != k:
-        raise ValueError("matrix shape does not match (p, n, k)")
+    if len(sigma) != n or any(len(row) != n for row in sigma):
+        raise ValueError(f"expected a {n} x {n} matrix")
     F = fix_n(X, p, n)
     mod = p**k
     for fp in F.points:
         for e in fp.alpha:
             if mod % e.order():
                 raise HkrError(f"k too small: entry of order {e.order()} at level p^{k}")
-    tr = sigma.transpose()
     ident = X.group.identity
-    mapping = {fp: FixPoint(apply_matrix(fp.alpha, tr, ident), fp.point) for fp in F.points}
+    mapping = {fp: FixPoint(tuple(evaluate(fp.alpha, row, ident) for row in sigma), fp.point)
+               for fp in F.points}
     if set(mapping.values()) != set(F.points):
         raise HkrError("matrix action is not a bijection on fixed points")
     for s in X.group.generators:

@@ -298,6 +298,19 @@ def test_zpn_sets_refuses_huge_level_quickly():
     assert_one_line_failure(done, "cap")
 
 
+@pytest.mark.parametrize("argv, needle", [
+    # the GL cap used to run only after every 30-tuple was built (SystemError)
+    (["gl-orbits", "--group", "Cyc(2)", "--p", "2", "--n", "30", "--k", "1"], "cap"),
+    # rank and tuples recurse once per entry (RecursionError traceback)
+    (["rank", "--group", "Sym(3)", "--p", "2", "--n", "2000"], "recursion"),
+    (["tuples", "--group", "Sym(3)", "--p", "2", "--n", "3000"], "recursion"),
+], ids=["gl-orbits-n30", "rank-n2000", "tuples-n3000"])
+def test_deep_n_fails_in_one_line_quickly(argv, needle):
+    done, seconds = run_python(["-m", "hkr", *argv, "--no-cache"])
+    assert seconds < 5
+    assert_one_line_failure(done, needle)
+
+
 def test_galois_dim_refuses_a_huge_level_quickly():
     # every unit mod 2^40 used to be listed first (MemoryError)
     argv = ["galois-dim", "--group", "Sym(4)", "--p", "2", "--k", "40", "--no-cache"]

@@ -6,7 +6,7 @@ against freeness on the regular action, so the two modules audit each other.
 
 import pytest
 
-from hkr.commuting import GLMatrix, gl_matrices, hom_tuples, rank_prediction
+from hkr.commuting import gl_matrices, gl_mul, hom_tuples, rank_prediction
 from hkr.errors import CapExceeded, HkrError
 from hkr.groupcore import Permutation, make_group, named_group
 from hkr.inertia import (
@@ -192,7 +192,7 @@ def test_iterate_fix_needs_two_levels():
 
 def test_gl_identity_acts_trivially():
     X = trivial_gset(named_group("Q8"))
-    ident = GLMatrix(2, 2, 2, [[1, 0], [0, 1]])
+    ident = ((1, 0), (0, 1))
     mapping = gl_on_fix(X, 2, 2, 2, ident)
     assert all(mapping[fp] == fp for fp in mapping)
 
@@ -203,18 +203,18 @@ def test_gl_action_composes():
     maps = {m: gl_on_fix(X, 2, 2, 2, m) for m in mats}
     for sigma in mats[:12]:
         for tau in mats[:12]:
-            prod = maps[sigma * tau]
+            prod = maps[gl_mul(sigma, tau, 4)]
             for fp in maps[tau]:
                 assert prod[fp] == maps[sigma][maps[tau][fp]]
 
 
 def test_gl_on_fix_rejects_wrong_level():
     X = trivial_gset(named_group("Q8"))
-    with pytest.raises(ValueError):
-        gl_on_fix(X, 2, 2, 2, GLMatrix(2, 1, 2, [[1, 0], [0, 1]]))
+    with pytest.raises(ValueError):  # a 1 x 1 matrix at n = 2
+        gl_on_fix(X, 2, 2, 2, ((1,),))
     # p^1 does not annihilate the order-4 entries
     with pytest.raises(HkrError):
-        gl_on_fix(X, 2, 1, 1, GLMatrix(2, 1, 1, [[1]]))
+        gl_on_fix(X, 2, 1, 1, ((1,),))
 
 
 def test_evaluation_hom_exhaustive():
