@@ -33,6 +33,7 @@ import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
+from .commuting import _p_power_class_indices
 from .errors import CapExceeded, HkrError
 from .groupcore import (
     FiniteGroup,
@@ -797,8 +798,8 @@ class ClassFunction:
 
     def class_index(self, g: Permutation) -> int:
         if self._loc is None:
-            self._loc = {h: i for i, cls in enumerate(self.classes) for h in cls.members}
-        return self._loc[g]
+            self._loc = {h.images: i for i, cls in enumerate(self.classes) for h in cls.members}
+        return self._loc[g.images]
 
     def value_at(self, g: Permutation) -> CyclotomicNumber:
         return self.values[self.class_index(g)]
@@ -858,11 +859,6 @@ class ClassFunction:
 
 # ---------------------------------------------------------------------------
 # the character map and its companions
-
-
-def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
-    """The classes of p-power order, each order read off the power map."""
-    return [k for k, walk in enumerate(power_map(G)) if p_part(len(walk), p) == len(walk)]
 
 
 def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:

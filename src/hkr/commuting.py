@@ -17,12 +17,13 @@ from itertools import product as iter_product
 
 from .errors import CapExceeded
 from .groupcore import (
-    ConjugacyClass,
     FiniteGroup,
     Permutation,
     centralizer,
+    class_index,
     conjugacy_classes,
     orbit_search,
+    power_map,
 )
 from .rings import capped_power, p_part, rref_mod
 
@@ -55,6 +56,11 @@ def is_p_power_order(g: Permutation, p: int) -> bool:
     return p_part(order, p) == order
 
 
+def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
+    """The classes of p-power order, each order read off the power map."""
+    return [k for k, walk in enumerate(power_map(G)) if p_part(len(walk), p) == len(walk)]
+
+
 def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
     """Elements of p-power order, in the canonical element order."""
     key = ("ppow", p)
@@ -63,8 +69,12 @@ def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
         if p_part(G.order, p) == G.order:
             # Lagrange: in a p-group every element order is a p-power.
             got = list(G.elements)
+        elif G.is_abelian():  # the classes are the elements, in element order
+            classes = conjugacy_classes(G)
+            got = [classes[k].representative for k in _p_power_class_indices(G, p)]
         else:
-            got = [g for g in G.elements if is_p_power_order(g, p)]
+            keep, loc = set(_p_power_class_indices(G, p)), class_index(G)
+            got = [g for g in G.elements if loc[g] in keep]
         G._cache[key] = got
     return got
 
@@ -140,10 +150,6 @@ def tuple_classes(G: FiniteGroup, p: int, n: int) -> list[TupleClass]:
     return _indexed_tuple_classes(G, p, n)[0]
 
 
-def _p_power_classes(G: FiniteGroup, p: int) -> list[ConjugacyClass]:
-    return [c for c in conjugacy_classes(G) if is_p_power_order(c.representative, p)]
-
-
 def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
     """Number of conjugation classes of commuting p-power n-tuples.
 
@@ -158,12 +164,11 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
         return 1
     if G.is_abelian():
         return len(p_power_elements(G, p)) ** n
+    idx = _p_power_class_indices(G, p)
     if n == 1:
-        return len(_p_power_classes(G, p))
-    total = 0
-    for cls in _p_power_classes(G, p):
-        total += rank_prediction(centralizer(G, [cls.representative]), p, n - 1)
-    return total
+        return len(idx)
+    classes = conjugacy_classes(G)
+    return sum(rank_prediction(centralizer(G, [classes[k].representative]), p, n - 1) for k in idx)
 
 
 def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[tuple]:
@@ -211,8 +216,8 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleC
     Requires p^k to annihilate every tuple entry (the exponents live in Z/p^k).
     Orbits are lists of TupleClass values; both layers are canonically ordered.
     """
-    pool = p_power_elements(G, p)
-    worst = max((g.order() for g in pool), default=1)
+    walks = power_map(G)
+    worst = max(len(walks[k]) for k in _p_power_class_indices(G, p))
     mod = capped_power(p, k, worst)  # exact up to worst, a power of p
     if mod % worst != 0:
         raise ValueError(

@@ -10,6 +10,7 @@ output byte for byte.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import namedtuple
 
@@ -40,6 +41,12 @@ DEFAULT_ORDER_CAP = 100_000
 # order * degree, the ints a closure holds: 2^24 (about 1.7 * 10^7) admits
 # Cyc(4096) on 4096 points, the largest group the acceptance suite builds
 DEFAULT_CELL_CAP = 1 << 24
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The images of a∘b, a[b[i]] for each i: one C-level itemgetter call,
+    except below two points, where itemgetter returns a scalar or raises."""
+    return operator.itemgetter(*b)(a) if len(b) > 1 else tuple(a[i] for i in b)
 
 
 class Permutation:
@@ -86,7 +93,7 @@ class Permutation:
 
     def __mul__(self, other: Permutation) -> Permutation:
         # (a * b)(i) = a(b(i)): apply b first.
-        return Permutation._raw(tuple(map(self.images.__getitem__, other.images)))
+        return Permutation._raw(_compose(self.images, other.images))
 
     def inverse(self) -> Permutation:
         img = self.images
@@ -105,14 +112,18 @@ class Permutation:
         return Permutation._raw(tuple(out))
 
     def __pow__(self, k: int) -> Permutation:
-        n = len(self.images)
-        out = [0] * n
-        for cyc in self._all_cycles():
-            ln = len(cyc)
-            s = k % ln
-            for i, pt in enumerate(cyc):
-                out[pt] = cyc[(i + s) % ln]
-        return Permutation._raw(tuple(out))
+        # square and multiply; reducing k mod the order first bounds the
+        # squarings by the degree or by the order, whatever the size of k
+        if k < 0 or k >= len(self.images):
+            k %= self.order()
+        acc, sq = None, self.images
+        while k:
+            if k & 1:
+                acc = sq if acc is None else _compose(acc, sq)
+            k >>= 1
+            if k:
+                sq = _compose(sq, sq)
+        return Permutation._raw(acc or tuple(range(len(self.images))))
 
     def _all_cycles(self) -> list[list[int]]:
         img = self.images

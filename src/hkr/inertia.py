@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .commuting import _conjugate_entries, evaluate, hom_tuples, rank_prediction, tuple_classes
 from .errors import CapExceeded, HkrError
-from .groupcore import FiniteGroup, Permutation, extend_to_group, make_group, named_group, orbit_search
+from .groupcore import FiniteGroup, Permutation, _compose, extend_to_group, make_group, named_group, orbit_search
 from .rings import prime_factors
 
 __all__ = [
@@ -79,8 +79,7 @@ class GSet:
             gen_maps.append(row)
         # left action: (g s).x = g.(s.x)
         self.maps = extend_to_group(
-            group, gens, gen_maps, lambda a, b: tuple(map(a.__getitem__, b)),
-            tuple(range(len(self.points))),
+            group, gens, gen_maps, _compose, tuple(range(len(self.points)))
         )
 
     @property
@@ -213,6 +212,7 @@ def gset_from_json(doc) -> GSet:
 # Fix_n
 
 _fix_cache: dict = {}
+_entry_orders: dict = {}  # by Fix_n G-set: its entries' distinct orders, first met first
 
 
 def fix_n(X: GSet, p: int, n: int) -> GSet:
@@ -354,11 +354,14 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: tuple) -> dict:
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError(f"expected a {n} x {n} matrix")
     F = fix_n(X, p, n)
+    orders = _entry_orders.get(F)
+    if orders is None:
+        entries = dict.fromkeys(e for fp in F.points for e in fp.alpha)
+        orders = _entry_orders[F] = list(dict.fromkeys(e.order() for e in entries))
     mod = p**k
-    for fp in F.points:
-        for e in fp.alpha:
-            if mod % e.order():
-                raise HkrError(f"k too small: entry of order {e.order()} at level p^{k}")
+    for o in orders:
+        if mod % o:
+            raise HkrError(f"k too small: entry of order {o} at level p^{k}")
     ident = X.group.identity
     mapping = {fp: FixPoint(tuple(evaluate(fp.alpha, row, ident) for row in sigma), fp.point)
                for fp in F.points}

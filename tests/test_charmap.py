@@ -14,7 +14,7 @@ from itertools import permutations
 import pytest
 
 from hkr.acceptance import named_suite
-from hkr import charmap
+from hkr import charmap, commuting, groupcore
 from hkr.charmap import (
     MAX_POWER_OP_DEGREE,
     CharacterTable,
@@ -567,6 +567,20 @@ def test_adams_psi_is_power_evaluation():
                 for cls in chi.classes:
                     g = cls.representative
                     assert psi.value_at(g) == chi.value_at(g**m)
+
+
+def test_adams_psi_powers_representatives_without_the_power_map(monkeypatch):
+    # adams_psi is the independent route psi_level is checked against
+    cases = [(chi, m) for spec in ("Sym(4)", "Q8", "Dih(6)", "Cyc(12)")
+             for chi in irreducible_characters(named_group(spec)) for m in range(2, 14)]
+    before = [adams_psi(m, chi) for chi, m in cases]
+
+    def refuse(G):
+        raise AssertionError("adams_psi read the power map")
+
+    for module in (groupcore, charmap, commuting):
+        monkeypatch.setattr(module, "power_map", refuse)
+    assert [adams_psi(m, chi) for chi, m in cases] == before
 
 
 def test_adams_operations_compose():

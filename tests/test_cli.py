@@ -311,6 +311,18 @@ def test_deep_n_fails_in_one_line_quickly(argv, needle):
     assert_one_line_failure(done, needle)
 
 
+def test_adams_with_a_huge_k_is_quick_and_reduces_mod_the_exponent():
+    # a power by squaring that skipped the reduction mod the order would square
+    # about 13,000 times per class representative here
+    big = int("7" * 4000)
+    runs = []
+    for k in (big, big % 50):  # 50 is the exponent of Dih(50)
+        done, seconds = run_python(["-m", "hkr", "adams", "--group", "Dih(50)", "--k", str(k), "--no-cache"])
+        assert done.returncode == 0 and seconds < 5
+        runs.append(json.loads(done.stdout)["characters"])
+    assert [chi["values"] for chi in runs[0]] == [chi["values"] for chi in runs[1]]
+
+
 def test_galois_dim_refuses_a_huge_level_quickly():
     # every unit mod 2^40 used to be listed first (MemoryError)
     argv = ["galois-dim", "--group", "Sym(4)", "--p", "2", "--k", "40", "--no-cache"]

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkr.acceptance import named_suite
 from hkr.errors import CapExceeded, ParseError
@@ -54,6 +55,29 @@ def test_permutation_inverse_and_power():
         for _ in range(abs(k)):
             acc = acc * (g if k >= 0 else g.inverse())
         assert g**k == acc
+
+
+# degrees 0 and 1 drawn on purpose: there the products leave itemgetter
+perm_pairs = (st.sampled_from([0, 1]) | st.integers(0, 10)).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(n)).map(Permutation)] * 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm_pairs, st.integers(0, 10**6))
+def test_permutation_kernels_against_their_definitions(pair, r):
+    a, b = pair
+    points = range(a.degree)
+    assert (a * b).images == tuple(a.images[b.images[i]] for i in points)
+    assert all(a.inverse().images[a.images[i]] == i for i in points)
+    assert all(a.conjugate_by(b).images[b.images[i]] == b.images[a.images[i]] for i in points)
+    # a^0, a^1, ... by repeated products, up to the first return to the identity
+    walk = [tuple(points)]
+    while len(walk) == 1 or walk[-1] != walk[0]:
+        walk.append(tuple(a.images[i] for i in walk[-1]))
+    order = len(walk) - 1
+    for k in [*range(-3 * order, 3 * order + 1), 10**40 + r, -(10**40 + r)]:
+        assert (a**k).images == walk[k % order], k
 
 
 def test_cycle_string_round_trip():
