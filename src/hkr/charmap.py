@@ -6,13 +6,16 @@ against the full multiplication structure); nonabelian groups go through the
 class-algebra eigenvector method: simultaneous eigenvectors of the class
 multiplication matrices over a prime field F_q with q = 1 mod exponent(G),
 degrees recovered by modular square roots, and values lifted to sums of roots
-of unity once per rational class: Newton's identities turn the power sums
-chi(g^s), s <= degree, into the characteristic polynomial of rho(g) over F_q,
-its roots among the powers of a root of unity give the eigenvalue
-multiplicities, all ord(g) power sums are re-checked against them, and the
-class of g^u, u a unit, takes the multiplicities of g with exponents times u.
-Their orthogonality is certified by a Galois check on the tallies and the
-Gram matrix mod a second prime.
+of unity once per Galois orbit of characters and rational class: Newton's
+identities turn the power sums chi(g^s), s <= degree, into the characteristic
+polynomial of rho(g) over F_q, its roots among the powers of a root of unity
+give the eigenvalue multiplicities, and all ord(g) power sums are re-checked
+against them.  The class of g^u, u a unit, takes the multiplicities of g with
+exponents times u, and so does the Galois conjugate chi^sigma_u: g -> chi(g^u),
+found among the characters by its values mod q, which are chi's read through
+the power map.  The orthogonality of the rows is certified by a Galois check
+on the tallies, which covers every derived row, and the Gram matrix mod a
+second prime.
 
 Character values are stored as root-of-unity tallies {exponent mod m: count}
 with m the group exponent; conversion to CyclotomicNumber is lazy, so large
@@ -97,6 +100,11 @@ def _unit_generators(units, n: int) -> list[int]:
             (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)
             span = set(orbit)
     return gens
+
+
+def _galois_units(m: int) -> list[int]:
+    """Generators of (Z/m)^*, taken among the primes below m."""
+    return _unit_generators((t for t in range(2, m) if m % t and is_prime(t)), m)
 
 
 def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -459,7 +467,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
     lifts = _rational_classes(walks)
 
     zp = _roots_of_unity(q, m)
-    rows = []
+    degrees, values = [], []  # values[i][j] = chi_i(g_j) mod q
     for v in vectors:
         s = sum(v[j] * v[inv_class[j]] * inv_sizes[j] for j in range(r)) % q
         if s == 0:
@@ -468,16 +476,36 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
         deg = next((t for t in range(1, math.isqrt(order) + 1) if t * t % q == dsq), None)
         if deg is None:
             raise HkrError("degree recovery failed")
-        w = [deg * v[j] * inv_sizes[j] % q for j in range(r)]
+        degrees.append(deg)
+        values.append(tuple([deg * v[j] * inv_sizes[j] % q for j in range(r)]))
+    row_of = {w: i for i, w in enumerate(values)}
+    # chi^sigma_u(g) = chi(g^u): the row mod q of a Galois conjugate is chi's
+    # read through the power map, and its tallies are chi's with exponents
+    # times u, so one lift serves each orbit of characters
+    units = [(u, [walk[u % len(walk)] for walk in walks]) for u in _galois_units(m)]
+    rows = [None] * len(values)
+    for i, w in enumerate(values):
+        if rows[i] is not None:
+            continue
         tallies = [None] * r
         for k, members in lifts:
             o = len(walks[k])
             step = m // o
-            dts = _eigenvalue_multiplicities([w[c] for c in walks[k]], deg, zp[::step], q)
+            dts = _eigenvalue_multiplicities([w[c] for c in walks[k]], degrees[i], zp[::step], q)
+            nonzero = [(t, dt) for t, dt in enumerate(dts) if dt]
             # the eigenvalues of rho(g^u) are the u-th powers of those of rho(g)
             for j, u in members:
-                tallies[j] = {t * u % o * step: dt for t, dt in enumerate(dts) if dt}
-        rows.append(tuple(tallies))
+                tallies[j] = {t * u % o * step: dt for t, dt in nonzero}
+        rows[i] = tuple(tallies)
+        orbit = [i]
+        for a in orbit:  # the list grows while it is walked
+            for u, pi in units:
+                b = row_of.get(tuple([values[a][k] for k in pi]))
+                if b is None:
+                    raise HkrError("a Galois conjugate of a character is not a row")
+                if rows[b] is None:
+                    rows[b] = tuple([{e * u % m: c for e, c in t.items()} for t in rows[a]])
+                    orbit.append(b)
     return rows
 
 
@@ -637,7 +665,9 @@ def _uniform_sum_is_zero(exponents, m: int) -> bool:
     certified zero, False when it is visibly the all-zero exponent list
     (sum = len), and raises if the multiset has any other shape.
     """
-    counts = Counter(map(m.__rmod__, exponents))  # e % m for each e
+    counts = Counter(exponents)
+    if counts and (min(counts) < 0 or max(counts) >= m):
+        counts = Counter(map(m.__rmod__, exponents))  # e % m for each e
     g0 = math.gcd(m, *counts)
     d = m // g0
     if d == 1:
@@ -649,6 +679,29 @@ def _uniform_sum_is_zero(exponents, m: int) -> bool:
         raise HkrError("character sum is not equidistributed over roots of unity")
     _certify_root_sum_zero(m, d)
     return True
+
+
+def _closed_under_differences(vecs, m: int) -> bool:
+    """Whether the vectors are a subgroup of (Z/m)^n: their span, grown by
+    orbit search from the zero vector under vectors taken greedily among
+    them, each outside the span of the earlier ones, must be exactly the set
+    of vectors.  The search stops once the span outgrows the set, so no span
+    searched has more than len(vecs) * m elements."""
+    have = set(vecs)
+    zero = (0,) * len(vecs[0])
+    gens, span = [], {zero}
+
+    def add(x, s):
+        return tuple([(a + b) % m for a, b in zip(x, s)])
+
+    for v in vecs:
+        if v not in span:
+            gens.append(v)
+            (orbit,) = orbit_search([zero], gens, add)
+            if len(orbit) > len(have):
+                return False
+            span = set(orbit)
+    return span == have
 
 
 def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
@@ -678,31 +731,31 @@ def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     failures = []
     rows_ok = True
     row_sum_zero = [_uniform_sum_is_zero(row, m) for row in exps]
-    trivial = next(i for i in range(r) if not row_sum_zero[i] and all(e == 0 for e in exps[i]))
-    # a row passes at once when its own difference is the trivial character
-    # and every later difference is a nontrivial one with a zero sum
-    passing = {v for v, k in index.items() if k != trivial and row_sum_zero[k]}
-    self_ok = index.get((0,) * len(gen_cols)) == trivial
-    by_generator = list(zip(*vecs))
-    for i, vi in enumerate(vecs):
-        # the differences vi - vj, j > i, one generator coordinate at a time
-        later = [map(m.__rmod__, map(a.__sub__, col[i + 1 :])) for a, col in zip(vi, by_generator)]
-        if self_ok and passing.issuperset(zip(*later)):
-            continue
-        for j in range(i, r):
-            diff = tuple((exps[i][c] - exps[j][c]) % m for c in gen_cols)
-            k = index.get(diff)
-            if k is None:
-                rows_ok = False
-                failures.append(("row-closure", i, j))
-                continue
-            if i == j:
-                ok = k == trivial
-            else:
-                ok = k != trivial and row_sum_zero[k]
-            if not ok:
-                rows_ok = False
-                failures.append(("row", i, j))
+    trivial = next(
+        (i for i in range(r) if not row_sum_zero[i] and all(e == 0 for e in exps[i])), None
+    )
+    if trivial is None:
+        raise HkrError("no row is the trivial character")
+    # a row whose sum is not certified zero is zero mod m, so its generator
+    # vector, if reduced, is the trivial row's: when the vectors are closed
+    # under differences, each difference of two rows is a nontrivial row
+    # with a zero sum and every pair passes
+    if not _closed_under_differences(vecs, m):
+        for i in range(r):
+            for j in range(i, r):
+                diff = tuple((exps[i][c] - exps[j][c]) % m for c in gen_cols)
+                k = index.get(diff)
+                if k is None:
+                    rows_ok = False
+                    failures.append(("row-closure", i, j))
+                    continue
+                if i == j:
+                    ok = k == trivial
+                else:
+                    ok = k != trivial and row_sum_zero[k]
+                if not ok:
+                    rows_ok = False
+                    failures.append(("row", i, j))
 
     # columns: sum over all characters at a fixed element is |G| at the
     # identity and zero elsewhere; pairs (g, h) reduce to the element g*h^-1
@@ -735,7 +788,7 @@ def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityRep
     sizes = [len(cls.members) for cls in table.classes]
     n = len(sizes)
     failures = []
-    for ell in _unit_generators((t for t in range(2, m) if m % t and is_prime(t)), m):
+    for ell in _galois_units(m):
         pi = [walk[ell % len(walk)] for walk in walks]
         if sorted(pi) != list(range(n)) or any(sizes[pi[k]] != sizes[k] for k in range(n)):
             failures.append(("power-map", ell))

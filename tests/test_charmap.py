@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkr.acceptance import named_suite
 from hkr import charmap, commuting, groupcore
@@ -72,6 +73,14 @@ def test_cyclic_two_table():
     rows = {tuple(table.value(i, j) for j in range(2)) for i in range(2)}
     one = CyclotomicNumber.from_rational(2, 1)
     assert rows == {(one, one), (one, -one)}
+
+
+def test_trivial_group_table():
+    """Cyc(1) is generated by the identity alone: one character, one class."""
+    table = character_table(named_group("Cyc(1)"))
+    assert table.rows == (({0: 1},),)
+    report = orthogonality_report(table)
+    assert report.rows_ok and report.columns_ok and report.failures == ()
 
 
 def test_sym3_table_frozen():
@@ -245,11 +254,23 @@ def test_certificate_prime_is_not_the_lifting_prime(monkeypatch):
     assert q != lifted_with and q % m == 1 and q > 2 * order * (2 * 2 + 1)
 
 
+def galois_orbit_count(rows, m):
+    """The number of orbits of the rows under the tally maps e -> u * e."""
+    units = [u for u in range(1, m) if math.gcd(u, m) == 1]
+    return len({
+        frozenset(tuple(tuple(sorted(scaled(t, u, m).items())) for t in row) for u in units)
+        for row in rows
+    })
+
+
 def test_one_lift_per_rational_class(monkeypatch):
-    # Dih(97): 48 rotation classes form one rational class
+    # Dih(97): 48 rotation classes form one rational class, and the 48
+    # characters of degree 2 one Galois orbit, so 3 x 3 lifts, not 50 x 3
     G = named_group("Dih(97)")
+    m = G.exponent()
     orbits = _rational_classes(power_map(G))
     assert len(orbits) == 3
+    assert galois_orbit_count(character_table(G).rows, m) == 3
     calls = []
 
     def counted(f, deg, powers, q):
@@ -257,9 +278,34 @@ def test_one_lift_per_rational_class(monkeypatch):
         return _eigenvalue_multiplicities(f, deg, powers, q)
 
     monkeypatch.setattr(charmap, "_eigenvalue_multiplicities", counted)
-    rows = _dixon_rows(G, conjugacy_classes(G), G.exponent())
-    assert len(calls) == len(rows) * len(orbits)
-    assert _canonical_order(rows, G.exponent()) == list(character_table(G).rows)
+    rows = _dixon_rows(G, conjugacy_classes(G), m)
+    assert len(calls) == 3 * len(orbits)
+    assert _canonical_order(rows, m) == list(character_table(G).rows)
+
+
+# every nonabelian group of order <= 100, and dihedral groups of order 102 to 200
+DIXON_GROUPS = [g.name for g in named_suite(100) if not g.is_abelian()] + [
+    f"Dih({n})" for n in (51, 56, 63, 64, 72, 77, 81, 90, 97, 100)
+]
+
+
+def test_orbit_lift_equals_the_per_row_lift(monkeypatch):
+    # with no units the Galois step finds no conjugates, so every row is its
+    # own orbit and is lifted from its own values
+    groups = [named_group(name) for name in DIXON_GROUPS]
+    by_orbit = [_dixon_rows(G, conjugacy_classes(G), G.exponent()) for G in groups]
+    calls = []
+
+    def counted(f, deg, powers, q):
+        calls.append(len(f))
+        return _eigenvalue_multiplicities(f, deg, powers, q)
+
+    monkeypatch.setattr(charmap, "_galois_units", lambda m: [])
+    monkeypatch.setattr(charmap, "_eigenvalue_multiplicities", counted)
+    for G, rows in zip(groups, by_orbit):
+        del calls[:]
+        assert _dixon_rows(G, conjugacy_classes(G), G.exponent()) == rows, G.name
+        assert len(calls) == len(rows) * len(_rational_classes(power_map(G)))
 
 
 def test_abelian_tables_never_build_the_power_map():
@@ -367,6 +413,93 @@ def test_orthogonality_failures_frozen():
         ("row-closure", 0, 1), ("row-closure", 0, 2), ("row-closure", 0, 3),
         ("row-closure", 1, 2), ("row-closure", 1, 3), ("column", 0, 0), ("column", 3, 3),
     )
+    # uniform rows, none of them the trivial character
+    G = named_group("Cyc(2)")
+    fake = CharacterTable(G, conjugacy_classes(G), 2, [({0: 1}, {1: 1}), ({1: 1}, {0: 1})])
+    with pytest.raises(HkrError, match="^no row is the trivial character$"):
+        orthogonality_report(fake)
+
+
+def reference_abelian_report(table):
+    """Both relations of an abelian table checked pair by pair, with the
+    shape checks of orthogonality_report in the same order."""
+    m, G, r = table.conductor, table.group, table.size
+    exps = [[next(iter(t)) for t in row] for row in table.rows]
+    elements = [cls.representative for cls in table.classes]
+    gen_cols = [elements.index(g) for g in G.generators]
+    index = {}
+    for i, row in enumerate(exps):
+        index.setdefault(tuple(row[c] for c in gen_cols), i)
+    if len(index) != r:
+        raise HkrError("generator exponents do not separate the characters")
+    row_sum_zero = [_uniform_sum_is_zero(row, m) for row in exps]
+    trivial = [i for i, row in enumerate(exps) if not any(row)]
+    if not trivial:
+        raise HkrError("no row is the trivial character")
+    failures = []
+    for i in range(r):
+        for j in range(i, r):
+            k = index.get(tuple((exps[i][c] - exps[j][c]) % m for c in gen_cols))
+            if k is None:
+                failures.append(("row-closure", i, j))
+            elif (k == trivial[0]) != (i == j) or not (i == j or row_sum_zero[k]):
+                failures.append(("row", i, j))
+    rows_ok = not failures
+    columns_ok = True
+    for c, col in enumerate(zip(*exps)):
+        if _uniform_sum_is_zero(col, m) == (elements[c] == G.identity):
+            columns_ok = False
+            failures.append(("column", c, c))
+    return rows_ok, columns_ok, tuple(failures)
+
+
+@st.composite
+def fake_abelian_tables(draw):
+    """Distinct exponent rows on Cyc(6) or Cyc(2)*Cyc(4): a subgroup of the
+    dual group, any set of characters, or characters with some entries
+    moved by m or replaced; the zero row kept or dropped."""
+    G = named_group(draw(st.sampled_from(["Cyc(6)", "Cyc(2)*Cyc(4)"])))
+    table = character_table(G)
+    m, n = table.conductor, len(table.classes)
+    chars = sorted(tuple(next(iter(t)) for t in row) for row in table.rows)
+    kind = draw(st.sampled_from(["subgroup", "subset", "shifted", "noisy"]))
+    if kind == "subgroup":
+        span = {(0,) * n}
+        for g in draw(st.lists(st.sampled_from(chars), max_size=3)):
+            while any(tuple((a + b) % m for a, b in zip(x, g)) not in span for x in span):
+                span |= {tuple((a + b) % m for a, b in zip(x, g)) for x in span}
+        rows = sorted(span)
+    else:
+        rows = draw(st.lists(st.sampled_from(chars), min_size=1, unique=True))
+        if kind == "shifted":
+            i, c = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, n - 1))
+            rows[i] = tuple(e + m * (j == c) for j, e in enumerate(rows[i]))
+        elif kind == "noisy":
+            rows += draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * n), max_size=2))
+    zero = (0,) * n
+    if draw(st.booleans()):
+        rows = [row for row in rows if row != zero]
+    elif zero not in rows:
+        rows.append(zero)
+    rows = list(dict.fromkeys(rows))
+    if not rows:
+        rows = [zero]
+    rows = draw(st.permutations(rows))
+    return CharacterTable(G, table.classes, m, [tuple({e: 1} for e in row) for row in rows])
+
+
+@settings(max_examples=400, deadline=None)
+@given(fake_abelian_tables())
+def test_abelian_orthogonality_matches_the_pairwise_reference(table):
+    try:
+        expected = reference_abelian_report(table)
+    except HkrError as exc:
+        with pytest.raises(HkrError) as got:
+            orthogonality_report(table)
+        assert str(got.value) == str(exc)
+    else:
+        report = orthogonality_report(table)
+        assert (report.rows_ok, report.columns_ok, report.failures) == expected
 
 
 def test_tallies_are_never_mutated():
