@@ -41,6 +41,7 @@ from .errors import CapExceeded, HkrError
 from .groupcore import (
     FiniteGroup,
     Permutation,
+    _compose,
     class_index,
     conjugacy_classes,
     orbit_search,
@@ -191,15 +192,13 @@ def _abelian_rows(G: FiniteGroup, classes, m: int):
 
 
 def _find_modular_prime(m: int, order: int, *, above: int = 0) -> int:
-    """The least prime q = 1 mod m above 2 * sqrt(order) + 1 and above `above`."""
+    """The least prime q = 1 mod m above 2 * sqrt(order) + 1 and above `above`:
+    there are infinitely many (Dirichlet), and is_prime decides each exactly."""
     bound = max(2 * math.isqrt(order) + 1, above)
     q = m + 1
-    while True:
-        if q > bound and is_prime(q):
-            return q
+    while q <= bound or not is_prime(q):
         q += m
-        if q > 10_000_000:
-            raise HkrError(f"no usable prime q = 1 mod {m} found")
+    return q
 
 
 def _roots_of_unity(q: int, m: int) -> list[int]:
@@ -681,93 +680,65 @@ def _uniform_sum_is_zero(exponents, m: int) -> bool:
     return True
 
 
-def _closed_under_differences(vecs, m: int) -> bool:
-    """Whether the vectors are a subgroup of (Z/m)^n: their span, grown by
-    orbit search from the zero vector under vectors taken greedily among
-    them, each outside the span of the earlier ones, must be exactly the set
-    of vectors.  The search stops once the span outgrows the set, so no span
-    searched has more than len(vecs) * m elements."""
-    have = set(vecs)
-    zero = (0,) * len(vecs[0])
-    gens, span = [], {zero}
-
-    def add(x, s):
-        return tuple([(a + b) % m for a, b in zip(x, s)])
-
-    for v in vecs:
-        if v not in span:
-            gens.append(v)
-            (orbit,) = orbit_search([zero], gens, add)
-            if len(orbit) > len(have):
-                return False
-            span = set(orbit)
-    return span == have
-
-
 def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
-    """Both relations via dual-group structure.
+    """Both relations from the dual group Hom(G, Z/m).
 
-    Products of characters are characters (multiplicativity is validated
-    exhaustively during construction), so each row inner product is the
-    element-sum of the difference character, located by its generator
-    exponents in O(1).  Single-character sums are certified exactly: the
-    value multiset must cover the d-th roots of unity uniformly, and the
-    vanishing of each root sum is verified once per divisor.  The column
-    relation for pairs reduces by multiplicativity to the per-element sums
-    over all characters, which are all checked directly.
+    Each entry must be one root of unity {e: 1}, read as e mod m, else an
+    ("entry", i, k) failure; each distinct tally object is read once, since
+    the construction shares one per exponent.  Each row must be a
+    homomorphism, row[x*g] == row[x] + row[g] mod m for every generator g
+    and element x (at x = 1 this gives row[1] == 0), else a ("homomorphism",
+    i) failure.  Rows with the same generator images are the same
+    homomorphism, a ("row", j, i) failure.  Distinct homomorphisms are
+    orthogonal: their difference is a nontrivial one, which takes each value
+    of its image, the d-th roots of unity for some d > 1 dividing m, equally
+    often, and the sum of the d-th roots is certified zero once per divisor
+    d > 1 of m.  With r == |G| such rows the table is square, and the column
+    relation follows as for the certificate.
     """
-    m = table.conductor
-    G = table.group
-    r = table.size
-    exps = [list(map(next, map(iter, row))) for row in table.rows]
+    m, rows = table.conductor, table.rows
     elements = [cls.representative for cls in table.classes]
-    loc = {g: j for j, g in enumerate(elements)}
-    gen_cols = [loc[g] for g in G.generators]
-    vecs = [tuple([row[c] for c in gen_cols]) for row in exps]
-    index = {v: i for i, v in enumerate(vecs)}
-    if len(index) != r:
-        raise HkrError("generator exponents do not separate the characters")
+    n = len(elements)
+    at = {x.images: j for j, x in enumerate(elements)}
+    gens = [g.images for g in table.group.generators]
+    gen_cols = list(map(at.__getitem__, gens))
+    # steps[i](row): the entries at x * g_i for every x, in one C-level call
+    # (a scalar, not a tuple, when there is one class, as on the other side)
+    steps = [operator.itemgetter(*[at[_compose(x.images, g)] for x in elements]) for g in gens]
+    exponent = {}  # id of each distinct tally read so far -> its exponent mod m, or None
+    rotate = list(range(m)) * 2  # rotate[a:a + m][e] == (e + a) % m
 
     failures = []
-    rows_ok = True
-    row_sum_zero = [_uniform_sum_is_zero(row, m) for row in exps]
-    trivial = next(
-        (i for i in range(r) if not row_sum_zero[i] and all(e == 0 for e in exps[i])), None
-    )
-    if trivial is None:
-        raise HkrError("no row is the trivial character")
-    # a row whose sum is not certified zero is zero mod m, so its generator
-    # vector, if reduced, is the trivial row's: when the vectors are closed
-    # under differences, each difference of two rows is a nontrivial row
-    # with a zero sum and every pair passes
-    if not _closed_under_differences(vecs, m):
-        for i in range(r):
-            for j in range(i, r):
-                diff = tuple((exps[i][c] - exps[j][c]) % m for c in gen_cols)
-                k = index.get(diff)
-                if k is None:
-                    rows_ok = False
-                    failures.append(("row-closure", i, j))
-                    continue
-                if i == j:
-                    ok = k == trivial
-                else:
-                    ok = k != trivial and row_sum_zero[k]
-                if not ok:
-                    rows_ok = False
-                    failures.append(("row", i, j))
-
-    # columns: sum over all characters at a fixed element is |G| at the
-    # identity and zero elsewhere; pairs (g, h) reduce to the element g*h^-1
-    # by multiplicativity, so checking every element covers every pair.
-    cols_ok = True
-    ident = G.identity
-    for c, col in enumerate(zip(*exps)):
-        is_zero = _uniform_sum_is_zero(col, m)
-        if is_zero == (elements[c] == ident):
-            cols_ok = False
-            failures.append(("column", c, c))
-    return OrthogonalityReport(rows_ok, cols_ok, tuple(failures))
+    first_with = {}  # generator images -> the first row with them
+    for i, row in enumerate(rows):
+        try:
+            exps = list(map(exponent.__getitem__, map(id, row)))
+        except KeyError:  # a tally not read yet
+            for t in row:
+                if id(t) not in exponent:
+                    ((e, c),) = t.items() if len(t) == 1 else [(None, 0)]
+                    exponent[id(t)] = e % m if c == 1 else None
+            exps = list(map(exponent.__getitem__, map(id, row)))
+        if None in exps:
+            failures += [("entry", i, k) for k, e in enumerate(exps) if e is None]
+            continue
+        if any(
+            step(exps) != operator.itemgetter(*exps)(rotate[a:a + m])
+            for step, a in zip(steps, map(exps.__getitem__, gen_cols))
+        ):
+            failures.append(("homomorphism", i))
+            continue
+        j = first_with.setdefault(tuple(map(exps.__getitem__, gen_cols)), i)
+        if j != i:
+            failures.append(("row", j, i))
+    if failures:
+        return OrthogonalityReport(False, False, tuple(failures))
+    for d in range(2, m + 1):
+        if m % d == 0:
+            _certify_root_sum_zero(m, d)
+    if len(rows) != n:
+        failures.append(("column", len(rows), n))
+    return OrthogonalityReport(True, len(rows) == n, tuple(failures))
 
 
 def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityReport:
@@ -780,9 +751,11 @@ def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityRep
     the Galois group, hence a rational integer, with |a_ij| <= |G| * B^2 for
     B the largest count sum of a tally.  At a root of unity of order m mod a
     prime q = 1 mod m with q > 2|G|(B^2 + 1), other than the prime the table
-    was lifted with, the Gram matrix mod q decides every a_ij exactly.  For a
-    square table the column relation follows: X D X* = |G| I gives
-    X* X = |G| D^-1.
+    was lifted with, the Gram matrix mod q decides every a_ij exactly.  Each
+    conj(chi_j(g_k)) is chi_j(g_k^-1), read off the values mod q at the
+    class of g_k^-1: -1 is a product of the generators l, so the Galois check
+    covers row[class of g^-1] == -1 * row[g] too.  For a square table the
+    column relation follows: X D X* = |G| I gives X* X = |G| D^-1.
     """
     m, order, rows = table.conductor, table.group.order, table.rows
     sizes = [len(cls.members) for cls in table.classes]
@@ -803,9 +776,11 @@ def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityRep
     lifted_with = _find_modular_prime(m, order)
     q = _find_modular_prime(m, order, above=max(2 * order * (bound * bound + 1), lifted_with))
     zp = _roots_of_unity(q, m)
-    values = [[sum(c * zp[e % m] for e, c in t.items()) for t in row] for row in rows]
+    values = [[sum(c * zp[e % m] for e, c in t.items()) % q for t in row] for row in rows]
     weighted = [[s * x % q for s, x in zip(sizes, row)] for row in values]
-    conj = [[sum(c * zp[-e % m] for e, c in t.items()) % q for t in row] for row in rows]
+    # conj(chi(g)) = chi(g^-1), the Galois check's relation for l = -1
+    inverse = [walk[-1 % len(walk)] for walk in walks]
+    conj = [list(map(row.__getitem__, inverse)) for row in values]
     for i, wi in enumerate(weighted):
         for j in range(i, len(rows)):
             if (sum(map(operator.mul, wi, conj[j])) - (order if i == j else 0)) % q:
