@@ -36,7 +36,7 @@ import operator
 from collections import Counter, namedtuple
 from fractions import Fraction
 
-from .commuting import _p_power_class_indices
+from .commuting import _p_power_class_indices, _unit_generators
 from .errors import CapExceeded, HkrError
 from .groupcore import (
     FiniteGroup,
@@ -44,7 +44,6 @@ from .groupcore import (
     _compose,
     class_index,
     conjugacy_classes,
-    orbit_search,
     power_map,
     sym_group,
 )
@@ -89,18 +88,6 @@ def _tally_coords(terms, m: int) -> tuple[int, ...]:
     0 <= e < m, read from the field's table of powers."""
     field = CyclotomicNumber.field(m)
     return tuple(field.add_terms([0] * field.dimension, terms))
-
-
-def _unit_generators(units, n: int) -> list[int]:
-    """Units mod n taken greedily from the given ones, each outside the group
-    the earlier ones generate: together they generate the same group."""
-    gens, span = [], {1 % n}
-    for u in units:
-        if u % n not in span:
-            gens.append(u)
-            (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)
-            span = set(orbit)
-    return gens
 
 
 def _galois_units(m: int) -> list[int]:
@@ -657,29 +644,6 @@ def _certify_root_sum_zero(m: int, d: int) -> None:
         raise HkrError(f"sum of {d}-th roots of unity is not zero at conductor {m}")
 
 
-def _uniform_sum_is_zero(exponents, m: int) -> bool:
-    """Exact evaluation of sum zeta_m^e over a list of exponents, for the
-    lists that arise from character sums: the values must cover the d-th
-    roots of unity equally often for some d.  Returns True when the sum is
-    certified zero, False when it is visibly the all-zero exponent list
-    (sum = len), and raises if the multiset has any other shape.
-    """
-    counts = Counter(exponents)
-    if counts and (min(counts) < 0 or max(counts) >= m):
-        counts = Counter(map(m.__rmod__, exponents))  # e % m for each e
-    g0 = math.gcd(m, *counts)
-    d = m // g0
-    if d == 1:
-        if set(counts) != {0}:
-            raise HkrError("character sum has unexpected shape")
-        return False
-    each, rem = divmod(len(exponents), d)
-    if rem or counts != dict.fromkeys(range(0, m, g0), each):
-        raise HkrError("character sum is not equidistributed over roots of unity")
-    _certify_root_sum_zero(m, d)
-    return True
-
-
 def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     """Both relations from the dual group Hom(G, Z/m).
 
@@ -909,37 +873,20 @@ def character_map(G: FiniteGroup, p: int, chi: ClassFunction) -> ClassFunction:
 def char_matrix_rank(G: FiniteGroup, p: int) -> int:
     """Rank of the irreducible table restricted to p-power-order columns.
 
-    Abelian groups: distinct restricted rows are linear characters of the
-    subgroup of p-power-order elements, and their pairwise Gram sums are
-    certified to be |H| * identity with the uniform-root-tally argument, so
-    the rank equals the number of distinct rows.  Nonabelian groups: the
-    table is specialized to F_q at a root of unity of exact order m, which
-    can only lower the rank; full column rank mod q therefore certifies full
+    Rows whose restricted entries are the same tally objects are the same row
+    and are kept once (an abelian table shares one tally per exponent).  The
+    rows are specialized to F_q at a root of unity of exact order m, which can
+    only lower the rank; full column rank mod q therefore certifies full
     column rank over the cyclotomic field, with exact cyclotomic elimination
     as the fallback.
     """
     table = character_table(G)
     m = table.conductor
     idx = _p_power_class_indices(G, p)  # never empty: the identity is there
-    if G.is_abelian():
-        exps = [tuple(next(iter(row[k])) for k in idx) for row in table.rows]
-        distinct = sorted(set(exps))
-        d = len(distinct)
-        h = len(idx)
-        for i in range(d):
-            for j in range(i + 1, d):
-                diff = [(a - b) % m for a, b in zip(distinct[i], distinct[j])]
-                if not _uniform_sum_is_zero(diff, m):
-                    raise HkrError("distinct restricted rows fail orthogonality")
-        if d > h:
-            raise HkrError(f"{d} orthogonal rows cannot live in dimension {h}")
-        return d
+    rows = {tuple(map(id, map(row.__getitem__, idx))): row for row in table.rows}.values()
     q = _find_modular_prime(m, G.order)
     zp = _roots_of_unity(q, m)
-    mat_q = [
-        [sum(cnt * zp[e % m] for e, cnt in table.rows[i][k].items()) for k in idx]
-        for i in range(table.size)
-    ]
+    mat_q = [[sum(cnt * zp[e % m] for e, cnt in row[k].items()) for k in idx] for row in rows]
     _, pivots = rref_mod(mat_q, q)
     if len(pivots) == len(idx):
         return len(idx)

@@ -48,6 +48,7 @@ __all__ = [
 DEFAULT_WORK_CAP = 100_000_000
 DEFAULT_SUBGROUP_CAP = 1_000_000
 DEFAULT_GL_CAP = 1_000_000
+_RANK_CAP = 10**4300
 
 
 def is_p_power_order(g: Permutation, p: int) -> bool:
@@ -156,14 +157,20 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
     Computed by peeling one entry at a time: classes of n-tuples correspond to
     pairs (conjugacy class of a p-power element g, class of an (n-1)-tuple in
     the centralizer of g).  This agrees with len(tuple_classes(G, p, n)) but
-    stays cheap when the tuple set itself would be large.
+    stays cheap when the tuple set itself would be large.  An abelian G has
+    |G_p|^n classes, refused before it reaches 10^4300, past which its
+    digits would not print.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1
     if G.is_abelian():
-        return len(p_power_elements(G, p)) ** n
+        size = len(p_power_elements(G, p))
+        rank = capped_power(size, n, _RANK_CAP)
+        if rank >= _RANK_CAP:  # more digits than Python prints
+            raise CapExceeded(f"rank {size}^{n} exceeds cap 10^4300")
+        return rank
     idx = _p_power_class_indices(G, p)
     if n == 1:
         return len(idx)
@@ -171,18 +178,27 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
     return sum(rank_prediction(centralizer(G, [classes[k].representative]), p, n - 1) for k in idx)
 
 
-def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[tuple]:
-    """All of GL_n(Z/p^k) as tuples of rows, lexicographic in the flattened
-    entries; a matrix over Z/p^k is invertible when it is invertible mod p."""
+def _gl_level(p: int, n: int, k: int, cap: int) -> int:
+    """p^k, after checking that the (p^k)^(n^2) n x n matrices over Z/p^k
+    number at most cap.  At n = 0 a level past cap passes, and is returned
+    only partly built."""
     if n < 0:
         raise ValueError("n must be >= 0")
     mod = capped_power(p, k, cap)
     if capped_power(mod, n * n, cap) > cap:
         raise CapExceeded(f"GL enumeration size ({p}^{k})^{n * n} exceeds cap {cap}")
+    return mod
+
+
+def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[tuple]:
+    """All of GL_n(Z/p^k) as tuples of rows, lexicographic in the flattened
+    entries; a matrix over Z/p^k is invertible when it is invertible mod p,
+    and over Z/1 (k = 0) the one matrix, zero, is the identity."""
+    mod = _gl_level(p, n, k, cap)
     out = []
     for flat in iter_product(range(mod), repeat=n * n):
         rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if len(rref_mod(rows, p)[1]) == n:
+        if mod == 1 or len(rref_mod(rows, p)[1]) == n:
             out.append(rows)
     return out
 
@@ -210,35 +226,51 @@ def apply_matrix(t: tuple, sigma: tuple, identity: Permutation) -> tuple:
     return tuple(evaluate(t, column, identity) for column in zip(*sigma))
 
 
+def _unit_generators(units, n: int) -> list[int]:
+    """Units mod n taken greedily from the given ones, each outside the group
+    the earlier ones generate: together they generate the same group."""
+    gens, span = [], {1 % n}
+    for u in units:
+        if u % n not in span:
+            gens.append(u)
+            (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)
+            span = set(orbit)
+    return gens
+
+
 def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleClass]]:
     """Orbits of GL_n(Z/p^k) on the conjugation classes of commuting tuples.
 
     Requires p^k to annihilate every tuple entry (the exponents live in Z/p^k).
-    Orbits are lists of TupleClass values; both layers are canonically ordered.
+    An orbit of a group is an orbit of its generators, searched by
+    orbit_search: the transvections I + E_ij, which generate SL_n over the
+    local ring Z/p^k, and diag(u, 1, ..., 1) for generators u of the units mod
+    p^k.  The GL cap, (p^k)^(n^2) matrices, runs before any tuple is built and
+    bounds the units scanned.  Orbits are lists of TupleClass values; both
+    layers are canonically ordered.
     """
     walks = power_map(G)
-    worst = max(len(walks[k]) for k in _p_power_class_indices(G, p))
+    worst = max(len(walks[c]) for c in _p_power_class_indices(G, p))
     mod = capped_power(p, k, worst)  # exact up to worst, a power of p
     if mod % worst != 0:
         raise ValueError(
             f"p^k = {mod} does not annihilate all p-power elements (max order {worst})"
         )
-    mats = gl_matrices(p, n, k)  # its cap runs before any tuple is built
+    mod = _gl_level(p, n, k, DEFAULT_GL_CAP)
+
+    def elementary(i, j, a):  # the identity matrix with entry (i, j) set to a
+        return tuple(tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
+
+    gens = [elementary(i, j, 1) for i in range(n) for j in range(n) if i != j]
+    if n:
+        gens += [elementary(0, 0, u) for u in _unit_generators((u for u in range(2, mod) if u % p), mod)]
     classes, member_class = _indexed_tuple_classes(G, p, n)
     ident = G.identity
-    seen = set()
-    orbit_lists = []
-    for idx in range(len(classes)):
-        if idx in seen:
-            continue
-        rep = classes[idx].representative
-        hit = {member_class[apply_matrix(rep, sigma, ident)] for sigma in mats}
-        if idx not in hit:
-            raise ValueError("identity matrix did not fix a class; inconsistent state")
-        seen |= hit
-        orbit_lists.append(sorted(hit))
-    orbit_lists.sort(key=lambda o: o[0])
-    return [[classes[i] for i in orbit] for orbit in orbit_lists]
+    orbits = orbit_search(
+        range(len(classes)), gens,
+        lambda c, s: member_class[apply_matrix(classes[c].representative, s, ident)],
+    )
+    return [[classes[c] for c in orbit] for orbit in orbits]
 
 
 def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:

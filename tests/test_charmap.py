@@ -31,7 +31,6 @@ from hkr.charmap import (
     _rational_classes,
     _roots_of_unity,
     _tally_coords,
-    _uniform_sum_is_zero,
     adams_psi,
     char_matrix_rank,
     character_map,
@@ -330,19 +329,6 @@ def test_column_orthogonality_values():
             )
             expected = centralizer_orders[a] if a == b else 0
             assert total == expected
-
-
-def test_uniform_sum_certificate():
-    assert _uniform_sum_is_zero([0, 0, 0], 6) is False  # all-zero list, not a root sum
-    assert _uniform_sum_is_zero([0, 2, 4], 6) is True  # full set of cube roots
-    assert _uniform_sum_is_zero([0, 3, 0, 3], 6) is True  # doubled pair of square roots
-    assert _uniform_sum_is_zero([6, 8, -2], 6) is True  # exponents are read mod m
-    for bad in ([0, 0, 2], [0, 2, 4, 4], [0, 2, 2, 4, 4, 0, 0], [1, 3, 5]):
-        with pytest.raises(HkrError, match="not equidistributed"):
-            _uniform_sum_is_zero(bad, 6)
-    for single in ([3], [2, 2, 2], [1, 1]):  # one nonzero value, however often
-        with pytest.raises(HkrError):
-            _uniform_sum_is_zero(single, 6)
 
 
 def tally_rows_digest(groups):

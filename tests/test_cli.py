@@ -304,11 +304,39 @@ def test_zpn_sets_refuses_huge_level_quickly():
     # rank and tuples recurse once per entry (RecursionError traceback)
     (["rank", "--group", "Sym(3)", "--p", "2", "--n", "2000"], "recursion"),
     (["tuples", "--group", "Sym(3)", "--p", "2", "--n", "3000"], "recursion"),
-], ids=["gl-orbits-n30", "rank-n2000", "tuples-n3000"])
+    # an abelian rank |G_p|^n was computed whatever its size: 3^300000000 ran
+    # past 120 s, and past 4300 digits the answer exited 2 on printing
+    (["rank", "--group", "Cyc(3)", "--p", "3", "--n", "300000000"], "cap"),
+    (["rank", "--group", "Cyc(2)", "--p", "2", "--n", "20000"], "cap"),
+    (["rank", "--group", "Cyc(4)", "--p", "2", "--n", "8000"], "cap"),
+], ids=["gl-orbits-n30", "rank-n2000", "tuples-n3000", "rank-3^300000000", "rank-2^20000", "rank-4^8000"])
 def test_deep_n_fails_in_one_line_quickly(argv, needle):
     done, seconds = run_python(["-m", "hkr", *argv, "--no-cache"])
     assert seconds < 5
     assert_one_line_failure(done, needle)
+
+
+def test_abelian_rank_below_the_cap_prints_in_full(capsys):
+    argv = ["rank", "--group", "Cyc(2)", "--p", "2", "--n", "14000", "--no-cache", "--format", "plain"]
+    code, out, err = invoke(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == f"{2**14000}\n" and len(out) == 4215 + 1
+
+
+def test_gl_orbits_from_generators_is_quick():
+    # the whole of GL_2(Z/27), 314,928 matrices, used to be applied per orbit
+    argv = ["gl-orbits", "--group", "Cyc(3)", "--p", "3", "--n", "2", "--k", "3", "--no-cache"]
+    done, seconds = run_python(["-m", "hkr", *argv])
+    assert done.returncode == 0 and done.stderr == ""
+    assert seconds < 5
+
+
+def test_gl_orbits_at_level_zero(capsys):
+    # GL_1(Z/1) is one matrix; the 2-part of Cyc(3) is trivial, so one class
+    argv = ["gl-orbits", "--group", "Cyc(3)", "--p", "2", "--n", "1", "--k", "0", "--no-cache"]
+    assert invoke(capsys, argv + ["--format", "plain"]) == (0, "1\n", "")
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0 and json.loads(out)["orbits"] == [{"class_count": 1, "classes": [["()"]]}]
 
 
 def test_adams_with_a_huge_k_is_quick_and_reduces_mod_the_exponent():

@@ -1,5 +1,8 @@
 """Commuting tuples, the rank prediction, and the level-k lattice counts."""
 
+import functools
+from itertools import product
+
 import pytest
 
 from hkr.commuting import (
@@ -146,6 +149,62 @@ def test_gl_action_orbits_on_cyclic_group():
     orbits = gl_action_orbits(G, 2, 1, 2)
     # {e}, {g, g^3}, {g^2} under the units of Z/4
     assert sorted(len(o) for o in orbits) == [1, 1, 2]
+
+
+def test_gl_matrices_at_level_zero_is_the_zero_ring_identity():
+    # over Z/1 the zero matrix is the identity, so GL_n(Z/1) has one element
+    assert gl_matrices(2, 2, 0) == [((0, 0), (0, 0))]
+    assert gl_matrices(3, 1, 0) == [((0,),)]
+    assert gl_matrices(2, 0, 0) == [()]
+
+
+all_gl_matrices = functools.cache(gl_matrices)
+
+
+@functools.cache
+def gl_columns(p, n, k, e):
+    """The columns of each matrix of GL_n(Z/p^k), entries reduced mod e: on
+    tuples whose entries have orders dividing e that changes no image."""
+    return {tuple(tuple(x % e for x in col) for col in zip(*s)) for s in all_gl_matrices(p, n, k)}
+
+
+def whole_group_orbits(G, p, n, k, e):
+    """The orbits of every matrix of GL_n(Z/p^k) on the tuple classes, each
+    one found from its least class; a class holds every conjugate of its
+    representative."""
+    classes = tuple_classes(G, p, n)
+    class_of = {tuple(x.conjugate_by(g) for x in c.representative): i
+                for i, c in enumerate(classes) for g in G.elements}
+    ident = G.identity
+    orbits, seen = [], set()
+    for i, c in enumerate(classes):
+        if i in seen:
+            continue
+        # an image entry depends only on its column: apply each column once
+        image = {v: apply_matrix(c.representative, tuple((x,) for x in v), ident)
+                 for v in product(range(e), repeat=n)}
+        orbit = {class_of[sum(map(image.__getitem__, cols), ())] for cols in gl_columns(p, n, k, e)}
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return [[classes[i] for i in orbit] for orbit in orbits]
+
+
+ORACLE_GROUPS = ("Cyc(1)", "Cyc(3)", "Cyc(4)", "Cyc(8)", "Cyc(9)", "Dih(4)", "Q8", "Sym(3)", "Sym(4)",
+                 "Cyc(2)*Cyc(4)")
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_gl_action_orbits_match_the_whole_group(spec):
+    G = named_group(spec)
+    checked = 0
+    for p in (2, 3):
+        e = max(g.order() for g in p_power_elements(G, p))
+        for n, k in product(range(4), range(4)):
+            if p**k % e or (p**k) ** (n * n) > 1_000_000:  # not annihilated, or past the GL cap
+                continue
+            assert gl_action_orbits(G, p, n, k) == whole_group_orbits(G, p, n, k, e), (p, n, k)
+            checked += 1
+    assert checked >= 12
 
 
 def test_gl_action_orbit_partition():
