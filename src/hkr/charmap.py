@@ -44,8 +44,8 @@ from .groupcore import (
     _compose,
     class_index,
     conjugacy_classes,
+    named_group,
     power_map,
-    sym_group,
 )
 from .rings import (
     CyclotomicNumber,
@@ -514,7 +514,7 @@ class CharacterTable:
         self.conductor = conductor
         self.rows = tuple(rows)
         self.degrees = tuple(row[0].get(0, 0) for row in rows)
-        self._values: dict[tuple, CyclotomicNumber] = {}  # one per distinct tally
+        self._values: dict = {}  # one per distinct tally: by sorted items, and by id in rows
         self._irr: dict[int, ClassFunction] = {}
 
     @property
@@ -522,10 +522,14 @@ class CharacterTable:
         return len(self.rows)
 
     def value(self, i: int, j: int) -> CyclotomicNumber:
-        key = tuple(sorted(self.rows[i][j].items()))
-        got = self._values.get(key)
+        tally = self.rows[i][j]
+        got = self._values.get(id(tally))
         if got is None:
-            got = self._values[key] = CyclotomicNumber.from_tally(self.conductor, dict(key))
+            key = tuple(sorted(tally.items()))
+            got = self._values.get(key)
+            if got is None:
+                got = self._values[key] = CyclotomicNumber.from_tally(self.conductor, tally)
+            self._values[id(tally)] = got
         return got
 
     def irreducible(self, i: int) -> ClassFunction:
@@ -947,7 +951,7 @@ def total_power(k: int, chi: ClassFunction) -> ClassFunction:
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_power_degree(k)
-    sclasses = conjugacy_classes(sym_group(k))
+    sclasses = conjugacy_classes(named_group(f"Sym({k})"))  # built once per process
     rows = _cycle_products(chi, [scls.representative.cycle_lengths() for scls in sclasses])
     pairs = [(scls, gcls) for scls in sclasses for gcls in chi.classes]
     values = [val for row in rows for val in row]

@@ -26,6 +26,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import HkrError, ParseError
+from .primality import is_prime
 
 try:  # the interpreter's own BLAKE2; hashlib would load OpenSSL to key the cache
     from _blake2 import blake2b as _hash
@@ -184,18 +185,17 @@ def _class_functions_payload(args, G, functions) -> dict:
                  characters=[f.to_json() for f in functions])
 
 
-def _class_functions_plain(functions) -> str:
-    lines = []
-    for f in functions:
-        values = "  ".join(v.to_text() for v in f.values)
-        lines.append(f"{f.label or '?'}: {values}")
-    return "\n".join(lines)
+def _class_functions_plain(functions):
+    """What builds the plain text of the functions, one line each."""
+    return lambda: "\n".join(
+        f"{f.label or '?'}: " + "  ".join(v.to_text() for v in f.values) for f in functions
+    )
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, plain text, csv rows or None)
-# and imports its layer when it runs, so that a one-shot call loads only
-# what its command needs and a cache hit loads none
+# subcommand handlers: each returns (payload, plain text or a function building
+# it, csv rows or None) and imports its layer when it runs, so that a one-shot
+# call loads only what its command needs and a cache hit loads none
 
 
 def _group(args):
@@ -326,12 +326,14 @@ def _cmd_chartable(args):
     from .charmap import character_table
     G = _group(args)
     table = character_table(G)
-    payload = table.to_json()
-    lines = [f"{G.name}: {table.size} classes, conductor {table.conductor}"]
-    text = functools.cache(lambda value: value.to_text())  # values repeat across the table
-    for i in range(table.size):
-        lines.append("  ".join(text(table.value(i, j)) for j in range(table.size)))
-    return payload, "\n".join(lines), None
+
+    def plain():
+        lines = [f"{G.name}: {table.size} classes, conductor {table.conductor}"]
+        text = functools.cache(lambda value: value.to_text())  # values repeat across the table
+        for i in range(table.size):
+            lines.append("  ".join(text(table.value(i, j)) for j in range(table.size)))
+        return "\n".join(lines)
+    return table.to_json(), plain, None
 
 
 def _images(args, op):
@@ -497,7 +499,6 @@ def _int(text: str) -> int:
 
 def _prime(text: str) -> int:
     """Argument type of every --p: a prime number."""
-    from .rings import is_prime  # not at module level: it loads fractions and decimal
     value = _int(text)
     try:
         prime = is_prime(value)
@@ -644,7 +645,7 @@ def _render(args, payload, plain, rows) -> str:
         writer.writerows(rows)
         return buf.getvalue()
     if args.format == "plain":
-        return plain + "\n"
+        return (plain() if callable(plain) else plain) + "\n"
     return _render_json(payload)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .primality import PRIMALITY_BOUND, is_prime
+
 __all__ = [
     "QuotientRing",
     "RingElement",
@@ -154,35 +156,6 @@ def poly_to_text(p, var="x") -> str:
     return " + ".join(parts)
 
 
-# The first 13 primes as Miller-Rabin bases decide primality below this bound
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; raises ValueError for n >= PRIMALITY_BOUND,
-    where these bases prove nothing."""
-    if n >= PRIMALITY_BOUND:
-        raise ValueError(f"primality is only decided below {PRIMALITY_BOUND}, got {n}")
-    if n < 2 or any(n % a == 0 for a in _MR_BASES):
-        return n in _MR_BASES
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending."""
     out = []
@@ -311,9 +284,10 @@ class QuotientRing:
     def _make(self, coords) -> RingElement:
         out = object.__new__(self.element_type)
         out.ring = self
-        out.coeffs = tuple(
-            c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in coords
-        )
+        if Fraction in map(type, coords):  # one scan in C; ints need no normalizing
+            coords = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for c in coords]
+        out.coeffs = tuple(coords)
         return out
 
     def element(self, coeffs) -> RingElement:
@@ -386,15 +360,21 @@ class RingElement:
         return self.ring._make([-c for c in self.coeffs])
 
     def __mul__(self, other):
+        # nonzero coordinates only; exponents from the dimension up go through the table
         other = self._check(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        ring = self.ring
+        d = ring.dimension
+        out, high = [0] * d, {}
+        right = [(j, y) for j, y in enumerate(other.coeffs) if y]
+        for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return self.ring.element(prod)
+                for j, y in right:
+                    e = i + j
+                    if e < d:
+                        out[e] += x * y
+                    else:
+                        high[e] = high.get(e, 0) + x * y
+        return ring._make(ring.add_terms(out, high.items()))
 
     __rmul__ = __mul__
 
@@ -405,15 +385,16 @@ class RingElement:
         return self.inverse() * other
 
     def __pow__(self, k: int):
+        # from the top binary digit of k down: a square per digit, a product per 1 after the first
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return self.ring.one
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def inverse(self) -> RingElement:

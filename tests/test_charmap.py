@@ -813,6 +813,31 @@ def test_total_power_matches_cycle_formula():
             assert P.values[si * n + gi] == want
 
 
+def test_total_power_takes_sym_k_from_the_named_group_cache():
+    sclasses = conjugacy_classes(named_group("Sym(8)"))
+    for chi in irreducible_characters(named_group("Cyc(5)")):
+        P = total_power(8, chi)
+        n = len(chi.classes)
+        assert len(P.classes) == len(sclasses) * n
+        for si, scls in enumerate(sclasses):
+            assert all(P.classes[si * n + gi][0] is scls for gi in range(n))
+
+
+@pytest.mark.parametrize("spec", ["Cyc(12)", "Cyc(2)*Cyc(6)", "Q8", "Sym(4)", "Dih(7)"])
+def test_table_values_are_one_object_per_distinct_tally(spec):
+    table = character_table(named_group(spec))
+    by_id, by_items = {}, {}
+    for i, row in enumerate(table.rows):
+        for j, tally in enumerate(row):
+            value = table.value(i, j)
+            want = CyclotomicNumber.from_tally(table.conductor, tally)
+            assert value == want and value.coords == want.coords
+            assert by_id.setdefault(id(tally), value) is value
+            assert by_items.setdefault(tuple(sorted(tally.items())), value) is value
+    if table.group.is_abelian():  # one tally object per exponent, shared across the table
+        assert len(by_id) == len(by_items) < table.size**2
+
+
 def test_total_power_degree_cap():
     chi = irreducible_characters(named_group("Cyc(2)"))[0]
     with pytest.raises(CapExceeded):

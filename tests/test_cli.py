@@ -85,6 +85,18 @@ def test_csv_is_rank_only(capsys):
     assert "csv" in err
 
 
+def test_plain_text_is_built_only_for_plain_output(capsys, monkeypatch):
+    from hkr.charmap import CharacterTable
+    calls = []
+    value = CharacterTable.value
+    monkeypatch.setattr(CharacterTable, "value", lambda *a: calls.append(a) or value(*a))
+    argv = ["chartable", "--group", "Dih(7)", "--no-cache"]
+    code, out, _ = invoke(capsys, argv)
+    assert code == 0 and json.loads(out)["group"] == "Dih(7)" and not calls
+    code, out, _ = invoke(capsys, argv + ["--format", "plain"])
+    assert code == 0 and out.startswith("Dih(7): 5 classes") and len(calls) == 25
+
+
 def test_bad_group_reports_grammar(capsys):
     code, out, err = invoke(capsys, ["rank", "--group", "Sim(3)", "--p", "2", "--n", "1", "--no-cache"])
     assert code == 2
@@ -554,7 +566,7 @@ def test_huge_levels_are_refused_before_they_are_built(argv, needle):
 # what a one-shot call must not load unless its command needs it
 LAZY_MODULES = {"hkr.charmap", "hkr.acceptance", "hkr.fgl", "hkr.inertia", "hkr.levelrings",
                 "dataclasses", "inspect"}
-# what no call loads, except hkr.rings (with fractions and decimal) for a --p
+# what parsing no call loads, a --p included: its primality test needs only ints
 ARGUMENT_MODULES = {"_hashlib", "fractions", "decimal", "hkr.rings"}
 
 
@@ -582,7 +594,7 @@ def test_cache_hit_loads_no_layer_module(tmp_path):
     assert {"hkr.commuting", "hkr.groupcore"} <= loaded
     assert not loaded & LAZY_MODULES
     loaded = loaded_modules(script)
-    assert not loaded & (LAZY_MODULES | {"hkr.commuting", "hkr.groupcore"})
+    assert not loaded & (LAZY_MODULES | ARGUMENT_MODULES | {"hkr.commuting", "hkr.groupcore"})
     argv = ["chartable", "--group", "Cyc(4)", "--cache", str(tmp_path)]
     script = f"import hkr.cli\nassert hkr.cli.run({argv!r}) == 0"
     assert "hkr.charmap" in loaded_modules(script)

@@ -6,7 +6,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hkr.levelrings import cpk_ring, drinfeld_dk
 from hkr.rings import (
     PRIMALITY_BOUND,
     CyclotomicNumber,
@@ -403,3 +405,123 @@ def test_capped_power_stops_past_the_bound():
     assert capped_power(3, 10**12, 100) == 243  # p^k is never formed
     assert capped_power(2, 0, 0) == 1
     assert capped_power(1, 10**12, 5) == 1 and capped_power(0, 10**12, 5) == 0
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against the schoolbook product, and powers against
+# repeated products
+
+
+def schoolbook(x, y):
+    """The dense product of the coordinate polynomials, reduced by element()."""
+    a, b = x.coeffs, y.coeffs
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    return x.ring.element(prod)
+
+
+def same(got, want):
+    """Equal coordinates of equal types: the bytes printed from them agree."""
+    assert type(got) is type(want) and got.ring is want.ring
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+# mostly zeros and small values, as character values are, with a few large ones
+SPARSE_INTS = st.sampled_from([0, 0, 0, 0, 1, -1, 2]) | st.integers(-10**12, 10**12)
+FRACTIONS = st.sampled_from([0, 0, 1]) | st.fractions(-4, 4, max_denominator=6)
+# Q(cbrt 2), a quartic with a non-unit constant term, and Q(i)
+FRACTION_RINGS = [QuotientRing(f) for f in ([-2, 0, 0, 1], [3, -1, 0, 2, 1], [1, 0, 1])]
+LEVEL_RINGS = [cpk_ring(2, 3), cpk_ring(3, 2), drinfeld_dk(5, 1), drinfeld_dk(2, 3)]
+
+
+def elements(ring, coords=SPARSE_INTS):
+    return st.lists(coords, min_size=ring.dimension, max_size=ring.dimension).map(ring.element)
+
+
+def ring_and_elements(count, coords=SPARSE_INTS, rings=None):
+    if rings is None:
+        rings = st.integers(1, 60).map(CyclotomicNumber.field)
+    return rings.flatmap(lambda ring: st.tuples(*[elements(ring, coords)] * count))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_and_elements(2))
+def test_cyclotomic_product_matches_the_schoolbook_product(pair):
+    x, y = pair
+    same(x * y, schoolbook(x, y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_and_elements(2, rings=st.sampled_from(LEVEL_RINGS)))
+def test_level_ring_product_matches_the_schoolbook_product(pair):
+    x, y = pair
+    same(x * y, schoolbook(x, y))
+    if x.ring.integral:  # integral factors give an integral product
+        assert all(type(c) is int for c in (x * y).coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_elements(2, FRACTIONS, st.sampled_from(FRACTION_RINGS)))
+def test_fraction_product_matches_the_schoolbook_product(pair):
+    x, y = pair
+    same(x * y, schoolbook(x, y))
+    same(x * 3, schoolbook(x, x.ring.element([3])))
+    same(Fraction(1, 2) * x, schoolbook(x, x.ring.element([Fraction(1, 2)])))
+
+
+def test_product_of_fractions_with_an_integral_sum_stores_ints():
+    ring = QuotientRing([1, 0, 1])
+    half = ring.element([Fraction(1, 2), Fraction(1, 2)])
+    square = half * half  # (1 + i)^2 / 4 = i / 2
+    assert [type(c) for c in square.coeffs] == [int, Fraction]
+    assert [type(c) for c in (square * 2).coeffs] == [int, int] and square * 2 == ring.x
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_and_elements(1), st.integers(0, 9))
+def test_power_is_the_repeated_product(single, k):
+    (x,) = single
+    want = x.ring.one
+    for _ in range(k):
+        want = want * x
+    same(x**k, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_and_elements(1, st.sampled_from([0, 0, 1, -1, 2]), st.integers(1, 20).map(CyclotomicNumber.field)),
+    st.integers(1, 5),
+)
+def test_negative_power_of_a_unit_is_the_repeated_product_of_its_inverse(single, k):
+    (x,) = single
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x ** -k
+        return
+    inv = x.inverse()
+    want = x.ring.one
+    for _ in range(k):
+        want = want * inv
+    same(x ** -k, want)
+    assert x ** -k * x**k == 1
+
+
+def test_power_makes_one_product_per_binary_digit_and_one_per_later_set_bit(monkeypatch):
+    calls = []
+    product = RingElement.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    x = zeta(15) + 2
+    for k in range(1, 65):
+        calls.clear()
+        x**k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
+    calls.clear()
+    assert x**0 == 1 and not calls
