@@ -33,6 +33,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -117,61 +119,89 @@ def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
 # abelian tables: the dual group by validated generator images
 
 
-def _abelian_rows(G: FiniteGroup, classes, m: int):
-    elements = [cls.representative for cls in classes]
-    loc = {g: i for i, g in enumerate(elements)}
-    gens = list(G.generators)
-    orders = [g.order() for g in gens]
-    r = len(gens)
-    size = len(elements)
+def _generator_columns(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """cols[i][x], the position in G.elements of G.elements[x] * g_i, for
+    each generator g_i; built once per group, read by the abelian table and
+    its orthogonality proof."""
+    got = G._cache.get("generator_columns")
+    if got is None:
+        images = [x.images for x in G.elements]
+        at = dict(zip(images, itertools.count())).__getitem__
+        got = [tuple(map(at, [_compose(x, g.images) for x in images])) for g in G.generators]
+        G._cache["generator_columns"] = got
+    return got
 
-    candidates = 1
-    for o in orders:
-        candidates *= o
-    if candidates * size * max(r, 1) > _ABELIAN_WORK_CAP:
+
+def _abelian_rows(G: FiniteGroup, m: int):
+    """The rows of Hom(G, Z/m) on G.elements, one per validated candidate
+    image of the generators, in candidate order.
+
+    Each exponent row is one int of 16-bit slots, one slot per element.  A
+    sum of two rows reduced mod m has slots below 2m, and adding 2^15 - m to
+    every slot sets bit 15 of exactly the slots at or above m, so one add,
+    shift, mask and subtract reduce every slot at once.  That needs m <=
+    2^15, which the work cap ensures: m <= |G| <= the candidate count, so
+    m^2 <= candidates * |G| <= _ABELIAN_WORK_CAP < 2^30."""
+    cols = _generator_columns(G)
+    orders = [g.order() for g in G.generators]
+    r, size = len(cols), G.order
+    if math.prod(orders) * size * max(r, 1) > _ABELIAN_WORK_CAP:
         raise CapExceeded("abelian dual-group enumeration work cap exceeded")
 
-    cols = [[loc[x * g] for x in elements] for g in gens]
     # uses[y]: how often each generator is taken on the breadth-first path
     # from the identity to y, so a candidate c sends y to sum_j c_j uses[y]_j
-    ident = loc[G.identity]
+    ident = G.elements.index(G.identity)
     uses: list[tuple[int, ...] | None] = [None] * size
     uses[ident] = (0,) * r
     visit = [ident]
     for x in visit:  # the list grows while it is walked
-        for gi in range(r):
-            y = cols[gi][x]
+        for gi, col in enumerate(cols):
+            y = col[x]
             if uses[y] is None:
                 uses[y] = tuple(u + (j == gi) for j, u in enumerate(uses[x]))
                 visit.append(y)
     if len(visit) != size:
         raise HkrError("generators do not generate the group")
-    # the homomorphism equations exp[x * g_i] == exp[x] + c_i, one per x and
-    # i, read sum_j c_j rel_j == 0 mod m for rel = uses[x * g_i] - uses[x] -
-    # e_i; each distinct relation is checked once, the zero one always holds
+    # generator images are c_j = k_j * (m/o_j), k_j < o_j; the homomorphism
+    # equations exp[x * g_i] == exp[x] + c_i, one per x and i, read sum_j k_j
+    # (m/o_j) rel_j == 0 mod m for rel = uses[x * g_i] - uses[x] - e_i; each
+    # distinct relation is checked once, the zero one always holds
+    steps = [m // o for o in orders]
     relations = {
-        tuple(a - b - (j == gi) for j, (a, b) in enumerate(zip(uses[cols[gi][x]], uses[x])))
-        for gi in range(r)
+        tuple((a - b - (j == gi)) * s % m for j, (a, b, s) in enumerate(zip(uses[col[x]], uses[x], steps)))
+        for gi, col in enumerate(cols)
         for x in range(size)
     }
     relations.discard((0,) * r)
 
-    steps = [m // o for o in orders]
-    by_generator = list(zip(*uses))
-    found: dict[tuple[int, ...], None] = {}
-    # generator images are constrained to c_i in (m/o_i) * {0..o_i-1}
-    for cand in itertools.product(*[range(0, m, s) for s in steps]):
-        if all(sum(map(operator.mul, cand, rel)) % m == 0 for rel in relations):
-            exp = [0] * size
-            for c, col in zip(cand, by_generator):
-                exp = [e + c * u for e, u in zip(exp, col)]
-            found[tuple([e % m for e in exp])] = None
+    ones = int.from_bytes(array("H", [1]) * size, sys.byteorder)
+    lift = ones * ((1 << 15) - m)
+
+    def add(a: int, b: int) -> int:
+        s = a + b
+        return s - (((s + lift) >> 15) & ones) * m
+
+    # partial[j][k], the row of k * (m/o_j) * uses_j mod m
+    partial = []
+    for s, used, o in zip(steps, zip(*uses), orders):
+        base = int.from_bytes(array("H", [s * u % m for u in used]), sys.byteorder)
+        part = [0]
+        while len(part) < o:
+            part.append(add(part[-1], base))
+        partial.append(part)
+    found: dict[int, None] = {}
+    for ks in itertools.product(*map(range, orders)):
+        if all(sum(map(operator.mul, ks, rel)) % m == 0 for rel in relations):
+            found[functools.reduce(add, map(list.__getitem__, partial, ks))] = None
     if len(found) != size:
         raise HkrError(
             f"dual group has {len(found)} validated characters, expected {size}"
         )
     tallies = [{e: 1} for e in range(m)]  # shared by every entry; never mutated
-    return [tuple(map(tallies.__getitem__, vec)) for vec in found]
+    return [
+        tuple(map(tallies.__getitem__, memoryview(v.to_bytes(2 * size, sys.byteorder)).cast("H")))
+        for v in found
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -391,29 +421,37 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
         inverses = [y.images for y in classes[inv_class[i]].members]
         return [Counter(map(class_at, map(operator.itemgetter(*z.images), inverses))) for z in reps]
 
-    def combine(coeffs, vectors) -> list[int]:
-        """sum_s coeffs[s] * vectors[s], row by row, not reduced."""
+    def span(B, piv):
+        """A basis B in reduced row echelon form with pivot columns piv, and
+        the columns of B off the pivots, as (column, entries) pairs."""
+        pivots = set(piv)
+        return B, piv, [(c, [b[c] for b in B]) for c in range(r) if c not in pivots]
+
+    def combine(coeffs, space) -> list[int]:
+        """sum_s coeffs[s] * B[s], not reduced: B is the identity at its
+        pivot columns, so only the other columns take a dot product."""
+        _, piv, free = space
         out = [0] * r
-        for c, v in zip(coeffs, vectors):
-            if c:
-                out = [a + c * b for a, b in zip(out, v)]
+        for c, x in zip(piv, coeffs):
+            out[c] = x
+        for c, col in free:
+            out[c] = sum(map(operator.mul, coeffs, col))
         return out
 
     # split into common eigenlines over F_q, the largest classes first: a
     # dihedral group's reflections split off its linear characters at once
-    spaces = [[[1 if t == s else 0 for t in range(r)] for s in range(r)]]
-    pivots_of = {id(spaces[0]): list(range(r))}
+    spaces = [span([[1 if t == s else 0 for t in range(r)] for s in range(r)], list(range(r)))]
     for i in sorted(range(1, r), key=lambda i: -sizes[i]):
-        if all(len(B) == 1 for B in spaces):
+        if all(len(B) == 1 for B, _, _ in spaces):
             break
         Ni = class_matrix(i)
         next_spaces = []
-        for B in spaces:
+        for space in spaces:
+            B, piv, free = space
             d = len(B)
             if d == 1:
-                next_spaces.append(B)
+                next_spaces.append(space)
                 continue
-            piv = pivots_of[id(B)]
             # restriction of Ni to span(B), in the basis B
             cols = []
             for b in B:
@@ -424,25 +462,23 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
                             w[j] += a * bk
                 w = [x % q for x in w]
                 coords = [w[pc] for pc in piv]
-                # defensive reconstruction check
-                if any((x - y) % q for x, y in zip(combine(coords, B), w)):
+                # defensive reconstruction check, off the pivots: at a pivot
+                # column the combination is the coordinate itself
+                if any((sum(map(operator.mul, coords, col)) - w[c]) % q for c, col in free):
                     raise HkrError("subspace is not invariant; table build failed")
                 cols.append(coords)
             M = [[cols[t][s] for t in range(d)] for s in range(d)]
             if all(M[s][t] == (M[0][0] if s == t else 0) for s in range(d) for t in range(d)):
-                next_spaces.append(B)
+                next_spaces.append(space)
                 continue
             for null in _eigenspaces_mod(M, q):
-                red, piv2 = rref_mod([combine(c, B) for c in null], q)
-                pivots_of[id(red)] = piv2
-                next_spaces.append(red)
+                next_spaces.append(span(*rref_mod([combine(c, space) for c in null], q)))
         spaces = next_spaces
-    if any(len(B) != 1 for B in spaces):
+    if any(len(B) != 1 for B, _, _ in spaces):
         raise HkrError("class algebra failed to split into eigenlines")
 
     vectors = []
-    for B in spaces:
-        v = B[0]
+    for (v,), _, _ in spaces:
         if v[0] == 0:
             raise HkrError("eigenvector vanishes on the identity class")
         inv = pow(v[0], -1, q)
@@ -584,7 +620,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
         reps = [cls.representative for cls in classes]
         if reps != list(G.elements):
             raise HkrError("abelian class order does not match element order")
-        rows = _abelian_rows(G, classes, m)
+        rows = _abelian_rows(G, m)
     else:
         rows = _dixon_rows(G, classes, m)
 
@@ -651,7 +687,9 @@ def _certify_root_sum_zero(m: int, d: int) -> None:
 def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     """Both relations from the dual group Hom(G, Z/m).
 
-    Each entry must be one root of unity {e: 1}, read as e mod m, else an
+    The classes must be conjugacy_classes(G), the elements in element order
+    that the generator columns index, else a ("classes",) failure.  Each
+    entry must be one root of unity {e: 1}, read as e mod m, else an
     ("entry", i, k) failure; each distinct tally object is read once, since
     the construction shares one per exponent.  Each row must be a
     homomorphism, row[x*g] == row[x] + row[g] mod m for every generator g
@@ -664,15 +702,16 @@ def _orthogonality_abelian(table: CharacterTable) -> OrthogonalityReport:
     d > 1 of m.  With r == |G| such rows the table is square, and the column
     relation follows as for the certificate.
     """
-    m, rows = table.conductor, table.rows
-    elements = [cls.representative for cls in table.classes]
-    n = len(elements)
-    at = {x.images: j for j, x in enumerate(elements)}
-    gens = [g.images for g in table.group.generators]
-    gen_cols = list(map(at.__getitem__, gens))
+    m, rows, G = table.conductor, table.rows, table.group
+    n = len(table.classes)
+    if table.classes != tuple(conjugacy_classes(G)):
+        return OrthogonalityReport(False, False, (("classes",),))
+    cols = _generator_columns(G)
+    ident = G.elements.index(G.identity)
+    gen_cols = [col[ident] for col in cols]
     # steps[i](row): the entries at x * g_i for every x, in one C-level call
     # (a scalar, not a tuple, when there is one class, as on the other side)
-    steps = [operator.itemgetter(*[at[_compose(x.images, g)] for x in elements]) for g in gens]
+    steps = [operator.itemgetter(*col) for col in cols]
     exponent = {}  # id of each distinct tally read so far -> its exponent mod m, or None
     rotate = list(range(m)) * 2  # rotate[a:a + m][e] == (e + a) % m
 

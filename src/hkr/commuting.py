@@ -193,13 +193,20 @@ def _gl_level(p: int, n: int, k: int, cap: int) -> int:
 def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[tuple]:
     """All of GL_n(Z/p^k) as tuples of rows, lexicographic in the flattened
     entries; a matrix over Z/p^k is invertible when it is invertible mod p,
-    and over Z/1 (k = 0) the one matrix, zero, is the identity."""
+    and over Z/1 (k = 0) the one matrix, zero, is the identity.  Each matrix
+    mod p is decided once, by its flat residues."""
     mod = _gl_level(p, n, k, cap)
+    residue = [x % p for x in range(mod)].__getitem__
+    invertible: dict[tuple[int, ...], bool] = {}
     out = []
     for flat in iter_product(range(mod), repeat=n * n):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        if mod == 1 or len(rref_mod(rows, p)[1]) == n:
-            out.append(rows)
+        key = tuple(map(residue, flat))
+        ok = invertible.get(key)
+        if ok is None:
+            rows = [key[i * n : (i + 1) * n] for i in range(n)]
+            ok = invertible[key] = mod == 1 or len(rref_mod(rows, p)[1]) == n
+        if ok:
+            out.append(tuple(flat[i * n : (i + 1) * n] for i in range(n)))
     return out
 
 

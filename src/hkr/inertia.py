@@ -5,21 +5,20 @@ alpha is a commuting n-tuple of p-power-order elements and x is a point fixed
 by every entry, with the intertwined action g.(alpha, x) = (g alpha g^-1, g.x).
 Around it: orbit/stabilizer censuses with the rank-prediction consistency
 contract, the iterated-fix bijection Fix_1(Fix_{n-1}(X)) = Fix_n(X), the
-GL_n(Z/p^k) action by precomposition, the evaluation homomorphism check, and
-the free-loop count identity for p-groups.
+GL_n(Z/p^k) action by precomposition, and the free-loop count identity for
+p-groups.
 
 Every GSet verifies its own action laws on construction, so each derived
-G-set (fixed points, unions, products) re-proves equivariance of the
-construction that produced it.
+G-set (fixed points, unions) re-proves equivariance of the construction that
+produced it.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
 from .commuting import _conjugate_entries, evaluate, hom_tuples, rank_prediction, tuple_classes
-from .errors import CapExceeded, HkrError
+from .errors import HkrError
 from .groupcore import FiniteGroup, Permutation, _compose, extend_to_group, make_group, named_group, orbit_search
 from .rings import prime_factors
 
@@ -32,19 +31,14 @@ __all__ = [
     "iterate_fix_check",
     "IterateFixResult",
     "gl_on_fix",
-    "evaluation_hom_check",
     "loops_pgroup_check",
     "LoopsCheck",
     "trivial_gset",
     "regular_gset",
     "coset_gset",
     "disjoint_union",
-    "product_gset",
     "gset_from_json",
-    "EVAL_CHECK_WORK_CAP",
 ]
-
-EVAL_CHECK_WORK_CAP = 1_000_000
 
 
 class GSet:
@@ -173,23 +167,6 @@ def disjoint_union(X: GSet, Y: GSet) -> GSet:
             + [(1, Y.points[my[i]]) for i in range(Y.size)]
         )
     return GSet(X.group, pts, images, name=f"{X.name or 'X'}+{Y.name or 'Y'}")
-
-
-def product_gset(X: GSet, Y: GSet) -> GSet:
-    if X.group is not Y.group and X.group.elements != Y.group.elements:
-        raise ValueError("both G-sets must share the same group")
-    pts = [(x, y) for x in X.points for y in Y.points]
-    images = []
-    for s in X.group.generators:
-        mx, my = X.maps[s], Y.maps[s]
-        images.append(
-            [
-                (X.points[mx[i]], Y.points[my[j]])
-                for i in range(X.size)
-                for j in range(Y.size)
-            ]
-        )
-    return GSet(X.group, pts, images, name=f"{X.name or 'X'}x{Y.name or 'Y'}")
 
 
 def gset_from_json(doc) -> GSet:
@@ -376,37 +353,6 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: tuple) -> dict:
             ):
                 raise HkrError("matrix action does not commute with the group action")
     return mapping
-
-
-def evaluation_hom_check(G: FiniteGroup, p: int, alpha: tuple, k: int) -> bool:
-    """Exhaustively verify that (l, c) -> alpha(l) * c is a homomorphism
-    (Z/p^k)^n x C(im alpha) -> G.
-
-    alpha(l) = prod_i entry_i ** l_i; the check runs over all pairs of domain
-    elements, so the domain size squared must stay under the work cap.
-    """
-    n = len(alpha)
-    mod = p**k
-    for e in alpha:
-        if mod % e.order():
-            raise HkrError(f"k too small: entry of order {e.order()} at level p^{k}")
-    cent = [g for g in G.elements if all(g * e == e * g for e in alpha)]
-    dom = mod**n * len(cent)
-    if dom * dom > EVAL_CHECK_WORK_CAP:
-        raise CapExceeded(f"evaluation check domain {dom}^2 exceeds cap")
-
-    ident = G.identity
-    domain = [
-        (l, c) for l in itertools.product(range(mod), repeat=n) for c in cent
-    ]
-    value = {(l, c): evaluate(alpha, l, ident) * c for l, c in domain}
-    for l1, c1 in domain:
-        base = value[(l1, c1)]
-        for l2, c2 in domain:
-            summed = tuple((a + b) % mod for a, b in zip(l1, l2))
-            if value[(summed, c1 * c2)] != base * value[(l2, c2)]:
-                return False
-    return True
 
 
 LoopsCheck = namedtuple(

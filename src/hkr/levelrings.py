@@ -42,7 +42,6 @@ __all__ = [
     "drinfeld_dk",
     "galois_action",
     "galois_fixed_dimension",
-    "tower_map",
     "DEFAULT_LEVEL_CAP",
 ]
 
@@ -257,9 +256,3 @@ def galois_fixed_dimension(p: int, k: int) -> int:
     maps = [[galois_action(p, k, u, ring.element([0] * t + [1])).coeffs for t in range(n)]
             for u in range(1, n) if gcd(u, p) == 1]
     return fixed_space_dim(maps, n)
-
-
-def tower_map(p: int, k: int, a: RingElement) -> RingElement:
-    """Push a level-k element into level k+1 along x -> (1+x)^p - 1."""
-    target = cpk_ring(p, k + 1)
-    return _substitute(a.coeffs, target.element(_index_image(p)))

@@ -6,6 +6,7 @@ both on the same group and require identical value sets.
 """
 
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -128,11 +129,52 @@ def test_abelian_and_dixon_engines_agree():
         G = named_group(spec)
         classes = conjugacy_classes(G)
         m = G.exponent()
-        rows_a = _abelian_rows(G, classes, m)
+        rows_a = _abelian_rows(G, m)
         rows_d = _dixon_rows(G, classes, m)
         canon_a = {tuple(tuple(sorted(t.items())) for t in row) for row in rows_a}
         canon_d = {tuple(tuple(sorted(t.items())) for t in row) for row in rows_d}
         assert canon_a == canon_d
+
+
+def entrywise_abelian_rows(G, m):
+    """The dual group built one entry at a time: each exponent row summed
+    generator by generator as a list and reduced mod m at the end, for the
+    candidates that pass every homomorphism equation, in candidate order."""
+    elements = list(G.elements)
+    loc = {g: i for i, g in enumerate(elements)}
+    gens = list(G.generators)
+    r, size = len(gens), len(elements)
+    cols = [[loc[x * g] for x in elements] for g in gens]
+    uses = [None] * size
+    uses[loc[G.identity]] = (0,) * r
+    visit = [loc[G.identity]]
+    for x in visit:
+        for gi in range(r):
+            y = cols[gi][x]
+            if uses[y] is None:
+                uses[y] = tuple(u + (j == gi) for j, u in enumerate(uses[x]))
+                visit.append(y)
+    relations = {
+        tuple(a - b - (j == gi) for j, (a, b) in enumerate(zip(uses[cols[gi][x]], uses[x])))
+        for gi in range(r)
+        for x in range(size)
+    }
+    found = {}
+    for cand in itertools.product(*[range(0, m, m // g.order()) for g in gens]):
+        if all(sum(c * e for c, e in zip(cand, rel)) % m == 0 for rel in relations):
+            exp = [0] * size
+            for c, col in zip(cand, zip(*uses)):
+                exp = [e + c * u for e, u in zip(exp, col)]
+            found[tuple([e % m for e in exp])] = None
+    return list(found)
+
+
+def test_packed_abelian_rows_match_the_entrywise_construction():
+    groups = [G for G in named_suite(200) if G.is_abelian()] + [named_group("Cyc(2000)")]
+    for G in groups:
+        m = G.exponent()
+        rows = [tuple(next(iter(t)) for t in row) for row in _abelian_rows(G, m)]
+        assert rows == entrywise_abelian_rows(G, m), G.name
 
 
 def full_key_order(rows, m):
@@ -431,6 +473,20 @@ def test_abelian_orthogonality_reports_repeated_and_missing_characters():
     # distinct homomorphisms are orthogonal, but five rows cannot span six columns
     missing = CharacterTable(cyc6.group, cyc6.classes, 6, rows[1:])
     assert orthogonality_report(missing) == (True, False, (("column", 5, 6),))
+
+
+def test_abelian_orthogonality_requires_the_element_order_class_list():
+    table = character_table(named_group("Cyc(2)*Cyc(4)"))
+    classes = list(table.classes)
+    classes[1], classes[2] = classes[2], classes[1]
+    moved = CharacterTable(table.group, classes, table.conductor, table.rows)
+    assert orthogonality_report(moved) == (False, False, (("classes",),))
+    # a correct table in another class order fails the same way: the
+    # generator columns index the elements in element order
+    swap = [tuple(row[k] for k in (0, 2, 1, *range(3, 8))) for row in table.rows]
+    assert orthogonality_report(CharacterTable(table.group, classes, table.conductor, swap)) == (
+        False, False, (("classes",),)
+    )
 
 
 def test_abelian_tables_of_the_suite_are_orthogonal_in_any_row_order():

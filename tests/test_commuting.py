@@ -21,7 +21,7 @@ from hkr.commuting import (
 )
 from hkr.errors import CapExceeded
 from hkr.groupcore import named_group, sym_group
-from hkr.rings import is_prime
+from hkr.rings import is_prime, rref_mod
 
 
 def naive_p_power(g, p):
@@ -120,6 +120,16 @@ def test_gl_matrices_counts():
     assert len(gl_matrices(2, 2, 1)) == 6
     assert len(gl_matrices(3, 2, 1)) == 48
     assert len(gl_matrices(2, 2, 2)) == 96
+
+
+@pytest.mark.parametrize(
+    "p, n, k", [(2, 1, 2), (2, 2, 1), (3, 2, 1), (2, 2, 2), (2, 2, 0), (3, 1, 0), (2, 0, 0)]
+)
+def test_gl_matrices_equal_one_rank_test_per_candidate(p, n, k):
+    # the filter that runs rref_mod on every candidate, in the same order
+    mod = p**k
+    rows = [tuple(flat[i * n : (i + 1) * n] for i in range(n)) for flat in product(range(mod), repeat=n * n)]
+    assert gl_matrices(p, n, k) == [s for s in rows if mod == 1 or len(rref_mod(s, p)[1]) == n]
 
 
 def test_gl_matrices_closed_under_product():

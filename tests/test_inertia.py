@@ -4,26 +4,62 @@ fix_n sizes are cross-checked against hom_tuples counts on the point and
 against freeness on the regular action, so the two modules audit each other.
 """
 
+import itertools
+
 import pytest
 
-from hkr.commuting import gl_matrices, gl_mul, hom_tuples, rank_prediction
+from hkr.commuting import evaluate, gl_matrices, gl_mul, hom_tuples, rank_prediction
 from hkr.errors import CapExceeded, HkrError
 from hkr.groupcore import Permutation, make_group, named_group
 from hkr.inertia import (
     GSet,
     coset_gset,
     disjoint_union,
-    evaluation_hom_check,
     fix_n,
     gl_on_fix,
     gset_from_json,
     iterate_fix_check,
     loops_pgroup_check,
     orbit_census,
-    product_gset,
     regular_gset,
     trivial_gset,
 )
+
+
+EVAL_CHECK_WORK_CAP = 1_000_000
+
+
+def product_gset(X, Y):
+    """X x Y with the diagonal action; GSet re-proves the action laws."""
+    pts = [(x, y) for x in X.points for y in Y.points]
+    images = [
+        [(X.points[X.maps[s][i]], Y.points[Y.maps[s][j]]) for i in range(X.size) for j in range(Y.size)]
+        for s in X.group.generators
+    ]
+    return GSet(X.group, pts, images)
+
+
+def evaluation_hom_check(G, p, alpha, k):
+    """Exhaustively verify that (l, c) -> evaluate(alpha, l) * c is a
+    homomorphism (Z/p^k)^n x C(im alpha) -> G, over all pairs of domain
+    elements, whose number squared must stay under the work cap."""
+    mod = p**k
+    for e in alpha:
+        if mod % e.order():
+            raise HkrError(f"k too small: entry of order {e.order()} at level p^{k}")
+    cent = [g for g in G.elements if all(g * e == e * g for e in alpha)]
+    dom = mod ** len(alpha) * len(cent)
+    if dom * dom > EVAL_CHECK_WORK_CAP:
+        raise CapExceeded(f"evaluation check domain {dom}^2 exceeds cap")
+    ident = G.identity
+    domain = [(l, c) for l in itertools.product(range(mod), repeat=len(alpha)) for c in cent]
+    value = {(l, c): evaluate(alpha, l, ident) * c for l, c in domain}
+    for l1, c1 in domain:
+        for l2, c2 in domain:
+            summed = tuple((a + b) % mod for a, b in zip(l1, l2))
+            if value[(summed, c1 * c2)] != value[(l1, c1)] * value[(l2, c2)]:
+                return False
+    return True
 
 
 def c3_in_s3():

