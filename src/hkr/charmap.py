@@ -18,8 +18,10 @@ on the tallies, which covers every derived row, and the Gram matrix mod a
 second prime.
 
 Character values are stored as root-of-unity tallies {exponent mod m: count}
-with m the group exponent; conversion to CyclotomicNumber is lazy, so large
-abelian tables stay cheap to build and compare.
+with m the group exponent, one dict object per distinct tally of a table (an
+abelian table shares one per exponent; a Dixon table interns its lifts and
+their Galois images), so the certificate, the canonical order and the lazy
+conversion to CyclotomicNumber each handle a value once per object.
 
 On top of the tables: restriction to prime-power classes (the height-1
 character map), the rank of the restricted character matrix, Adams
@@ -48,6 +50,7 @@ from .groupcore import (
     conjugacy_classes,
     named_group,
     power_map,
+    power_walk,
 )
 from .rings import (
     CyclotomicNumber,
@@ -100,9 +103,10 @@ def _galois_units(m: int) -> list[int]:
 def _rational_classes(walks) -> list[tuple[int, list[tuple[int, int]]]]:
     """The classes grouped into orbits of g -> g^u over the units u mod ord(g):
     for the first class k of each orbit, each member j with the least unit u
-    for which j is the class of g^u (walks is the group's power map)."""
+    for which j is the class of g^u, given (k, power walk of class k) in class
+    order for every class k of a set closed under g -> g^u."""
     out, seen = [], set()
-    for k, walk in enumerate(walks):
+    for k, walk in walks:
         if k in seen:
             continue
         o = len(walk)
@@ -223,9 +227,7 @@ def _roots_of_unity(q: int, m: int) -> list[int]:
     divides q-1); the t-th entry stands for zeta_m^t."""
     primes = prime_factors(q - 1)
     g = 2
-    while True:
-        if all(pow(g, (q - 1) // ell, q) != 1 for ell in primes):
-            break
+    while any(pow(g, (q - 1) // ell, q) == 1 for ell in primes):
         g += 1
     z = pow(g, (q - 1) // m, q)
     zp = [1] * m
@@ -472,7 +474,8 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
                 next_spaces.append(space)
                 continue
             for null in _eigenspaces_mod(M, q):
-                next_spaces.append(span(*rref_mod([combine(c, space) for c in null], q)))
+                vecs = [combine(c, space) for c in null]  # an eigenline keeps its vector mod q
+                next_spaces.append(span(*rref_mod(vecs, q)) if len(vecs) > 1 else ([[x % q for x in vecs[0]]], (), ()))
         spaces = next_spaces
     if any(len(B) != 1 for B, _, _ in spaces):
         raise HkrError("class algebra failed to split into eigenlines")
@@ -486,7 +489,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
 
     inv_sizes = [pow(s, -1, q) for s in sizes]
     walks = power_map(G)
-    lifts = _rational_classes(walks)
+    lifts = _rational_classes(enumerate(walks))
 
     zp = _roots_of_unity(q, m)
     degrees, values = [], []  # values[i][j] = chi_i(g_j) mod q
@@ -501,6 +504,8 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
         degrees.append(deg)
         values.append(tuple([deg * v[j] * inv_sizes[j] % q for j in range(r)]))
     row_of = {w: i for i, w in enumerate(values)}
+    interned: dict[frozenset, dict] = {}  # one object per distinct tally
+    images: dict[tuple[int, int], dict] = {}  # (id of a tally, u) -> its image under e -> u * e
     # chi^sigma_u(g) = chi(g^u): the row mod q of a Galois conjugate is chi's
     # read through the power map, and its tallies are chi's with exponents
     # times u, so one lift serves each orbit of characters
@@ -517,7 +522,8 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
             nonzero = [(t, dt) for t, dt in enumerate(dts) if dt]
             # the eigenvalues of rho(g^u) are the u-th powers of those of rho(g)
             for j, u in members:
-                tallies[j] = {t * u % o * step: dt for t, dt in nonzero}
+                tally = {t * u % o * step: dt for t, dt in nonzero}
+                tallies[j] = interned.setdefault(frozenset(tally.items()), tally)
         rows[i] = tuple(tallies)
         orbit = [i]
         for a in orbit:  # the list grows while it is walked
@@ -526,7 +532,11 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
                 if b is None:
                     raise HkrError("a Galois conjugate of a character is not a row")
                 if rows[b] is None:
-                    rows[b] = tuple([{e * u % m: c for e, c in t.items()} for t in rows[a]])
+                    for t in rows[a]:
+                        if (id(t), u) not in images:
+                            s = {e * u % m: c for e, c in t.items()}
+                            images[id(t), u] = interned.setdefault(frozenset(s.items()), s)
+                    rows[b] = tuple([images[id(t), u] for t in rows[a]])
                     orbit.append(b)
     return rows
 
@@ -550,7 +560,7 @@ class CharacterTable:
         self.conductor = conductor
         self.rows = tuple(rows)
         self.degrees = tuple(row[0].get(0, 0) for row in rows)
-        self._values: dict = {}  # one per distinct tally: by sorted items, and by id in rows
+        self._values: dict = {}  # one per distinct tally object, by id
         self._irr: dict[int, ClassFunction] = {}
 
     @property
@@ -561,11 +571,7 @@ class CharacterTable:
         tally = self.rows[i][j]
         got = self._values.get(id(tally))
         if got is None:
-            key = tuple(sorted(tally.items()))
-            got = self._values.get(key)
-            if got is None:
-                got = self._values[key] = CyclotomicNumber.from_tally(self.conductor, tally)
-            self._values[id(tally)] = got
+            got = self._values[id(tally)] = CyclotomicNumber.from_tally(self.conductor, tally)
         return got
 
     def irreducible(self, i: int) -> ClassFunction:
@@ -580,13 +586,12 @@ class CharacterTable:
 
     def to_json(self) -> dict:
         name = self.group.name or f"degree-{self.group.degree}"
-        coords: dict[tuple, list[str]] = {}
+        coords: dict[int, list[str]] = {}  # by id of each distinct tally object
 
         def text(tally) -> list[str]:
-            key = tuple(sorted(tally.items()))
-            got = coords.get(key)
+            got = coords.get(id(tally))
             if got is None:
-                got = coords[key] = [str(c) for c in _tally_coords(key, self.conductor)]
+                got = coords[id(tally)] = [str(c) for c in _tally_coords(tally.items(), self.conductor)]
             return got
 
         return {
@@ -617,8 +622,7 @@ def character_table(G: FiniteGroup) -> CharacterTable:
     classes = conjugacy_classes(G)
     m = G.exponent()
     if G.is_abelian():
-        reps = [cls.representative for cls in classes]
-        if reps != list(G.elements):
+        if [cls.representative for cls in classes] != list(G.elements):
             raise HkrError("abelian class order does not match element order")
         rows = _abelian_rows(G, m)
     else:
@@ -634,24 +638,24 @@ def character_table(G: FiniteGroup) -> CharacterTable:
 
 def _canonical_order(rows, m: int) -> list:
     """Rows by degree ascending, then value rows descending lexicographically
-    by power-basis coordinates, computed once per (row, class) and only where
-    the order needs them.  Equal tallies are equal values and are skipped, but
+    by power-basis coordinates, computed once per tally object and only where
+    the order needs them.  One tally object is one value and is skipped, but
     distinct tallies may be equal too ({0, 2, 4} and {1, 3, 5} at m = 6), so
     only coordinates decide.
     """
+    coords: dict[int, tuple[int, ...]] = {}  # by id of the tally
 
-    @functools.cache
-    def value_coords(i: int, j: int) -> tuple[int, ...]:
-        return _tally_coords(rows[i][j].items(), m)
+    def value_coords(t: dict) -> tuple[int, ...]:  # a nonempty tuple, never falsy
+        return coords.get(id(t)) or coords.setdefault(id(t), _tally_coords(t.items(), m))
 
     def compare(a: int, b: int) -> int:
         ra, rb = rows[a], rows[b]
         da, db = ra[0].get(0, 0), rb[0].get(0, 0)
         if da != db:
             return -1 if da < db else 1
-        for j, (ta, tb) in enumerate(zip(ra, rb)):
-            if ta != tb:
-                ca, cb = value_coords(a, j), value_coords(b, j)
+        for ta, tb in zip(ra, rb):
+            if ta is not tb:
+                ca, cb = value_coords(ta), value_coords(tb)
                 if ca != cb:
                     return -1 if ca > cb else 1
         return 0
@@ -767,23 +771,26 @@ def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityRep
     m, order, rows = table.conductor, table.group.order, table.rows
     sizes = [len(cls.members) for cls in table.classes]
     n = len(sizes)
+    distinct = {id(t): t for row in rows for t in row}  # each tally object once
     failures = []
     for ell in _galois_units(m):
         pi = [walk[ell % len(walk)] for walk in walks]
         if sorted(pi) != list(range(n)) or any(sizes[pi[k]] != sizes[k] for k in range(n)):
             failures.append(("power-map", ell))
             continue
+        scaled = {key: {e * ell % m: c for e, c in t.items()} for key, t in distinct.items()}
         for i, row in enumerate(rows):
-            if any(row[pi[k]] != {e * ell % m: c for e, c in t.items()} for k, t in enumerate(row)):
+            if list(map(row.__getitem__, pi)) != list(map(scaled.__getitem__, map(id, row))):
                 failures.append(("galois", ell, i))
     if failures:
         return OrthogonalityReport(False, False, tuple(failures))
 
-    bound = max(sum(abs(c) for c in t.values()) for row in rows for t in row)
+    bound = max(sum(map(abs, t.values())) for t in distinct.values())
     lifted_with = _find_modular_prime(m, order)
     q = _find_modular_prime(m, order, above=max(2 * order * (bound * bound + 1), lifted_with))
     zp = _roots_of_unity(q, m)
-    values = [[sum(c * zp[e % m] for e, c in t.items()) % q for t in row] for row in rows]
+    at = {key: sum(c * zp[e % m] for e, c in t.items()) % q for key, t in distinct.items()}
+    values = [list(map(at.__getitem__, map(id, row))) for row in rows]
     weighted = [[s * x % q for s, x in zip(sizes, row)] for row in values]
     # conj(chi(g)) = chi(g^-1), the Galois check's relation for l = -1
     inverse = [walk[-1 % len(walk)] for walk in walks]
@@ -1003,17 +1010,16 @@ def psi_level(p: int, k: int, chi: ClassFunction, *, j: int = 1) -> ClassFunctio
     embedding of Z/p^k into Sym(p^k), evaluated at the image of a unit j.
 
     Only the row of P_{p^k}(chi) at the class of the translation x -> x + j
-    is needed, and that row depends only on the translation's cycle type, so
-    neither Sym(p^k) nor the rest of P_{p^k}(chi) is built.  The contract
-    (checked by the acceptance suite, not assumed here) is that the composite
-    equals adams_psi(p^k, chi).
+    is needed, and that row depends only on its cycle type, one p^k-cycle as
+    j is a unit, so neither Sym(p^k) nor the rest of P_{p^k}(chi) is built.
+    The contract (checked by the acceptance suite, not assumed here) is that
+    the composite equals adams_psi(p^k, chi).
     """
     if math.gcd(j, p) != 1:
         raise ValueError("evaluation point must be a unit at p")
     size = capped_power(p, k, MAX_POWER_OP_DEGREE)
     _check_power_degree(size)
-    cayley = Permutation(tuple((x + j) % size for x in range(size)))
-    (values,) = _cycle_products(chi, [cayley.cycle_lengths()])
+    (values,) = _cycle_products(chi, [[size]])
     label = chi.label and f"psi_level[{p}^{k}]({chi.label})"
     return ClassFunction(chi.group, chi.classes, values, chi.conductor, label)
 
@@ -1041,13 +1047,10 @@ def galois_fixed_dim(G: FiniteGroup, p: int, k: int) -> int:
     expo = G.exponent()
     if p_part(expo, p) > pk:
         raise HkrError(f"p^k = {pk} is below the p-part of the exponent {expo}")
-    idx = set(_p_power_class_indices(G, p))
-    walks = power_map(G)
+    walks = {c: power_walk(G, c) for c in _p_power_class_indices(G, p)}
     dims: dict[tuple[int, ...], int] = {}  # by stabilizer, which many orbits share
     total = 0
-    for c, _ in _rational_classes(walks):
-        if c not in idx:
-            continue
+    for c, _ in _rational_classes(walks.items()):
         walk = walks[c]
         stab = tuple(u for u in range(1, pk) if u % p and walk[u % len(walk)] == c)
         if stab not in dims:

@@ -21,9 +21,9 @@ from .groupcore import (
     Permutation,
     centralizer,
     class_index,
+    class_orders,
     conjugacy_classes,
     orbit_search,
-    power_map,
 )
 from .rings import capped_power, p_part, rref_mod
 
@@ -58,8 +58,8 @@ def is_p_power_order(g: Permutation, p: int) -> bool:
 
 
 def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
-    """The classes of p-power order, each order read off the power map."""
-    return [k for k, walk in enumerate(power_map(G)) if p_part(len(walk), p) == len(walk)]
+    """The classes of p-power order."""
+    return [k for k, o in enumerate(class_orders(G)) if p_part(o, p) == o]
 
 
 def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
@@ -256,8 +256,7 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleC
     bounds the units scanned.  Orbits are lists of TupleClass values; both
     layers are canonically ordered.
     """
-    walks = power_map(G)
-    worst = max(len(walks[c]) for c in _p_power_class_indices(G, p))
+    worst = max(map(class_orders(G).__getitem__, _p_power_class_indices(G, p)))
     mod = capped_power(p, k, worst)  # exact up to worst, a power of p
     if mod % worst != 0:
         raise ValueError(

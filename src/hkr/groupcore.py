@@ -24,6 +24,8 @@ __all__ = [
     "named_group",
     "conjugacy_classes",
     "class_index",
+    "class_orders",
+    "power_walk",
     "power_map",
     "orbit_search",
     "extend_to_group",
@@ -391,13 +393,11 @@ def class_index(G: FiniteGroup) -> dict[Permutation, int]:
     return got
 
 
-def power_map(G: FiniteGroup) -> list[list[int]]:
-    """walks[i][e % len(walks[i])] is the class of g^e for g in class i, and
-    len(walks[i]) is the order of g.  Built once per group, when first asked
-    for, in class order: a class no earlier walk reached walks the powers of
-    its representative g, and each power g^d not yet reached reads its walk
-    off every d-th step of g's (the same walk whichever g reaches it)."""
-    got = G._cache.get("power_map")
+def _power_roots(G: FiniteGroup) -> list[tuple[list[int], int]]:
+    """(walk, d) per class: g^d is in the class, walk[e] the class of g^e for
+    e < ord(g).  Built once per group, in class order: a class no earlier
+    walk reached walks the powers of its representative g, with d = 1."""
+    got = G._cache.get("power_roots")
     if got is None:
         classes = conjugacy_classes(G)
         loc = class_index(G)
@@ -411,12 +411,30 @@ def power_map(G: FiniteGroup) -> list[list[int]]:
             while h != ident:
                 walk.append(loc[h])
                 h = h * g
-            o = len(walk)
             for d, j in enumerate(walk):
                 if got[j] is None:
-                    got[j] = [walk[d * e % o] for e in range(o // math.gcd(d, o))]
-        G._cache["power_map"] = got
+                    got[j] = (walk, d)
+        G._cache["power_roots"] = got
     return got
+
+
+def class_orders(G: FiniteGroup) -> list[int]:
+    """The order of each class's elements, read off its root walk."""
+    return [len(walk) // math.gcd(d, len(walk)) for walk, d in _power_roots(G)]
+
+
+def power_walk(G: FiniteGroup, k: int) -> list[int]:
+    """walk[e % len(walk)] is the class of h^e for h in class k, and
+    len(walk) is the order of h: every d-th step of its root walk."""
+    walk, d = _power_roots(G)[k]
+    return [walk[d * e % len(walk)] for e in range(len(walk) // math.gcd(d, len(walk)))]
+
+
+def power_map(G: FiniteGroup) -> list[list[int]]:
+    """power_walk(G, k) for every class k, built once per group."""
+    if "power_map" not in G._cache:
+        G._cache["power_map"] = [power_walk(G, k) for k in range(len(conjugacy_classes(G)))]
+    return G._cache["power_map"]
 
 
 def centralizer(G: FiniteGroup, S) -> FiniteGroup:

@@ -193,28 +193,28 @@ _CYCLO_CACHE: dict[int, list[int]] = {}
 
 
 def cyclotomic_int_poly(m: int) -> list[int]:
-    """The m-th cyclotomic polynomial with integer coefficients, low degree first."""
+    """The m-th cyclotomic polynomial with integer coefficients, low degree
+    first: the product of (x^(m/s) - 1)^mu(s) over the squarefree divisors s
+    of m, multiplied out over the s with mu(s) = 1, then divided exactly by
+    the others, each monic, so the coefficients stay ints."""
     got = _CYCLO_CACHE.get(m)
     if got is not None:
         return got
-    # (x^m - 1) divided by the cyclotomic polynomials of the proper divisors,
-    # each monic, so the long division stays in ints
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            div = cyclotomic_int_poly(d)
-            n = len(div) - 1
-            quot = [0] * (len(num) - n)
-            for i in reversed(range(len(quot))):
-                c = quot[i] = num[i + n]
-                if c:
-                    for t, b in enumerate(div):
-                        num[i + t] -= c * b
-            if any(num[:n]):
-                raise ArithmeticError("cyclotomic division left a remainder")
-            num = quot
-    _CYCLO_CACHE[m] = num
-    return num
+    mu = {m: 1}  # m/s -> mu(s) for the squarefree divisors s of m
+    for q in prime_factors(m):
+        mu.update({d // q: -sign for d, sign in mu.items()})
+    poly = [1]
+    for d in [d for d, sign in mu.items() if sign == 1]:  # times x^d - 1
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in [d for d, sign in mu.items() if sign == -1]:  # P = Q (x^d - 1): q_i = q_(i-d) - p_i
+        quot = []
+        for i, c in enumerate(poly[:len(poly) - d]):
+            quot.append((quot[i - d] if i >= d else 0) - c)
+        if ([0] * d + quot)[-d:] != poly[-d:]:
+            raise ArithmeticError("cyclotomic division left a remainder")
+        poly = quot
+    _CYCLO_CACHE[m] = poly
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -53,7 +54,7 @@ from hkr.groupcore import (
     power_map,
     sym_group,
 )
-from hkr.rings import CyclotomicNumber, is_prime, rref_mod, zeta
+from hkr.rings import CyclotomicNumber, is_prime, prime_factors, rref_mod, zeta
 
 
 NAMED_SUITE_TALLY_SHA256 = "a8e5373f11a47d854a0c4c631a6469674bd9927491834fa3afa6b94deb37c10c"
@@ -241,7 +242,7 @@ def test_certificate_rejects_a_broken_galois_tally():
     G = named_group("Dih(5)")
     table = character_table(G)
     m = table.conductor
-    k, members = next((k, mem) for k, mem in _rational_classes(power_map(G)) if len(mem) > 1)
+    k, members = next((k, mem) for k, mem in _rational_classes(enumerate(power_map(G))) if len(mem) > 1)
     j = next(j for j, _ in members if j != k)
     i = next(i for i, row in enumerate(table.rows) if row[j] != row[k])
     report = orthogonality_report(with_entries(table, {(i, j): table.rows[i][k]}))
@@ -256,7 +257,7 @@ def test_certificate_rejects_a_consistently_corrupted_rational_class():
     G = named_group("Dih(5)")
     table = character_table(G)
     m = table.conductor
-    k, members = next((k, mem) for k, mem in _rational_classes(power_map(G)) if len(mem) > 1)
+    k, members = next((k, mem) for k, mem in _rational_classes(enumerate(power_map(G))) if len(mem) > 1)
     i = next(i for i, row in enumerate(table.rows) if row[k] != scaled(row[k], 3, m))
     bad = with_entries(table, {(i, j): scaled(table.rows[i][j], 3, m) for j, _ in members})
     assert bad.rows != table.rows
@@ -310,7 +311,7 @@ def test_one_lift_per_rational_class(monkeypatch):
     # characters of degree 2 one Galois orbit, so 3 x 3 lifts, not 50 x 3
     G = named_group("Dih(97)")
     m = G.exponent()
-    orbits = _rational_classes(power_map(G))
+    orbits = _rational_classes(enumerate(power_map(G)))
     assert len(orbits) == 3
     assert galois_orbit_count(character_table(G).rows, m) == 3
     calls = []
@@ -347,13 +348,48 @@ def test_orbit_lift_equals_the_per_row_lift(monkeypatch):
     for G, rows in zip(groups, by_orbit):
         del calls[:]
         assert _dixon_rows(G, conjugacy_classes(G), G.exponent()) == rows, G.name
-        assert len(calls) == len(rows) * len(_rational_classes(power_map(G)))
+        assert len(calls) == len(rows) * len(_rational_classes(enumerate(power_map(G))))
 
 
 def test_abelian_tables_never_build_the_power_map():
-    G = make_group(6, [Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
-    assert orthogonality_report(character_table(G)).ok
-    assert "power_map" not in G._cache
+    # the whole tables operation of the benchmark: the table, both relations,
+    # the rank, the prediction and the Galois-fixed dimension read class
+    # orders, and walks of the p-power classes only
+    cyclic6 = make_group(6, [Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])])
+    mixed = groupcore.direct_product(groupcore.cyc_group(2), groupcore.cyc_group(12))
+    for G in (cyclic6, groupcore.cyc_group(196), mixed):
+        assert orthogonality_report(character_table(G)).ok
+        for p in prime_factors(G.order):
+            k = next(k for k in itertools.count() if G.exponent() % p ** (k + 1))
+            ranks = {char_matrix_rank(G, p), rank_prediction(G, p, 1), galois_fixed_dim(G, p, k)}
+            assert len(ranks) == 1, (G.name, p, ranks)
+        assert "power_map" not in G._cache, G.name
+
+
+def test_dixon_tables_hold_one_tally_object_per_distinct_tally():
+    for G in named_suite(100):
+        if not G.is_abelian():
+            tallies = [t for row in character_table(G).rows for t in row]
+            assert len({id(t) for t in tallies}) == len({frozenset(t.items()) for t in tallies}), G.name
+
+
+def test_certificate_reads_a_fresh_tally_on_its_own():
+    # the certificate works once per tally object: a fresh dict of another
+    # content at one position is checked there, while the positions that
+    # shared the replaced object keep it; a fresh copy of it changes nothing
+    table = character_table(named_group("Sym(4)"))
+    m = table.conductor
+    uses = Counter(id(t) for row in table.rows for t in row)
+    i, k = next((i, k) for i, row in enumerate(table.rows) for k, t in enumerate(row)
+                if uses[id(t)] > 1 and any(table.value(i, k).coords))
+    old = table.rows[i][k]
+    negated = {(e + m // 2) % m: c for e, c in old.items()}
+    assert negated != old
+    bad = with_entries(table, {(i, k): negated})
+    shared = [(a, b) for a, row in enumerate(table.rows) for b, t in enumerate(row) if t is old and (a, b) != (i, k)]
+    assert shared and all(bad.rows[a][b] is old for a, b in shared)
+    assert not orthogonality_report(bad).ok
+    assert orthogonality_report(with_entries(table, {(i, k): dict(old)})).ok
 
 
 def test_column_orthogonality_values():
@@ -813,8 +849,10 @@ def test_adams_psi_powers_representatives_without_the_power_map(monkeypatch):
     def refuse(G):
         raise AssertionError("adams_psi read the power map")
 
-    for module in (groupcore, charmap, commuting):
-        monkeypatch.setattr(module, "power_map", refuse)
+    for module, names in ((groupcore, ("power_map", "power_walk", "class_orders")),
+                          (charmap, ("power_map", "power_walk")), (commuting, ("class_orders",))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
     assert [adams_psi(m, chi) for chi, m in cases] == before
 
 

@@ -12,6 +12,7 @@ from hkr.groupcore import (
     Permutation,
     centralizer,
     class_index,
+    class_orders,
     conjugacy_classes,
     cyc_group,
     dih_group,
@@ -20,6 +21,7 @@ from hkr.groupcore import (
     named_group,
     orbit_search,
     power_map,
+    power_walk,
     q8_group,
     sym_group,
 )
@@ -215,6 +217,17 @@ def test_power_map_matches_powers_on_the_named_suite():
             g, o = cls.representative, len(walk)
             assert o == g.order()
             assert walk[2 % o] == loc[g**2] and walk[o - 1] == loc[g ** (o - 1)]
+
+
+def test_class_orders_are_the_orders_of_the_representatives():
+    for G in named_suite(200):
+        assert class_orders(G) == [cls.representative.order() for cls in conjugacy_classes(G)], G.name
+
+
+def test_power_walk_is_the_power_map_row():
+    for G in named_suite(200):
+        walks = [power_walk(G, k) for k in range(len(conjugacy_classes(G)))]
+        assert walks == power_map(G), G.name
 
 
 def test_centralizer_against_brute_force():

@@ -61,6 +61,34 @@ def test_integer_cyclotomic_polynomials_match_the_fraction_route():
         assert len(got) - 1 == euler_phi(m)
 
 
+def cyclotomic_by_long_division(m, known):
+    """Phi_m as x^m - 1 divided by Phi_d for each proper divisor d, in turn,
+    by long division of monic integer polynomials: the route
+    cyclotomic_int_poly took before it multiplied and divided binomials.
+    known holds Phi_d for every d < m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            div = known[d]
+            n = len(div) - 1
+            quot = [0] * (len(num) - n)
+            for i in reversed(range(len(quot))):
+                c = quot[i] = num[i + n]
+                if c:
+                    for t, b in enumerate(div):
+                        num[i + t] -= c * b
+            assert not any(num[:n])
+            num = quot
+    return num
+
+
+def test_cyclotomic_int_poly_matches_long_division():
+    known = {}
+    for m in range(1, 401):
+        known[m] = cyclotomic_by_long_division(m, known)
+        assert cyclotomic_int_poly(m) == known[m], m
+
+
 def test_is_prime_agrees_with_trial_division_below_10_5():
     sieve = bytearray([1]) * 10**5
     sieve[0] = sieve[1] = 0
