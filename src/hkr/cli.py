@@ -8,13 +8,15 @@ result cache safe: entries are keyed by the canonical parameter string
 and validated for byte-identity by the self test.
 
 Exit codes: 0 success, 1 computational failure (a cap was exceeded or a
-computation reported failure), 2 usage error.
+computation reported failure), 2 usage error.  `main()` freezes the heap
+before it exits, so the shutdown collections skip it; `run()` does not.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import math
@@ -701,4 +703,6 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    gc.freeze()  # the collections at interpreter shutdown skip frozen objects
+    sys.exit(code)

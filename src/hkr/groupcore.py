@@ -293,6 +293,12 @@ def _closure(
     return elems
 
 
+def _refuse_oversized(degree: int, nontrivial=True):
+    """Refuse, before its points exist, an atom that _closure would refuse."""
+    if (1 + nontrivial) * degree > DEFAULT_CELL_CAP:  # a nontrivial atom has 2+ elements
+        raise CapExceeded(f"group order times degree {degree} exceeds cell cap {DEFAULT_CELL_CAP}")
+
+
 def _minimal_generators(degree: int, elements) -> list[Permutation]:
     """Greedy small generating set for a group given by its element list."""
     gens: list[Permutation] = []
@@ -600,6 +606,7 @@ class _SpecParser:
             self.take("(")
             m = self.take_int()
             self.take(")")
+            _refuse_oversized(m)
             return {"Sym": sym_group, "Cyc": cyc_group, "Dih": dih_group}[tok](m)
         if tok == "Perm":
             return self.parse_perm()
@@ -622,6 +629,7 @@ class _SpecParser:
         cycles = [self.parse_cycle()]
         while self.peek() == "(":
             cycles.append(self.parse_cycle())
+        _refuse_oversized(degree, any(len(c) > 1 for c in cycles))
         try:
             return Permutation.from_cycles(degree, cycles)
         except ValueError as exc:

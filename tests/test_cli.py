@@ -5,9 +5,11 @@ test, so most assertions are on captured bytes.
 """
 
 import argparse
+import gc
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from hkr import cli
 from hkr.cli import CacheEntry, SCHEMA_VERSION, _build_parser, run
 from hkr.rings import PRIMALITY_BOUND
 
@@ -25,13 +28,14 @@ def invoke(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_python(args):
+def run_python(args, **popen):
     """A fresh interpreter with the package on its path; returns the finished
     process and its wall time in seconds."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60,
+                          **popen)
     return done, time.perf_counter() - start
 
 
@@ -714,3 +718,55 @@ def test_primality_past_its_proven_bound_is_a_usage_error():
     assert done.returncode == 2 and done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "only decided below" in done.stderr.splitlines()[-1]
+
+
+def test_run_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    for argv in (["chartable", "--group", "Dih(30)", "--no-cache"],
+                 ["rank", "--group", "Sym(9)", "--p", "2", "--n", "1", "--no-cache"]):
+        run(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_main_freezes_once_after_run_and_exits_with_its_code(monkeypatch, code):
+    events = []
+    monkeypatch.setattr(cli, "run", lambda: events.append("run") or code)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert events == ["run", "freeze"]
+    assert exc.value.code == code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["chartable", "--group", "Dih(30)"], 0),
+    (["rank", "--group", "Sym(9)", "--p", "2", "--n", "1"], 1),
+    (["chartable", "--group", "Dih(30)", "--format", "csv"], 2),
+], ids=["answer", "cap", "usage"])
+def test_python_dash_m_matches_run_in_process(capsys, argv, code):
+    argv = [*argv, "--no-cache"]
+    done, _ = run_python(["-m", "hkr", *argv])
+    assert invoke(capsys, argv) == (code, done.stdout, done.stderr)
+    assert done.returncode == code
+    assert code == 0 or done.stdout == "" and len(done.stderr.splitlines()) == 1
+
+
+def _limit_address_space():
+    # without the early refusal the child would try to build 10^8 points
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("group, degree", [
+    ("Cyc(100000000)", 10**8), ("Dih(100000000)", 10**8), ("Sym(100000000)", 10**8),
+    ("Perm(100000000; (0 1))", 10**8), ("Perm(100000000; (0))", 10**8),
+    ("Cyc(9000000)", 9 * 10**6), ("Cyc(99999999999999999999)", 10**20 - 1),
+])
+def test_oversized_atoms_are_refused_before_their_points_exist(group, degree):
+    # under 2 GB these ran out of memory, took 2 s, or overflowed a C ssize_t
+    done, seconds = run_python(["-m", "hkr", "chartable", "--group", group, "--no-cache"],
+                               preexec_fn=_limit_address_space)
+    assert seconds < 1
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"hkr: group order times degree {degree} exceeds cell cap {1 << 24}\n"

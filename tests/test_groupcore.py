@@ -265,3 +265,29 @@ def test_closure_refuses_past_the_cell_cap():
     assert make_group(10, [gen], cell_cap=100).order == 10  # 10 elements * degree 10
     with pytest.raises(CapExceeded, match="cell cap"):
         make_group(10, [gen], cell_cap=99)
+
+
+def test_parser_refuses_oversized_atoms_before_their_points_exist(monkeypatch):
+    from hkr import groupcore
+
+    monkeypatch.setattr(groupcore, "DEFAULT_CELL_CAP", 100)
+    degrees = []
+    from_cycles = Permutation.from_cycles.__func__
+    monkeypatch.setattr(Permutation, "from_cycles", classmethod(
+        lambda cls, degree, cycles: degrees.append(degree) or from_cycles(cls, degree, cycles)))
+    # a nontrivial atom has two elements or more, so 2 * degree may reach the cap
+    for spec, order in [("Cyc(50)", 50), ("Dih(50)", 100), ("Sym(1)", 1),
+                        ("Perm(50; (0 1))", 2), ("Perm(100; (0))", 1)]:
+        assert groupcore._SpecParser(spec).parse().order == order
+    # refused with the closure's message; only what precedes the refused atom or generator is built
+    for spec, degree, built in [
+        ("Cyc(51)", 51, []), ("Dih(51)", 51, []), ("Sym(51)", 51, []),
+        ("Perm(51; (0 1))", 51, []), ("Perm(101; (0))", 101, []),
+        ("Perm(60; (0), (1 2))", 60, [60]),
+        ("Cyc(10)*Cyc(99999999999999999999)", 10**20 - 1, [10]),
+    ]:
+        degrees.clear()
+        with pytest.raises(CapExceeded) as exc:
+            groupcore._SpecParser(spec).parse()
+        assert str(exc.value) == f"group order times degree {degree} exceeds cell cap 100"
+        assert degrees == built
