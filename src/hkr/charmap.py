@@ -57,7 +57,6 @@ from .rings import (
     capped_power,
     fixed_space_dim,
     is_prime,
-    mat_rank,
     p_part,
     prime_factors,
     rref_mod,
@@ -927,8 +926,10 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
     and are kept once (an abelian table shares one tally per exponent).  The
     rows are specialized to F_q at a root of unity of exact order m, which can
     only lower the rank; full column rank mod q therefore certifies full
-    column rank over the cyclotomic field, with exact cyclotomic elimination
-    as the fallback.
+    column rank over the cyclotomic field.  A correct table always has it:
+    the p-power classes are closed under inversion, so column orthogonality
+    gives Y_(S^-1)^T Y_S = diag(|C_G(g)|), a unit mod q since q = 1 mod m is
+    prime to |G|.
     """
     table = character_table(G)
     m = table.conductor
@@ -938,10 +939,9 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
     zp = _roots_of_unity(q, m)
     mat_q = [[sum(cnt * zp[e % m] for e, cnt in row[k].items()) for k in idx] for row in rows]
     _, pivots = rref_mod(mat_q, q)
-    if len(pivots) == len(idx):
-        return len(idx)
-    mat = [[table.value(i, k) for k in idx] for i in range(table.size)]
-    return mat_rank(mat)
+    if len(pivots) != len(idx):
+        raise HkrError("restricted character matrix lost rank mod q")
+    return len(idx)
 
 
 def adams_psi(m: int, chi: ClassFunction) -> ClassFunction:

@@ -159,9 +159,12 @@ class TruncatedSeries:
         """Substitute one series per variable.
 
         Every argument must have zero constant term (otherwise truncation
-        would lose information) and share a common variable count.
-        Evaluation is by nested Horner passes so the number of series
-        multiplications stays linear in the degree.
+        would lose information) and share a common variable count.  Each
+        argument's needed powers are built once, power e as power e-1 times
+        the argument when power e-1 is needed too, else as the product of its
+        halves, so a sparse series costs a chain of squarings.  The terms
+        sharing every exponent but the last sum the last argument's powers
+        with scalar coefficients, then take one product per earlier variable.
         """
         if len(args) != self.nvars:
             raise ValueError(f"expected {self.nvars} substitution arguments")
@@ -172,28 +175,28 @@ class TruncatedSeries:
             if a.constant_term() != 0:
                 raise ValueError("substitution arguments must have zero constant term")
         D = min(self.degree, target.degree)
-        nt = target.nvars
-
-        def horner(coeffs: dict, var: int) -> TruncatedSeries:
-            # coeffs: {exponents of variables var.. : coefficient}; Horner in
-            # args[var] over the exponent of that variable, recursing on the rest
-            if var == self.nvars:
-                return TruncatedSeries.constant(nt, D, coeffs[()])
-            by_exp: dict[int, dict] = {}
-            for exps, c in coeffs.items():
-                by_exp.setdefault(exps[0], {})[exps[1:]] = c
-            top = max(by_exp, default=0)
-            acc = TruncatedSeries.zero(nt, D)
-            for e in range(top, -1, -1):
-                if e < top:
-                    acc = acc * args[var]
-                inner = by_exp.get(e)
-                if inner is not None:
-                    acc = acc + horner(inner, var + 1)
-            return acc
-
-        kept = {exps: c for exps, c in self.coeffs.items() if sum(exps) <= D}
-        return horner(kept, 0).truncate(D)
+        kept = [(exps, c) for exps, c in self.coeffs.items() if sum(exps) <= D]
+        powers = []
+        for var, arg in enumerate(args):
+            need = {0, 1} | {exps[var] for exps, _ in kept}
+            for e in range(max(need), 1, -1):  # top down: e - 1 is settled before e
+                if e in need and e - 1 not in need:
+                    need |= {e // 2, e - e // 2}
+            memo = {0: TruncatedSeries.constant(target.nvars, D, 1), 1: arg.truncate(D)}
+            for e in sorted(need)[2:]:
+                h = e // 2
+                memo[e] = memo[e - 1] * memo[1] if e - 1 in need else memo[h] * memo[e - h]
+            powers.append(memo)
+        groups: dict[tuple, dict] = {}
+        for exps, c in kept:
+            inner = groups.setdefault(exps[:-1], {})
+            for mono, v in powers[-1][exps[-1]].coeffs.items():
+                inner[mono] = inner.get(mono, 0) + c * v
+        total = TruncatedSeries.zero(target.nvars, D)
+        for head, inner in groups.items():
+            factors = (powers[var][e] for var, e in enumerate(head) if e)
+            total = total + math.prod(factors, start=TruncatedSeries(target.nvars, D, inner))
+        return total
 
     def to_text(self, variables=("x", "y", "z")) -> str:
         """Canonical text form: terms by total degree, then lexicographic exponents."""
@@ -292,28 +295,25 @@ def _validate_law(F: TruncatedSeries, name: str):
     log = _logarithm(F)
     scale = math.lcm(*(c.denominator for c in log.coeffs.values()))
     log = TruncatedSeries(1, D, {e: c * scale for e, c in log.coeffs.items()})
-    split = {}
-    for (d,), c in log.coeffs.items():
-        split[(d, 0)] = split[(0, d)] = c
-    if log.substitute([F]) != TruncatedSeries(2, D, split):
+    if log.substitute([F]) != _log_sum(log):
         raise ValueError(f"{name}: associativity fails up to degree {D}")
+
+
+def _log_sum(log: TruncatedSeries) -> TruncatedSeries:
+    """l(x) + l(y) as a two-variable series, for l with zero constant term."""
+    split = {e: c for (d,), c in log.coeffs.items() for e in ((d, 0), (0, d))}
+    return TruncatedSeries(2, log.degree, split)
 
 
 def _honda_law(p: int, n: int, D: int) -> TruncatedSeries:
     # logarithm sum x^(p^(n i)) / p^i, then F = log^(-1)(log x + log y)
     step = capped_power(p, n, D)
-    log_coeffs = {}
-    q, i = 1, 0
+    log_coeffs, q = {}, 1
     while q <= D:
-        log_coeffs[(q,)] = Fraction(1, p**i)
+        log_coeffs[(q,)] = Fraction(1, p ** len(log_coeffs))
         q *= step
-        i += 1
     log = TruncatedSeries(1, D, log_coeffs)
-    exp = ps_reversion(log)
-    x2 = TruncatedSeries.variable(2, D, 0)
-    y2 = TruncatedSeries.variable(2, D, 1)
-    logsum = log.substitute([x2]) + log.substitute([y2])
-    F = exp.substitute([logsum])
+    F = ps_reversion(log).substitute([_log_sum(log)])
     for exps, c in F.coeffs.items():
         if c.denominator % p == 0:
             raise ArithmeticError(f"p-typical law coefficient at {exps} is not p-integral")
@@ -362,15 +362,12 @@ def fgl_inverse(law: FormalGroupLaw, f: TruncatedSeries) -> TruncatedSeries:
     if f.constant_term() != 0:
         raise ValueError("formal inverse needs zero constant term")
     inv = -f
-    for _ in range(f.degree):
+    for _ in range(f.degree + 1):
         err = law.series.substitute([f, inv])
         if err.is_zero():
             return inv
         inv = inv - err
-    err = law.series.substitute([f, inv])
-    if not err.is_zero():
-        raise ArithmeticError("formal inverse iteration did not converge")
-    return inv
+    raise ArithmeticError("formal inverse iteration did not converge")
 
 
 def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
@@ -399,12 +396,14 @@ def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
 def _charge_m_series(law: FormalGroupLaw, p: int, e: int = 1):
     """Raise CapExceeded, before any work, if m_series(law, p^e) would be slow.
 
-    Double-and-add makes a Horner pass of the law per doubling and per set
-    bit of m = p^e: P series products of up to D^2 coefficient pairs, P the
-    slots below the law's top exponents.  The first doubling and the first
-    addition work on x and on 0 and cost little.  Each doubling adds about D
-    bits to the top coefficients, so p^e is built only up to the first power
-    past 2^ANGLE_BITS_CAP, which is refused.
+    Double-and-add substitutes into the law once per doubling and per set
+    bit of m = p^e.  A substitution builds the powers of both arguments and
+    takes one product per exponent of x: series products of up to D^2
+    coefficient pairs, at most P of them, P the slots below the law's top
+    exponents.  The first doubling and the first addition work on x and on 0
+    and cost little.  Each doubling adds about D bits to the top coefficients,
+    so p^e is built only up to the first power past 2^ANGLE_BITS_CAP, which is
+    refused.
     """
     D = law.degree
     tops: dict[int, int] = {}

@@ -880,6 +880,19 @@ def test_char_matrix_rank_equals_p_power_class_count():
             assert char_matrix_rank(G, p) == want
 
 
+def test_char_matrix_rank_refuses_a_table_that_lost_rank(monkeypatch):
+    # every class of Cyc(4) is a 2-power class; with the last column copied
+    # from the second the restricted matrix has rank 3, which no correct
+    # table has mod q, so there is no exact elimination to fall back on
+    G = named_group("Cyc(4)")
+    table = character_table(G)
+    rows = [row[:3] + row[1:2] for row in table.rows]
+    tampered = CharacterTable(G, table.classes, table.conductor, rows)
+    monkeypatch.setattr(charmap, "character_table", lambda _: tampered)
+    with pytest.raises(HkrError, match="lost rank mod q"):
+        char_matrix_rank(G, 2)
+
+
 def test_total_power_p1_is_identity_pairing():
     G = named_group("Sym(3)")
     chi = irreducible_characters(G)[2]

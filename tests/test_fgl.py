@@ -1,7 +1,9 @@
 """Formal group laws: axioms, multiplication series, angle factors."""
 
 import hashlib
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -233,6 +235,135 @@ def test_logarithm_certificate_agrees_with_three_variable_associativity(name):
     assert not _associative_in_three_variables(bent)
     with pytest.raises(ValueError, match="associativity"):
         _validate_law(bent, name)
+
+
+def _horner_substitute(series, args):
+    """series(args) by nested Horner passes, one product per exponent from the
+    top one down, recursing once per variable: the reference for
+    TruncatedSeries.substitute, which builds memoized powers instead."""
+    D = min(series.degree, args[0].degree)
+    nt = args[0].nvars
+
+    def horner(coeffs, var):
+        if var == series.nvars:
+            return TruncatedSeries.constant(nt, D, coeffs[()])
+        by_exp = {}
+        for exps, c in coeffs.items():
+            by_exp.setdefault(exps[0], {})[exps[1:]] = c
+        top = max(by_exp, default=0)
+        acc = TruncatedSeries.zero(nt, D)
+        for e in range(top, -1, -1):
+            if e < top:
+                acc = acc * args[var]
+            inner = by_exp.get(e)
+            if inner is not None:
+                acc = acc + horner(inner, var + 1)
+        return acc
+
+    kept = {exps: c for exps, c in series.coeffs.items() if sum(exps) <= D}
+    return horner(kept, 0).truncate(D)
+
+
+def _monomials(nvars, D, low=0):
+    return [e for e in itertools.product(range(D + 1), repeat=nvars) if low <= sum(e) <= D]
+
+
+def _random_outer(rng, kind, nvars, D, coeff):
+    if kind == "zero":
+        return TruncatedSeries.zero(nvars, D)
+    if kind == "constant":
+        return TruncatedSeries.constant(nvars, D, coeff(rng))
+    if kind == "sparse":  # every exponent 0 or a power of 2
+        powers = [0] + [2**i for i in range(D.bit_length())]
+        monos = [e for e in itertools.product(powers, repeat=nvars) if sum(e) <= D]
+    else:
+        monos = _monomials(nvars, D)
+        if kind == "scattered":  # odd exponents without their predecessors
+            monos = rng.sample(monos, max(1, len(monos) // 3))
+    return TruncatedSeries(nvars, D, {e: coeff(rng) for e in monos})
+
+
+def _int_coeff(rng):
+    return rng.randint(-9, 9)
+
+
+def _fraction_coeff(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["dense", "sparse", "scattered", "zero", "constant"])
+def test_substitute_matches_the_horner_reference(kind, nvars):
+    rng = random.Random(f"{kind}-{nvars}")
+    for nt in (1, 2, 3):
+        D = 4 if nt == 3 or nvars == 3 else 6
+        for arg_D in (D + 2, D, D - 2):  # arguments above, at and below the outer degree
+            for coeff in (_int_coeff, _fraction_coeff):
+                outer = _random_outer(rng, kind, nvars, D, coeff)
+                args = [
+                    TruncatedSeries(nt, arg_D, {e: coeff(rng) for e in _monomials(nt, arg_D, 1)})
+                    for _ in range(nvars)
+                ]
+                got = outer.substitute(args)
+                assert got == _horner_substitute(outer, args), (nt, arg_D, coeff.__name__)
+                assert got.degree == min(D, arg_D)
+
+
+def _count_products(monkeypatch, least_terms):
+    """Count TruncatedSeries products whose operands both have at least
+    least_terms terms; returns the list that grows by one per product."""
+    counted = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(a, b):
+        if len(a.coeffs) >= least_terms and len(b.coeffs) >= least_terms:
+            counted.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    return counted
+
+
+def _dense(D):
+    return TruncatedSeries(1, D, {(d,): d + 1 for d in range(1, D + 1)})
+
+
+def test_sparse_outer_series_costs_a_chain_of_squarings(monkeypatch):
+    # the Horner route took 63 products here, one per exponent below 64
+    D = 64
+    log = TruncatedSeries(1, D, {(2**i,): Fraction(1, 2**i) for i in range(7)})
+    arg = _dense(D)
+    counted = _count_products(monkeypatch, 2)
+    got = log.substitute([arg])
+    assert len(counted) <= 12
+    monkeypatch.undo()
+    assert got == _horner_substitute(log, [arg])
+
+
+def test_law_substitution_builds_each_power_once(monkeypatch):
+    # the Horner route took 496 products for honda(2,1) at D = 32
+    D = 32
+    F = make_fgl("honda(2,1)", D).series
+    args = [_dense(D), TruncatedSeries(1, D, {(d,): (-1) ** d * d for d in range(1, D + 1)})]
+    counted = _count_products(monkeypatch, 2)
+    got = F.substitute(args)
+    assert len(counted) <= 4 * D
+    monkeypatch.undo()
+    assert got == _horner_substitute(F, args)
+
+
+@pytest.mark.parametrize("name", NAMED_LAWS[:7])
+def test_law_substitution_stays_within_the_charged_products(monkeypatch, name):
+    # _charge_m_series charges P series products per substitution of a law
+    for D in (4, 16):
+        F = make_fgl(name, D).series
+        tops = {}
+        for i, j in F.coeffs:
+            tops[i] = max(tops.get(i, 0), j)
+        counted = _count_products(monkeypatch, 0)
+        F.substitute([_dense(D), _dense(D)])
+        monkeypatch.undo()
+        assert len(counted) <= max(tops) + sum(tops.values()), D
 
 
 @pytest.mark.parametrize("coeffs", [
