@@ -1,19 +1,23 @@
-"""Formal group laws over the rationals as exactly truncated power series.
+"""Formal group laws over the rationals, held in logarithm coordinates.
 
 Series live in 1 to 3 variables with exact rational coefficients (int or
-Fraction) and are cut off at a total degree D.  A law is a two-variable series
-F with F(x, 0) = x, F(0, y) = y and F symmetric, whose logarithm l, the
-integral of 1 / (dF/dy)(x, 0), satisfies l(F(x, y)) = l(x) + l(y) up to
-degree D.  Since l = x + ... is invertible, F is then l^-1(l(x) + l(y)) and so
-associative up to degree D (Hazewinkel, Formal Groups and Applications, §5).
+Fraction) and are cut off at a total degree D.  A named law has a logarithm
+l = x + ... over Q: x for the additive law, and sum_i x^(p^(n*i)) / p^i for
+the p-typical law of a prime p and height n.  With e = l^-1, built by
+Newton's iteration, the m-series is [m](x) = e(m l(x)) (Hazewinkel, Formal
+Groups and Applications, 1978).  The multiplicative law x + y + xy, whose
+logarithm log(1 + x) is dense, has [m](x) = (1 + x)^m - 1.
 
-Supported constructions: the additive law x + y, the multiplicative law
-x + y + xy, and for each prime p and height n the p-typical law with logarithm
-sum_i x^(p^(n*i)) / p^i over the rationals.
+The two-variable law F = e(l(x) + l(y)) is built only when read, and then
+validated on a route of its own: F(x, 0) = x, F(0, y) = y, F symmetric, and
+its logarithm, the integral of 1 / (dF/dy)(x, 0), satisfies l(F(x, y)) =
+l(x) + l(y) up to degree D, which makes F associative up to degree D (ibid.
+§5).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import namedtuple
@@ -27,11 +31,8 @@ __all__ = [
     "TruncatedSeries",
     "FormalGroupLaw",
     "CoprimalityCertificate",
-    "ps_compose",
-    "ps_reversion",
     "make_fgl",
     "fgl_sum",
-    "fgl_inverse",
     "m_series",
     "angle_series",
     "weierstrass_degree",
@@ -43,14 +44,8 @@ __all__ = [
 
 DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 64
-# caps on the passes of [m] in m_series, see _charge_m_series
+# cap on the coefficient size of [m](x) in m_series, see _charge_m_series
 ANGLE_BITS_CAP = 4096
-ANGLE_WORK_CAP = 1_000_000
-
-
-def _check_degree(D: int):
-    if not 1 <= D <= MAX_TRUNCATION:
-        raise ValueError(f"truncation degree must be in 1..{MAX_TRUNCATION}, got {D}")
 
 
 class TruncatedSeries:
@@ -67,7 +62,8 @@ class TruncatedSeries:
     def __init__(self, nvars: int, degree: int, coeffs: dict):
         if nvars not in (1, 2, 3):
             raise ValueError("series support 1 to 3 variables")
-        _check_degree(degree)
+        if degree < 1:
+            raise ValueError(f"truncation degree must be >= 1, got {degree}")
         self.nvars = nvars
         self.degree = degree
         clean = {}
@@ -120,9 +116,6 @@ class TruncatedSeries:
             out[e] = -c if got is None else got - c
         return TruncatedSeries(self.nvars, D, out)
 
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()})
-
     def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
         D = self._common(other)
         out: dict = {}
@@ -148,11 +141,7 @@ class TruncatedSeries:
     def constant_term(self):
         return self.coeffs.get((0,) * self.nvars, 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def truncate(self, D: int) -> TruncatedSeries:
-        _check_degree(D)
         return TruncatedSeries(self.nvars, D, {e: c for e, c in self.coeffs.items() if sum(e) <= D})
 
     def substitute(self, args: list[TruncatedSeries]) -> TruncatedSeries:
@@ -228,59 +217,64 @@ class TruncatedSeries:
         return f"TruncatedSeries[{self.to_text()} + O(deg {self.degree + 1})]"
 
 
-def ps_compose(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """f(g(x)) for 1-variable series; g must have zero constant term."""
-    if f.nvars != 1 or g.nvars != 1:
-        raise ValueError("ps_compose works on 1-variable series")
-    return f.substitute([g])
+class FormalGroupLaw(namedtuple("FormalGroupLaw", "name degree prime log exp")):
+    """A named law over Q to degree D, held in logarithm coordinates.
 
-
-def ps_reversion(f: TruncatedSeries) -> TruncatedSeries:
-    """The compositional inverse of f = c1 x + ... with c1 != 0.
-
-    Solves f(g(x)) = x degree by degree: each new coefficient of g is fixed by
-    one division by c1.
+    log is its logarithm l and exp = l^-1, both held one degree past D so
+    that angle_series can divide [p](x) by x; prime is p for honda(p, n),
+    else None.  The multiplicative law, whose log(1 + x) is dense, holds
+    neither.
     """
-    if f.nvars != 1:
-        raise ValueError("reversion works on 1-variable series")
-    if f.constant_term() != 0:
-        raise ValueError("reversion needs zero constant term")
-    c1 = f.coefficient((1,))
-    if c1 == 0:
-        raise ValueError("reversion needs an invertible linear coefficient")
-    inv_c1 = 1 / Fraction(c1)
-    D = f.degree
-    coeffs = {(1,): inv_c1}
-    for d in range(2, D + 1):
-        g = TruncatedSeries(1, D, coeffs)
-        err = ps_compose(f, g).coefficient((d,))
-        if err != 0:
-            coeffs[(d,)] = -(err * inv_c1)
-    return TruncatedSeries(1, D, coeffs)
-
-
-class FormalGroupLaw(namedtuple("FormalGroupLaw", "name series")):
-    """A validated two-variable law together with its name."""
 
     __slots__ = ()
 
     @property
-    def degree(self) -> int:
-        return self.series.degree
+    def series(self) -> TruncatedSeries:
+        """The two-variable law F(x, y), built and validated on first read."""
+        return _bivariate(self)
 
     def __repr__(self):
         return f"FormalGroupLaw[{self.name} to degree {self.degree}]"
 
 
+def _reciprocal(c: list) -> list:
+    """The coefficients of 1 / sum_d c[d] x^d for c[0] = 1, as many as c."""
+    inv = [1]
+    for d in range(1, len(c)):
+        inv.append(-sum(c[i] * inv[d - i] for i in range(1, d + 1)))
+    return inv
+
+
+def _reversion(log: TruncatedSeries) -> TruncatedSeries:
+    """e = l^-1 for a logarithm l = x + ..., checked once by l(e(x)) = x.
+
+    Newton's iteration g <- g - (l(g) - x) / l'(g) takes g from exact to
+    degree n // 2 to exact to degree n (Brent and Kung, J. ACM 25, 1978), so
+    the precision doubles on each pass; for a sparse l, l(g) and l'(g) are
+    chains of squarings.
+    """
+    D = log.degree
+    # l' is inexact at degree D, which no correction reads
+    dlog = TruncatedSeries(1, D, {(d - 1,): d * c for (d,), c in log.coeffs.items()})
+    g = {(1,): 1}
+    for n in reversed([D >> i for i in range(D.bit_length() - 1)]):
+        g = TruncatedSeries(1, n, g)
+        err = log.truncate(n).substitute([g]) - TruncatedSeries.variable(1, n)
+        # err starts past degree n // 2, so 1 / l'(g) is needed below n - n // 2
+        slope = dlog.truncate(n).substitute([g])
+        inv = _reciprocal([slope.coefficient(d) for d in range(n - n // 2)])
+        g = (g - err * TruncatedSeries(1, n, {(d,): c for d, c in enumerate(inv)})).coeffs
+    e = TruncatedSeries(1, D, g)
+    if log.substitute([e]) != TruncatedSeries.variable(1, D):
+        raise ArithmeticError("l(e(x)) != x after Newton reversion")
+    return e
+
+
 def _logarithm(F: TruncatedSeries) -> TruncatedSeries:
     """The integral of 1 / (dF/dy)(x, 0) = 1 / sum_i c_(i,1) x^i, for a law
     with c_(0,1) = 1."""
-    D = F.degree
-    g = [F.coefficient((i, 1)) for i in range(D)]
-    inv = [1]
-    for d in range(1, D):
-        inv.append(-sum(g[i] * inv[d - i] for i in range(1, d + 1)))
-    return TruncatedSeries(1, D, {(d + 1,): Fraction(c, d + 1) for d, c in enumerate(inv)})
+    inv = _reciprocal([F.coefficient((i, 1)) for i in range(F.degree)])
+    return TruncatedSeries(1, F.degree, {(d + 1,): Fraction(c, d + 1) for d, c in enumerate(inv)})
 
 
 def _validate_law(F: TruncatedSeries, name: str):
@@ -305,19 +299,22 @@ def _log_sum(log: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(2, log.degree, split)
 
 
-def _honda_law(p: int, n: int, D: int) -> TruncatedSeries:
-    # logarithm sum x^(p^(n i)) / p^i, then F = log^(-1)(log x + log y)
-    step = capped_power(p, n, D)
-    log_coeffs, q = {}, 1
-    while q <= D:
-        log_coeffs[(q,)] = Fraction(1, p ** len(log_coeffs))
-        q *= step
-    log = TruncatedSeries(1, D, log_coeffs)
-    F = ps_reversion(log).substitute([_log_sum(log)])
+@functools.cache
+def _bivariate(law: FormalGroupLaw) -> TruncatedSeries:
+    """F = e(l(x) + l(y)), or x + y + xy for the multiplicative law; a Honda
+    law's F is checked to be p-integral, and every F is validated by unit,
+    symmetry and its own logarithm, the route independent of l."""
+    D = law.degree
+    if law.name == "multiplicative":
+        F = TruncatedSeries(2, D, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
+    else:
+        F = law.exp.truncate(D).substitute([_log_sum(law.log.truncate(D))])
     for exps, c in F.coeffs.items():
-        if c.denominator % p == 0:
+        if law.prime is not None and c.denominator % law.prime == 0:
             raise ArithmeticError(f"p-typical law coefficient at {exps} is not p-integral")
+    _validate_law(F, law.name)
     return F
+
 
 _HONDA_NAME = re.compile(r"honda\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
@@ -326,26 +323,28 @@ def make_fgl(name: str, D: int = DEFAULT_TRUNCATION) -> FormalGroupLaw:
     """Build a named law over Q: "additive", "multiplicative", or "honda(p,n)"
     for a prime p and a height n >= 1.
 
-    The p-typical laws are built from their logarithm, and their coefficients
-    are checked to be p-integral.  Every law is validated up to degree D:
-    unit, symmetry, and associativity through its logarithm.
+    The additive law has logarithm x, and honda(p, n) the p-typical
+    logarithm sum_i x^(p^(n i)) / p^i; its inverse is built by Newton's
+    iteration and checked.  The two-variable law is built only when read.
     """
-    _check_degree(D)
+    if not 1 <= D <= MAX_TRUNCATION:
+        raise ValueError(f"truncation degree must be in 1..{MAX_TRUNCATION}, got {D}")
     key = name.replace(" ", "")
     if key == "additive":
-        F = TruncatedSeries(2, D, {(1, 0): 1, (0, 1): 1})
-    elif key == "multiplicative":
-        F = TruncatedSeries(2, D, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
-    else:
-        m = _HONDA_NAME.fullmatch(key)
-        if m is None:
-            raise ValueError(f"unknown law {name!r}")
-        p, n = int(m.group(1)), int(m.group(2))
-        if not is_prime(p) or n < 1:
-            raise ValueError(f"honda(p, n) needs a prime p and n >= 1, got {key}")
-        F = _honda_law(p, n, D)
-    _validate_law(F, key)
-    return FormalGroupLaw(key, F)
+        x = TruncatedSeries.variable(1, D + 1)
+        return FormalGroupLaw(key, D, None, x, x)
+    if key == "multiplicative":
+        return FormalGroupLaw(key, D, None, None, None)
+    m = _HONDA_NAME.fullmatch(key)
+    if m is None:
+        raise ValueError(f"unknown law {name!r}")
+    p, n = int(m.group(1)), int(m.group(2))
+    if not is_prime(p) or n < 1:
+        raise ValueError(f"honda(p, n) needs a prime p and n >= 1, got {key}")
+    step = capped_power(p, n, D + 1)
+    powers = [i for i in range((D + 1).bit_length()) if step**i <= D + 1]  # step >= 2
+    log = TruncatedSeries(1, D + 1, {(step**i,): Fraction(1, p**i) for i in powers})
+    return FormalGroupLaw(key, D, p, log, _reversion(log))
 
 
 def fgl_sum(law: FormalGroupLaw, f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -353,78 +352,49 @@ def fgl_sum(law: FormalGroupLaw, f: TruncatedSeries, g: TruncatedSeries) -> Trun
     return law.series.substitute([f, g])
 
 
-def fgl_inverse(law: FormalGroupLaw, f: TruncatedSeries) -> TruncatedSeries:
-    """The formal inverse: the series i with F(f, i) = 0.
+def m_series(law: FormalGroupLaw, m: int, degree: int | None = None) -> TruncatedSeries:
+    """The m-fold formal sum [m](x) = e(m l(x)), for any integer m, to the
+    law's degree D, or to the given degree of at most D + 1.
 
-    Newton-style iteration i <- i - F(f, i); each pass fixes one more degree
-    because dF/dy = 1 + higher terms.
+    Charged before any work, and checked by l([m](x)) = m l(x) and, for a
+    Honda law, by p-integrality at its own prime.  The multiplicative law
+    gives (1 + x)^m - 1 directly.
     """
-    if f.constant_term() != 0:
-        raise ValueError("formal inverse needs zero constant term")
-    inv = -f
-    for _ in range(f.degree + 1):
-        err = law.series.substitute([f, inv])
-        if err.is_zero():
-            return inv
-        inv = inv - err
-    raise ArithmeticError("formal inverse iteration did not converge")
-
-
-def m_series(law: FormalGroupLaw, m: int) -> TruncatedSeries:
-    """The m-fold formal sum [m](x), for any integer m.
-
-    Double-and-add on |m| with [a + b](x) = F([a](x), [b](x)), so the cost is
-    O(log |m|) substitutions, charged before any of them; [-m] is the formal
-    inverse of [m].
-    """
-    _charge_m_series(law, abs(m))
-    D = law.degree
-    out = TruncatedSeries.zero(1, D)
-    power = TruncatedSeries.variable(1, D, 0)  # [2^i](x)
-    k = abs(m)
-    while k:
-        if k & 1:
-            out = law.series.substitute([power, out])
-        k >>= 1
-        if k:
-            power = law.series.substitute([power, power])
-    if m < 0:
-        out = fgl_inverse(law, out)
+    _charge_m_series(law.degree, m)
+    D = law.degree if degree is None else degree
+    if law.name == "multiplicative":
+        coeffs, c = {}, 1
+        for d in range(1, D + 1):
+            c = c * (m - d + 1) // d
+            coeffs[(d,)] = c
+        return TruncatedSeries(1, D, coeffs)
+    log = law.log.truncate(D)
+    scaled = TruncatedSeries(1, D, {e: m * c for e, c in log.coeffs.items()})
+    out = law.exp.truncate(D).substitute([scaled])
+    if log.substitute([out]) != scaled:
+        raise ArithmeticError("l([m](x)) != m l(x)")
+    if law.prime is not None:
+        weierstrass_degree(out, law.prime)  # raises unless out is p-integral
     return out
 
 
-def _charge_m_series(law: FormalGroupLaw, p: int, e: int = 1):
-    """Raise CapExceeded, before any work, if m_series(law, p^e) would be slow.
-
-    Double-and-add substitutes into the law once per doubling and per set
-    bit of m = p^e.  A substitution builds the powers of both arguments and
-    takes one product per exponent of x: series products of up to D^2
-    coefficient pairs, at most P of them, P the slots below the law's top
-    exponents.  The first doubling and the first addition work on x and on 0
-    and cost little.  Each doubling adds about D bits to the top coefficients,
-    so p^e is built only up to the first power past 2^ANGLE_BITS_CAP, which is
-    refused.
-    """
-    D = law.degree
-    tops: dict[int, int] = {}
-    for i, j in law.series.coeffs:
-        tops[i] = max(tops.get(i, 0), j)
-    P = max(tops) + sum(tops.values())
-    m = capped_power(p, e, 1 << ANGLE_BITS_CAP)
-    passes = m.bit_length() - 1 + bin(m).count("1")
-    if passes * D <= ANGLE_BITS_CAP and max(passes - 2, 0) * P * D * D <= ANGLE_WORK_CAP:
-        return
-    raise CapExceeded(
-        f"[m](x) for an m of {m.bit_length()} bits at D = {D} exceeds the angle caps "
-        f"of {ANGLE_BITS_CAP} bits and {ANGLE_WORK_CAP} coefficient products"
-    )
+def _charge_m_series(D: int, m: int):
+    """Raise CapExceeded, before any work, if [m](x) to degree D could have
+    coefficients of more than about ANGLE_BITS_CAP bits: its degree-d
+    coefficient is a polynomial of degree d in m.  The cap keeps every
+    coefficient far below Python's 4300-digit limit for str."""
+    bits = abs(m).bit_length()
+    if D * bits > ANGLE_BITS_CAP:
+        raise CapExceeded(f"[m](x) for an m of {bits} bits at D = {D} exceeds the angle caps "
+                          f"of {ANGLE_BITS_CAP} bits")
 
 
 def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:
     """The k-th angle factor of the p-series.
 
-    Writing [p](x) = x * e(x), the factor is e([p^(k-1)](x)); for k = 0 it is
-    x itself.  The factors multiply back to the p^k-series:
+    Writing [p](x) = x * u(x), the factor is u([p^(k-1)](x)); for k = 0 it is
+    x itself.  u is exact to degree D because [p](x) is built to D + 1.  The
+    factors multiply back to the p^k-series:
     [p^k](x) = product of the angle factors for 0 <= i <= k.
     """
     if k < 0:
@@ -434,11 +404,9 @@ def angle_series(law: FormalGroupLaw, p: int, k: int) -> TruncatedSeries:
         return TruncatedSeries.variable(1, D, 0)
     # [p^(k-1)] first: m_series refuses a huge level before any work
     inner = m_series(law, capped_power(p, k - 1, 1 << ANGLE_BITS_CAP))
-    pser = m_series(law, p)
-    if pser.constant_term() != 0:
-        raise ArithmeticError("p-series has a constant term")
-    e = TruncatedSeries(1, D, {(d - 1,): c for (d,), c in pser.coeffs.items()})
-    return e.substitute([inner]) if k > 1 else e
+    pser = m_series(law, p, D + 1)
+    u = TruncatedSeries(1, D, {(d - 1,): c for (d,), c in pser.coeffs.items()})
+    return u.substitute([inner]) if k > 1 else u
 
 
 def weierstrass_degree(s: TruncatedSeries, p: int):
