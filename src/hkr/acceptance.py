@@ -190,7 +190,7 @@ def criterion_4():
     Weierstrass degrees, and p-integrality."""
     add = make_fgl("additive", D=16)
     mult = make_fgl("multiplicative", D=16)
-    laws = 2
+    laws = len([law.series for law in (add, mult)])  # each read builds F and validates it
 
     # [p^k] = product of the angle factors, multiplicative law, p^k <= 27;
     # each factor within the truncation is Phi_(p^i)(1+x), the polynomial

@@ -305,7 +305,7 @@ def _bivariate(law: FormalGroupLaw) -> TruncatedSeries:
     law's F is checked to be p-integral, and every F is validated by unit,
     symmetry and its own logarithm, the route independent of l."""
     D = law.degree
-    if law.name == "multiplicative":
+    if law.log is None:
         F = TruncatedSeries(2, D, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     else:
         F = law.exp.truncate(D).substitute([_log_sum(law.log.truncate(D))])
@@ -360,9 +360,11 @@ def m_series(law: FormalGroupLaw, m: int, degree: int | None = None) -> Truncate
     Honda law, by p-integrality at its own prime.  The multiplicative law
     gives (1 + x)^m - 1 directly.
     """
-    _charge_m_series(law.degree, m)
     D = law.degree if degree is None else degree
-    if law.name == "multiplicative":
+    if not 1 <= D <= law.degree + 1:
+        raise ValueError(f"m_series degree must be in 1..{law.degree + 1}, got {D}")
+    _charge_m_series(D, m)
+    if law.log is None:
         coeffs, c = {}, 1
         for d in range(1, D + 1):
             c = c * (m - d + 1) // d

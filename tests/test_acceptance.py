@@ -60,3 +60,14 @@ def test_criterion_6_fails_when_the_orbit_route_loses_a_class(monkeypatch):
     ok, detail = acceptance.criterion_6()
     assert not ok
     assert detail.startswith("Cyc(12) p=2:")
+
+
+def test_criterion_4_validates_every_law_it_counts(monkeypatch):
+    from hkr import fgl
+    validated, validate = [], fgl._validate_law
+    monkeypatch.setattr(fgl, "_validate_law", lambda F, name: (validated.append(name), validate(F, name)))
+    fgl._bivariate.cache_clear()  # a law built by an earlier test would skip validation
+    ok, detail = acceptance.criterion_4()
+    assert ok, detail
+    assert len(validated) == len(set(validated)) == 12
+    assert detail.startswith(f"{len(validated)} laws validated at D=16")

@@ -183,6 +183,16 @@ def test_angle_factor_is_exact_at_its_top_degree(name):
                 assert angle_series(law, p, k) == angle_series(wider, p, k).truncate(D), (D, p, k)
 
 
+@pytest.mark.parametrize("name", ["additive", "multiplicative", "honda(2,1)", "honda(3,1)"])
+def test_m_series_is_exact_to_one_degree_past_the_law(name):
+    law = make_fgl(name, D=8)
+    for m in (2, 3, -1):
+        assert m_series(law, m, 9) == m_series(make_fgl(name, D=9), m), m
+    for degree in (0, 10):
+        with pytest.raises(ValueError):  # log and exp hold only D + 1 terms
+            m_series(law, 2, degree)
+
+
 def test_angle_factors_multiply_to_p_series():
     for name, p, k in (
         ("multiplicative", 2, 3),
