@@ -410,9 +410,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
     loc = class_index(G)
     order = G.order
     q = _find_modular_prime(m, order)
-
-    class_at = {g.images: c for g, c in loc.items()}.__getitem__
-    inv_class = [loc[rep.inverse()] for rep in reps]
+    inv_class = [loc[rep.inverse().images] for rep in reps]
 
     def class_matrix(i: int) -> list[Counter]:
         """Column k of N_i as {j: a_ijk}, a_ijk the number of x in class i
@@ -420,7 +418,7 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
         of inverses, and (x^-1 z_k).images is z_k.images looked up in
         x^-1's images."""
         inverses = [y.images for y in classes[inv_class[i]].members]
-        return [Counter(map(class_at, map(operator.itemgetter(*z.images), inverses))) for z in reps]
+        return [Counter(map(loc.__getitem__, map(operator.itemgetter(*z.images), inverses))) for z in reps]
 
     def span(B, piv):
         """A basis B in reduced row echelon form with pivot columns piv, and
@@ -560,7 +558,7 @@ class CharacterTable:
         self.rows = tuple(rows)
         self.degrees = tuple(row[0].get(0, 0) for row in rows)
         self._values: dict = {}  # one per distinct tally object, by id
-        self._irr: dict[int, ClassFunction] = {}
+        self._irr: tuple[ClassFunction, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -574,14 +572,14 @@ class CharacterTable:
         return got
 
     def irreducible(self, i: int) -> ClassFunction:
-        got = self._irr.get(i)
-        if got is None:
-            values = tuple(self.value(i, j) for j in range(len(self.classes)))
-            got = ClassFunction(
-                self.group, self.classes, values, self.conductor, f"chi{i}"
-            )
-            self._irr[i] = got
-        return got
+        return self._irreducibles()[i]
+
+    def _irreducibles(self) -> tuple[ClassFunction, ...]:
+        if self._irr is None:  # every row, built once per table
+            cols = range(len(self.classes))
+            self._irr = tuple(ClassFunction(self.group, self.classes, [self.value(i, j) for j in cols],
+                                            self.conductor, f"chi{i}") for i in range(self.size))
+        return self._irr
 
     def to_json(self) -> dict:
         name = self.group.name or f"degree-{self.group.degree}"
@@ -663,8 +661,7 @@ def _canonical_order(rows, m: int) -> list:
 
 
 def irreducible_characters(G: FiniteGroup):
-    table = character_table(G)
-    return [table.irreducible(i) for i in range(table.size)]
+    return list(character_table(G)._irreducibles())
 
 
 # ---------------------------------------------------------------------------
@@ -822,10 +819,11 @@ class ClassFunction:
     The class list may be the full list for a group, the sublist of
     prime-power-order classes, or a list of (symmetric-group class, group
     class) pairs for power operations; pointwise ring structure only needs
-    the lists to match.
+    the lists to match.  _positions() places a group's classes, a full list
+    or not, in conjugacy_classes(group) once, through class_index(group).
     """
 
-    __slots__ = ("group", "classes", "values", "conductor", "label", "_loc")
+    __slots__ = ("group", "classes", "values", "conductor", "label", "_pos")
 
     def __init__(self, group, classes, values, conductor, label=""):
         self.group = group
@@ -833,17 +831,20 @@ class ClassFunction:
         self.values = tuple(values)
         self.conductor = conductor
         self.label = label
-        self._loc = None
+        self._pos = None
         if len(self.classes) != len(self.values):
             raise ValueError("one value per class expected")
 
-    def class_index(self, g: Permutation) -> int:
-        if self._loc is None:
-            self._loc = {h.images: i for i, cls in enumerate(self.classes) for h in cls.members}
-        return self._loc[g.images]
+    def _positions(self) -> tuple[list[int], dict[int, int]]:
+        """(at, back): at[i] is the group position of classes[i], back[at[i]] = i."""
+        if self._pos is None:
+            loc = class_index(self.group)
+            at = [loc[cls.representative.images] for cls in self.classes]
+            self._pos = at, {c: i for i, c in enumerate(at)}
+        return self._pos
 
     def value_at(self, g: Permutation) -> CyclotomicNumber:
-        return self.values[self.class_index(g)]
+        return self.values[self._positions()[1][class_index(self.group)[g.images]]]
 
     def _merge(self, other: ClassFunction):
         if self.classes != other.classes:
@@ -883,7 +884,7 @@ class ClassFunction:
         )
 
     def __hash__(self):
-        return hash((self.classes, tuple(v.coords for v in self.values)))
+        return hash(self.classes)  # equal class functions may differ in conductor
 
     def to_json(self) -> dict:
         return {
@@ -945,11 +946,9 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
 
 
 def adams_psi(m: int, chi: ClassFunction) -> ClassFunction:
-    """(psi^m chi)(g) = chi(g^m)."""
-    values = []
-    for cls in chi.classes:
-        g = cls.representative
-        values.append(chi.values[chi.class_index(g**m)])
+    """(psi^m chi)(g) = chi(g^m), by powering each representative."""
+    loc, back = class_index(chi.group), chi._positions()[1]
+    values = [chi.values[back[loc[(cls.representative**m).images]]] for cls in chi.classes]
     label = chi.label and f"psi{m}({chi.label})"
     return ClassFunction(chi.group, chi.classes, values, chi.conductor, label)
 
@@ -958,11 +957,10 @@ def _cycle_products(chi: ClassFunction, cycle_types) -> list[list[CyclotomicNumb
     """For each cycle type (a list of cycle lengths), the values
     prod over ell in the type of chi(g^ell), one per class g of chi.
 
-    The classes of the powers come from the group's power map.
+    The classes of the powers come from the group's power map, read at
+    chi's class positions: no permutation is powered or hashed.
     """
-    walks, loc = power_map(chi.group), class_index(chi.group)
-    at = [loc[cls.representative] for cls in chi.classes]
-    back = {c: i for i, c in enumerate(at)}
+    walks, (at, back) = power_map(chi.group), chi._positions()
     power_maps = {}
     for ell in {ell for lens in cycle_types for ell in lens}:
         try:

@@ -75,7 +75,7 @@ def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
             got = [classes[k].representative for k in _p_power_class_indices(G, p)]
         else:
             keep, loc = set(_p_power_class_indices(G, p)), class_index(G)
-            got = [g for g in G.elements if loc[g] in keep]
+            got = [g for g in G.elements if loc[g.images] in keep]
         G._cache[key] = got
     return got
 

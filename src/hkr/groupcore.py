@@ -390,11 +390,12 @@ def conjugacy_classes(G: FiniteGroup) -> list[ConjugacyClass]:
     return classes
 
 
-def class_index(G: FiniteGroup) -> dict[Permutation, int]:
-    """Each element's position in conjugacy_classes(G)."""
+def class_index(G: FiniteGroup) -> dict[tuple[int, ...], int]:
+    """Each element's position in conjugacy_classes(G), keyed by its image
+    tuple: the one element-to-class map, built once per group."""
     got = G._cache.get("class_index")
     if got is None:
-        got = {g: i for i, cls in enumerate(conjugacy_classes(G)) for g in cls.members}
+        got = {g.images: i for i, cls in enumerate(conjugacy_classes(G)) for g in cls.members}
         G._cache["class_index"] = got
     return got
 
@@ -413,9 +414,9 @@ def _power_roots(G: FiniteGroup) -> list[tuple[list[int], int]]:
             if got[k] is not None:
                 continue
             g = h = classes[k].representative
-            walk = [loc[ident]]
+            walk = [loc[ident.images]]
             while h != ident:
-                walk.append(loc[h])
+                walk.append(loc[h.images])
                 h = h * g
             for d, j in enumerate(walk):
                 if got[j] is None:

@@ -981,6 +981,59 @@ def test_psi_level_at_another_unit_equals_adams():
             assert psi_level(2, 2, chi, j=3) == adams_psi(4, chi)
 
 
+def test_partial_class_lists_take_the_one_path():
+    # character_map's p-power classes are a partial class list; the power
+    # operations place them in the group's classes as they do a full list.
+    # Two characters per group: character_map's descent is exact elimination
+    for G in named_suite(48):
+        chis = irreducible_characters(G)
+        for p in prime_factors(G.order):
+            for chi in (chis[len(chis) // 2], chis[-1]):
+                res = character_map(G, p, chi)
+                psi = adams_psi(p, res)
+                if p <= MAX_POWER_OP_DEGREE:
+                    assert psi_level(p, 1, res) == psi, (G.name, p)
+                for cls, value in zip(res.classes, psi.values):
+                    g = cls.representative
+                    assert psi.value_at(g) == value == res.value_at(g**p), (G.name, p)
+                    assert value.promote(chi.conductor) == chi.value_at(g**p), (G.name, p)
+            # drop the class of g^ell for a class g of the list; g^p has a
+            # smaller order than g, and for p > 7 a Sylow p-subgroup of a
+            # group of order at most 48 is cyclic of order p, whose
+            # normalizer is too small to fuse g with g^2
+            ell = p if p <= MAX_POWER_OP_DEGREE else 2
+            g = res.classes[-1].representative
+            gone = next(cls for cls in res.classes if g**ell in cls.members)
+            assert g not in gone.members, (G.name, p)
+            kept = [(cls, v) for cls, v in zip(res.classes, res.values) if cls is not gone]
+            cut = charmap.ClassFunction(G, *zip(*kept), res.conductor)
+            for power_op in (lambda f: psi_level(ell, 1, f), lambda f: total_power(ell, f)):
+                with pytest.raises(ValueError, match="^class list is not closed under powers$"):
+                    power_op(cut)
+            for k in (2, 3):
+                P = total_power(k, res)
+                assert P.group is None
+                sclasses = conjugacy_classes(sym_group(k))
+                assert list(P.classes) == [(s, c) for s in sclasses for c in res.classes]
+                want = []
+                for scls in sclasses:
+                    for cls in res.classes:
+                        value = CyclotomicNumber.from_rational(res.conductor, 1)
+                        for length in scls.representative.cycle_lengths():
+                            value = value * res.value_at(cls.representative**length)
+                        want.append(value)
+                assert list(P.values) == want, (G.name, p, k)
+
+
+def test_equal_class_functions_hash_alike_across_conductors():
+    G = named_group("Cyc(4)")
+    chi = character_table(G).irreducible(1)
+    chi2 = charmap.ClassFunction(G, chi.classes, [v.promote(8) for v in chi.values], 8)
+    assert chi == chi2 and chi.conductor != chi2.conductor
+    assert hash(chi) == hash(chi2)
+    assert chi2 in {chi: 1}
+
+
 # sha256 of the JSON stdout of each command, taken from the implementation
 # that built all of P_{p^k} and Sym(p^k) and multiplied Fraction coordinates
 POWER_OP_STDOUT_SHA256 = {
