@@ -946,9 +946,15 @@ def char_matrix_rank(G: FiniteGroup, p: int) -> int:
 
 
 def adams_psi(m: int, chi: ClassFunction) -> ClassFunction:
-    """(psi^m chi)(g) = chi(g^m), by powering each representative."""
-    loc, back = class_index(chi.group), chi._positions()[1]
-    values = [chi.values[back[loc[(cls.representative**m).images]]] for cls in chi.classes]
+    """(psi^m chi)(g) = chi(g^m), by powering each representative once per
+    (group, m): the group's cache keeps the class position of rep**m.  No power
+    map or walk is read, so criterion 7 checks psi_level by an independent route."""
+    (at, back), loc = chi._positions(), class_index(chi.group)
+    to = chi.group._cache.setdefault(("adams_psi", m), {})
+    for cls, c in zip(chi.classes, at):
+        if c not in to:
+            to[c] = loc[(cls.representative**m).images]
+    values = [chi.values[back[to[c]]] for c in at]
     label = chi.label and f"psi{m}({chi.label})"
     return ClassFunction(chi.group, chi.classes, values, chi.conductor, label)
 

@@ -293,9 +293,13 @@ def _closure(
     return elems
 
 
-def _refuse_oversized(degree: int, nontrivial=True):
-    """Refuse, before its points exist, an atom that _closure would refuse."""
-    if (1 + nontrivial) * degree > DEFAULT_CELL_CAP:  # a nontrivial atom has 2+ elements
+def _refuse_oversized(degree: int, order: int):
+    """Refuse, before its points exist, an atom that _closure would refuse,
+    with its message: order is the atom's order or a lower bound on it.  The
+    order cap is met first exactly when its elements fit the cell cap."""
+    if order > DEFAULT_ORDER_CAP and DEFAULT_ORDER_CAP * degree <= DEFAULT_CELL_CAP:
+        raise CapExceeded(f"group order exceeds order cap {DEFAULT_ORDER_CAP}")
+    if order * degree > DEFAULT_CELL_CAP:
         raise CapExceeded(f"group order times degree {degree} exceeds cell cap {DEFAULT_CELL_CAP}")
 
 
@@ -607,7 +611,8 @@ class _SpecParser:
             self.take("(")
             m = self.take_int()
             self.take(")")
-            _refuse_oversized(m)
+            order = {"Sym": math.factorial(min(m, 9)), "Cyc": m, "Dih": 2 * m}[tok]  # 9! > order cap
+            _refuse_oversized(2 * m if tok == "Dih" and m < 3 else m, order)
             return {"Sym": sym_group, "Cyc": cyc_group, "Dih": dih_group}[tok](m)
         if tok == "Perm":
             return self.parse_perm()
@@ -630,7 +635,7 @@ class _SpecParser:
         cycles = [self.parse_cycle()]
         while self.peek() == "(":
             cycles.append(self.parse_cycle())
-        _refuse_oversized(degree, any(len(c) > 1 for c in cycles))
+        _refuse_oversized(degree, 1 + any(len(c) > 1 for c in cycles))  # nontrivial: 2+ elements
         try:
             return Permutation.from_cycles(degree, cycles)
         except ValueError as exc:

@@ -10,7 +10,9 @@ floating point anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
+from operator import mul
 
 from .primality import PRIMALITY_BOUND, is_prime
 
@@ -39,12 +41,10 @@ __all__ = [
     "mat_nullspace_dim",
     "fixed_space_dim",
     "mat_det",
-    "mat_solve",
     "rref_mod",
     "zeta",
 ]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -499,18 +499,20 @@ class CyclotomicNumber(RingElement):
         return CyclotomicNumber.field(M).from_terms((t * step, c) for t, c in enumerate(self.coeffs))
 
     def descend(self, m2: int) -> CyclotomicNumber:
-        """Rewrite in the conductor-m2 subfield; raises if the value is not there."""
+        """Rewrite in the conductor-m2 subfield, by integer dot products with
+        _descent(m, m2); raises unless the lift back to conductor m is the value."""
         m = self.conductor
         if m % m2 != 0:
             raise ValueError(f"{m2} does not divide {m}")
         if m2 == m:
             return self
-        field = CyclotomicNumber.field(m2)
-        cols = [CyclotomicNumber.root(m2, j).promote(m).coeffs for j in range(field.dimension)]
-        sol = mat_solve([list(col) for col in zip(*cols)], list(self.coeffs))
-        if sol is None:
+        rows, inv, den = _descent(m, m2)
+        b = [self.coeffs[r] for r in rows]
+        sums = [sum(map(mul, row, b)) for row in inv]
+        out = CyclotomicNumber.field(m2).element([Fraction(s, den) if s % den else s // den for s in sums])
+        if out.promote(m) != self:
             raise ValueError("value does not lie in the requested subfield")
-        return field.element(sol)
+        return out
 
     def to_text(self) -> str:
         return poly_to_text(list(self.coeffs), var="z")
@@ -521,6 +523,19 @@ class CyclotomicNumber(RingElement):
 
 def zeta(m: int, j: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.root(m, j)
+
+
+@cache
+def _descent(m: int, m2: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """(rows, inv, den): rows are phi(m2) coordinate positions at which the
+    basis zeta_m2^j, promoted to conductor m, is invertible, and inv / den is
+    the inverse of that square block, over a common integer denominator."""
+    n = CyclotomicNumber.field(m2).dimension
+    cols = [CyclotomicNumber.root(m2, j).promote(m).coeffs for j in range(n)]
+    rows = tuple(_rref(cols, upward=False)[1])
+    red = _rref([[col[r] for col in cols] + [int(i == k) for k in range(n)] for i, r in enumerate(rows)])[0]
+    den = lcm(*(v.denominator for row in red for v in row[n:]))
+    return rows, tuple(tuple(v.numerator * (den // v.denominator) for v in row[n:]) for row in red), den
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +642,3 @@ def mat_det(rows):
     """Determinant of a square matrix, in the entries' own arithmetic."""
     _, pivots, det = _rref(rows, upward=False)
     return det if len(pivots) == len(rows) else det * 0  # a zero of det's type
-
-
-def mat_solve(rows, rhs):
-    """Solve A x = b; returns one solution or None if inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots, _ = _rref(aug)
-    ncols = len(rows[0]) if rows else 0
-    if ncols in pivots:
-        return None
-    x = [ZERO] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = red[r][ncols]
-    return x

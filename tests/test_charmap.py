@@ -842,9 +842,15 @@ def test_adams_psi_is_power_evaluation():
 
 def test_adams_psi_powers_representatives_without_the_power_map(monkeypatch):
     # adams_psi is the independent route psi_level is checked against
-    cases = [(chi, m) for spec in ("Sym(4)", "Q8", "Dih(6)", "Cyc(12)")
-             for chi in irreducible_characters(named_group(spec)) for m in range(2, 14)]
-    before = [adams_psi(m, chi) for chi, m in cases]
+    specs = ("Sym(4)", "Q8", "Dih(6)", "Cyc(12)")
+    before = [adams_psi(m, chi).values for spec in specs
+              for chi in irreducible_characters(named_group(spec)) for m in range(2, 14)]
+    # fresh groups, so adams_psi powers every class again rather than read
+    # the classes it cached; the tables are built before the refusal
+    monkeypatch.setattr(groupcore, "_named_cache", {})
+    chis = [irreducible_characters(named_group(spec)) for spec in specs]
+    assert all(not any(key[0] == "adams_psi" for key in chi[0].group._cache if type(key) is tuple)
+               for chi in chis)
 
     def refuse(G):
         raise AssertionError("adams_psi read the power map")
@@ -853,7 +859,30 @@ def test_adams_psi_powers_representatives_without_the_power_map(monkeypatch):
                           (charmap, ("power_map", "power_walk")), (commuting, ("class_orders",))):
         for name in names:
             monkeypatch.setattr(module, name, refuse)
-    assert [adams_psi(m, chi) for chi, m in cases] == before
+    assert [adams_psi(m, chi).values for row in chis for chi in row for m in range(2, 14)] == before
+
+
+@pytest.mark.parametrize("spec", ["Sym(4)", "Dih(10)", "Cyc(12)", "Cyc(2)*Q8"])
+def test_adams_psi_powers_each_class_once_per_group_and_m(monkeypatch, spec):
+    monkeypatch.setattr(groupcore, "_named_cache", {})
+    chis = irreducible_characters(named_group(spec))
+    res = character_map(chis[0].group, 2, chis[-1])  # a partial class list
+    calls = []
+    power = Permutation.__pow__
+    monkeypatch.setattr(Permutation, "__pow__", lambda g, k: calls.append(k) or power(g, k))
+    for m in (2, 3, -3, 25):
+        calls.clear()
+        psis = [adams_psi(m, chi) for chi in chis]
+        assert calls == [m] * len(chis), (spec, m)
+        assert [adams_psi(m, chi) for chi in chis] == psis and len(calls) == len(chis)
+    # the partial list reads the classes already powered for m = 2 and powers none
+    calls.clear()
+    want = [adams_psi(2, chis[-1]).value_at(cls.representative) for cls in res.classes]
+    assert [v.promote(chis[-1].conductor) for v in adams_psi(2, res).values] == want
+    assert calls == []
+    # a fresh m powers the partial list's classes alone
+    adams_psi(7, res)
+    assert len(calls) == len(res.classes) <= len(chis)
 
 
 def test_adams_operations_compose():
@@ -983,12 +1012,11 @@ def test_psi_level_at_another_unit_equals_adams():
 
 def test_partial_class_lists_take_the_one_path():
     # character_map's p-power classes are a partial class list; the power
-    # operations place them in the group's classes as they do a full list.
-    # Two characters per group: character_map's descent is exact elimination
+    # operations place them in the group's classes as they do a full list
     for G in named_suite(48):
         chis = irreducible_characters(G)
         for p in prime_factors(G.order):
-            for chi in (chis[len(chis) // 2], chis[-1]):
+            for chi in chis:
                 res = character_map(G, p, chi)
                 psi = adams_psi(p, res)
                 if p <= MAX_POWER_OP_DEGREE:

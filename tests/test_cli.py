@@ -770,3 +770,19 @@ def test_oversized_atoms_are_refused_before_their_points_exist(group, degree):
     assert seconds < 1
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr == f"hkr: group order times degree {degree} exceeds cell cap {1 << 24}\n"
+
+
+@pytest.mark.parametrize("group, message", [
+    ("Cyc(8388608)", "group order times degree 8388608 exceeds cell cap 16777216"),
+    ("Cyc(100001)", "group order times degree 100001 exceeds cell cap 16777216"),
+    ("Dih(50001)", "group order times degree 50001 exceeds cell cap 16777216"),
+    ("Sym(9)", "group order exceeds order cap 100000"),
+])
+def test_atoms_of_known_order_are_refused_at_once(capsys, group, message):
+    # the closure built points until a cap stopped it, 0.5 to 3.5 s; the
+    # message is the closure's
+    argv = ["rank", "--group", group, "--p", "2", "--n", "1", "--no-cache"]
+    start = time.perf_counter()
+    got = invoke(capsys, argv)
+    assert time.perf_counter() - start < 0.2
+    assert got == (1, "", f"hkr: {message}\n")

@@ -22,7 +22,6 @@ from hkr.rings import (
     mat_det,
     mat_nullspace_dim,
     mat_rank,
-    mat_solve,
     poly_add,
     poly_compose,
     poly_divmod,
@@ -34,6 +33,7 @@ from hkr.rings import (
     rref_mod,
     zeta,
 )
+from hkr.rings import _rref
 
 
 def poly_eval(a, x):
@@ -174,6 +174,47 @@ def test_promote_respects_arithmetic():
 def test_descend_rejects_values_outside_subfield():
     with pytest.raises(ValueError):
         zeta(4).descend(2)
+
+
+def mat_solve(rows, rhs):
+    """Solve A x = b by one exact elimination; returns one solution or None if
+    inconsistent.  The oracle of CyclotomicNumber.descend."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    red, pivots, _ = _rref(aug)
+    ncols = len(rows[0]) if rows else 0
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = red[r][ncols]
+    return x
+
+
+def test_descend_matches_one_elimination_per_value():
+    rng = random.Random(28)
+    for m in range(1, 61):
+        big = CyclotomicNumber.field(m)  # equal to the subfield when m = 2 * m2, m2 odd
+        for m2 in (d for d in range(1, m + 1) if m % d == 0):
+            small = CyclotomicNumber.field(m2)
+            cols = [zeta(m2, j).promote(m).coords for j in range(small.dimension)]
+            A = [list(row) for row in zip(*cols)]
+            values = [small.element([rng.randint(-9, 9) for _ in range(small.dimension)]).promote(m),
+                      small.element([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                     for _ in range(small.dimension)]).promote(m),
+                      small.element([rng.randint(-9, 9)]).promote(m) + zeta(m)]
+            for k, x in enumerate(values):
+                sol = mat_solve(A, list(x.coords))
+                if sol is None:
+                    assert k == 2 and small.dimension < big.dimension, (m, m2)
+                    with pytest.raises(ValueError, match="^value does not lie in the requested subfield$"):
+                        x.descend(m2)
+                    continue
+                got = x.descend(m2)
+                assert got.conductor == m2 and got == small.element(sol), (m, m2, k)
+                assert [str(c) for c in got.coords] == [str(c) for c in small.element(sol).coords]
+                assert got.promote(m) == x
+            # zeta_m generates Q(zeta_m), so it is outside every proper subfield
+            assert (mat_solve(A, list(values[2].coords)) is None) == (small.dimension < big.dimension)
 
 
 def test_from_tally_is_sum_of_roots():
