@@ -878,10 +878,8 @@ class ClassFunction:
     def __eq__(self, other):
         if not isinstance(other, ClassFunction) or self.classes != other.classes:
             return False
-        m = math.lcm(self.conductor, other.conductor)
-        return all(
-            a.promote(m) == b.promote(m) for a, b in zip(self.values, other.values)
-        )
+        m = math.lcm(self.conductor, other.conductor)  # one field: its coordinates decide
+        return [v.promote(m).coeffs for v in self.values] == [v.promote(m).coeffs for v in other.values]
 
     def __hash__(self):
         return hash(self.classes)  # equal class functions may differ in conductor

@@ -295,8 +295,8 @@ def _closure(
 
 def _refuse_oversized(degree: int, order: int):
     """Refuse, before its points exist, an atom that _closure would refuse,
-    with its message: order is the atom's order or a lower bound on it.  The
-    order cap is met first exactly when its elements fit the cell cap."""
+    with its message; order is the atom's order or a lower bound on it.  The
+    closure meets the order cap first when that many elements fit the cell cap."""
     if order > DEFAULT_ORDER_CAP and DEFAULT_ORDER_CAP * degree <= DEFAULT_CELL_CAP:
         raise CapExceeded(f"group order exceeds order cap {DEFAULT_ORDER_CAP}")
     if order * degree > DEFAULT_CELL_CAP:
@@ -611,7 +611,8 @@ class _SpecParser:
             self.take("(")
             m = self.take_int()
             self.take(")")
-            order = {"Sym": math.factorial(min(m, 9)), "Cyc": m, "Dih": 2 * m}[tok]  # 9! > order cap
+            # 9! already passes the order cap; Dih(1) and Dih(2) act on 2 and 4 points
+            order = {"Sym": math.factorial(min(m, 9)), "Cyc": m, "Dih": 2 * m}[tok]
             _refuse_oversized(2 * m if tok == "Dih" and m < 3 else m, order)
             return {"Sym": sym_group, "Cyc": cyc_group, "Dih": dih_group}[tok](m)
         if tok == "Perm":
