@@ -282,7 +282,8 @@ def test_parser_refuses_oversized_atoms_before_their_points_exist(monkeypatch):
         assert groupcore._SpecParser(spec).parse().order == order
     # refused with the closure's message; only what precedes the refused atom or generator is built
     for spec, degree, built in [
-        ("Cyc(11)", 11, []), ("Dih(8)", 8, []), ("Sym(5)", 5, []), ("Sym(51)", 51, []),
+        ("Cyc(11)", 11, []), ("Cyc(51)", 51, []), ("Dih(8)", 8, []), ("Dih(51)", 51, []),
+        ("Sym(5)", 5, []), ("Sym(51)", 51, []),
         ("Perm(51; (0 1))", 51, []), ("Perm(101; (0))", 101, []),
         ("Perm(60; (0), (1 2))", 60, [60]),
         ("Cyc(10)*Cyc(99999999999999999999)", 10**20 - 1, [10]),
@@ -292,3 +293,24 @@ def test_parser_refuses_oversized_atoms_before_their_points_exist(monkeypatch):
             groupcore._SpecParser(spec).parse()
         assert str(exc.value) == f"group order times degree {degree} exceeds cell cap 100"
         assert degrees == built
+
+
+def test_parser_refuses_atoms_as_the_closure_would(monkeypatch):
+    # with both caps small, the order cap is met first up to degree 10; the
+    # parser's answer from the known order must be the closure's, message included
+    from hkr import groupcore
+
+    monkeypatch.setattr(groupcore, "DEFAULT_ORDER_CAP", 20)
+    monkeypatch.setattr(groupcore, "DEFAULT_CELL_CAP", 200)
+    specs = [f"{name}({m})" for name in ("Cyc", "Dih") for m in range(1, 25)]
+    for spec in specs + [f"Sym({m})" for m in range(7)]:
+        G = {"C": cyc_group, "D": dih_group, "S": sym_group}[spec[0]](int(spec[4:-1]))
+        try:
+            want = len(groupcore._closure(G.degree, G.generators, 20, 200))
+        except CapExceeded as exc:
+            want = str(exc)
+        try:
+            got = groupcore._SpecParser(spec).parse().order
+        except CapExceeded as exc:
+            got = str(exc)
+        assert got == want, spec
