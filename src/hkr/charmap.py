@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 import sys
 from array import array
 from collections import Counter, namedtuple
@@ -52,15 +53,8 @@ from .groupcore import (
     power_map,
     power_walk,
 )
-from .rings import (
-    CyclotomicNumber,
-    capped_power,
-    fixed_space_dim,
-    is_prime,
-    p_part,
-    prime_factors,
-    rref_mod,
-)
+from .primality import capped_power, is_prime, p_part, prime_factors, rref_mod
+from .rings import CyclotomicNumber, fixed_space_dim
 
 __all__ = [
     "CharacterTable",
@@ -235,6 +229,22 @@ def _roots_of_unity(q: int, m: int) -> list[int]:
     return zp
 
 
+def _pack(xs, bound: int) -> int:
+    """Residues below 2^64 as one int, xs[0] lowest, in slots of the 64-bit words bound needs."""
+    k = -(-bound.bit_length() // 64)
+    return int.from_bytes(struct.pack("<" + f"Q{8 * k - 8}x" * len(xs), *xs), "little")
+
+
+def _unpack(v: int, count: int, bound: int, q: int) -> list[int]:
+    """The count slots of v, laid out as by _pack(..., bound), each mod q."""
+    k = -(-bound.bit_length() // 64)
+    words = struct.unpack(f"<{k * count}Q", v.to_bytes(8 * k * count, "little"))
+    slots = words[k - 1::k]
+    for i in reversed(range(k - 1)):
+        slots = [s << 64 | w for s, w in zip(slots, words[i::k])]
+    return [s % q for s in slots]
+
+
 def _charpoly_mod(M: list[list[int]], q: int) -> list[int]:
     """Characteristic polynomial det(xI - M) mod q, lowest degree first.
 
@@ -375,22 +385,25 @@ def _eigenspaces_mod(M: list[list[int]], q: int) -> list[list[list[int]]]:
     With mu the product of X - lam over the distinct roots, u = (mu/(X -
     lam))(M) e_0 is read off the Krylov vectors M^j e_0, and (M - lam) u is
     mu(M) e_0, checked once to vanish: a simple root takes u as its
-    eigenline unless u is zero.  Any other eigenspace is the nullspace."""
+    eigenline unless u is zero.  Any other eigenspace is the nullspace.  M v,
+    mu(M) e_0 and u are each one sum of packed vectors, d + 1 terms at most."""
+    d = len(M)
     roots = _poly_roots_mod(_charpoly_mod(M, q), q, range(q))
     mu = [1]
     for lam, _ in roots:
         mu = [(a - lam * b) % q for a, b in zip([0] + mu, mu + [0])]
-    krylov = [[1] + [0] * (len(M) - 1)]
+    bound = (d + 1) * q * q
+    cols = [_pack(col, bound) for col in zip(*M)]
+    krylov, v = [1], [1] + [0] * (d - 1)  # e_0 packs to 1
     while len(krylov) < len(mu):
-        krylov.append([sum(map(operator.mul, row, krylov[-1])) % q for row in M])
-    cols = list(zip(*krylov))
-    if any(sum(map(operator.mul, mu, col)) % q for col in cols):
+        v = _unpack(sum(map(operator.mul, v, cols)), d, bound, q)
+        krylov.append(_pack(v, bound))
+    if any(_unpack(sum(map(operator.mul, mu, krylov)), d, bound, q)):
         raise HkrError("class matrix is not semisimple over F_q")
     spaces = []
     for lam, mult in roots:
         if mult == 1:
-            coeffs = _divide_by_root(mu, lam, q)
-            u = [sum(map(operator.mul, coeffs, col)) % q for col in cols]
+            u = _unpack(sum(map(operator.mul, _divide_by_root(mu, lam, q), krylov)), d, bound, q)
             if any(u):
                 spaces.append([u])
                 continue
@@ -403,6 +416,19 @@ def _eigenspaces_mod(M: list[list[int]], q: int) -> list[list[list[int]]]:
     return spaces
 
 
+def _base_index(G: FiniteGroup) -> tuple[list[int], dict]:
+    """(base, at): points whose images tell the elements of G apart, taken
+    greedily, and each element's class position keyed by its images there."""
+    images, base, told = [g.images for g in G.elements], [], 1
+    for b in range(G.degree):
+        if told < G.order and (n := len(set(map(operator.itemgetter(*base, b), images)))) > told:
+            base, told = base + [b], n
+    at = dict(zip(map(operator.itemgetter(*base), images), map(class_index(G).__getitem__, images)))
+    if len(at) != G.order:
+        raise HkrError("base images do not tell the elements apart")
+    return base, at
+
+
 def _dixon_rows(G: FiniteGroup, classes, m: int):
     r = len(classes)
     sizes = [len(cls.members) for cls in classes]
@@ -411,14 +437,16 @@ def _dixon_rows(G: FiniteGroup, classes, m: int):
     order = G.order
     q = _find_modular_prime(m, order)
     inv_class = [loc[rep.inverse().images] for rep in reps]
+    base, at = _base_index(G)
+    probes = [operator.itemgetter(*[z.images[b] for b in base]) for z in reps]
 
     def class_matrix(i: int) -> list[Counter]:
         """Column k of N_i as {j: a_ijk}, a_ijk the number of x in class i
         with x^-1 z_k in class j (z_k = reps[k]).  x^-1 runs over the class
-        of inverses, and (x^-1 z_k).images is z_k.images looked up in
-        x^-1's images."""
+        of inverses, and x^-1 z_k, an element of G, is known by its images
+        on the base: z_k's images there (probes[k]) looked up in x^-1's."""
         inverses = [y.images for y in classes[inv_class[i]].members]
-        return [Counter(map(loc.__getitem__, map(operator.itemgetter(*z.images), inverses))) for z in reps]
+        return [Counter(map(at.__getitem__, map(probe, inverses))) for probe in probes]
 
     def span(B, piv):
         """A basis B in reduced row echelon form with pivot columns piv, and
@@ -788,13 +816,14 @@ def _orthogonality_certificate(table: CharacterTable, walks) -> OrthogonalityRep
     at = {key: sum(c * zp[e % m] for e, c in t.items()) % q for key, t in distinct.items()}
     values = [list(map(at.__getitem__, map(id, row))) for row in rows]
     weighted = [[s * x % q for s, x in zip(sizes, row)] for row in values]
-    # conj(chi(g)) = chi(g^-1), the Galois check's relation for l = -1
+    # conj(chi(g)) = chi(g^-1), the Galois check's relation for l = -1, packed over rows
     inverse = [walk[-1 % len(walk)] for walk in walks]
-    conj = [list(map(row.__getitem__, inverse)) for row in values]
+    bound = n * q * q  # a Gram slot sums n products of residues
+    conj = [_pack([row[c] for row in values], bound) for c in inverse]
     for i, wi in enumerate(weighted):
-        for j in range(i, len(rows)):
-            if (sum(map(operator.mul, wi, conj[j])) - (order if i == j else 0)) % q:
-                failures.append(("row", i, j))
+        gram = _unpack(sum(map(operator.mul, wi, conj)), len(rows), bound, q)
+        gram[i] = (gram[i] - order) % q
+        failures += [("row", i, j) for j in range(i, len(rows)) if gram[j]]
     rows_ok = not failures
     if rows_ok and len(rows) != n:
         failures.append(("column", len(rows), n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import product as iter_product
+from itertools import product as iter_product, takewhile
 
 from .errors import CapExceeded
 from .groupcore import (
@@ -25,7 +25,7 @@ from .groupcore import (
     conjugacy_classes,
     orbit_search,
 )
-from .rings import capped_power, p_part, rref_mod
+from .primality import capped_power, euler_phi, p_part, rref_mod
 
 __all__ = [
     "TupleClass",
@@ -235,9 +235,10 @@ def apply_matrix(t: tuple, sigma: tuple, identity: Permutation) -> tuple:
 
 def _unit_generators(units, n: int) -> list[int]:
     """Units mod n taken greedily from the given ones, each outside the group
-    the earlier ones generate: together they generate the same group."""
-    gens, span = [], {1 % n}
-    for u in units:
+    the earlier ones generate: together they generate the same group.  A lazy
+    iterable is drawn only until they generate all of (Z/n)^*, one unit past."""
+    gens, span, full = [], {1 % n}, euler_phi(n)
+    for u in takewhile(lambda _: len(span) < full, units):
         if u % n not in span:
             gens.append(u)
             (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)

@@ -20,7 +20,7 @@ from collections import namedtuple
 from .commuting import _conjugate_entries, evaluate, hom_tuples, rank_prediction, tuple_classes
 from .errors import HkrError
 from .groupcore import FiniteGroup, Permutation, _compose, extend_to_group, make_group, named_group, orbit_search
-from .rings import prime_factors
+from .primality import prime_factors
 
 __all__ = [
     "GSet",

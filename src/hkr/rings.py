@@ -1,6 +1,6 @@
 """Exact arithmetic: dense rational polynomials, quotient rings Q[x]/(f) and
-the cyclotomic numbers among them, number theory, and Gaussian elimination,
-exact or over a prime field F_q.
+the cyclotomic numbers among them, and exact Gaussian elimination; the integer
+helpers of hkr.primality (row reduction over F_q among them) are re-exported.
 
 Everything here is a small, self-contained building block used by the series,
 level-ring, and character modules.  All arithmetic is exact; there is no
@@ -14,7 +14,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import mul
 
-from .primality import PRIMALITY_BOUND, is_prime
+from .primality import PRIMALITY_BOUND, capped_power, euler_phi, is_prime, p_part, prime_factors, rref_mod
 
 __all__ = [
     "QuotientRing",
@@ -156,39 +156,6 @@ def poly_to_text(p, var="x") -> str:
     return " + ".join(parts)
 
 
-def prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def p_part(n: int, p: int) -> int:
-    """The largest power of p dividing n >= 1."""
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
-
-
-def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = m
-    for q in prime_factors(m):
-        out -= out // q
-    return out
-
-
 _CYCLO_CACHE: dict[int, list[int]] = {}
 
 
@@ -219,19 +186,6 @@ def cyclotomic_int_poly(m: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # quotient rings Q[x]/(f), and the cyclotomic fields among them
-
-
-def capped_power(base: int, k: int, bound: int) -> int:
-    """base^k, or the first partial power above bound, built one factor at a
-    time, so that a level p^k is bounded before a huge k builds it."""
-    if base < 2:
-        return base ** min(k, 1)
-    out = 1
-    for _ in range(k):
-        out *= base
-        if out > bound:
-            break
-    return out
 
 
 class QuotientRing:
@@ -586,39 +540,6 @@ def _rref(rows, *, upward=True):
         if rank == nrows:
             break
     return rows, pivots, det
-
-
-def rref_mod(rows, q: int):
-    """Reduced row echelon form over F_q (q prime) of an integer matrix,
-    reducing entries mod q as they are copied; returns the nonzero reduced
-    rows and the pivot columns."""
-    rows = [[v % q for v in r] for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        rp = rows[rank]
-        inv = pow(rp[col], -1, q)
-        rp[col:] = [v * inv % q for v in rp[col:]]
-        for r in range(nrows):
-            rr = rows[r]
-            f = rr[col]
-            if r != rank and f:
-                for c2 in range(col, ncols):
-                    rr[c2] = (rr[c2] - f * rp[c2]) % q
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rows[:rank], pivots
 
 
 def mat_rank(rows) -> int:

@@ -5,9 +5,11 @@ abelian groups, modular eigenspace splitting otherwise); several tests run
 both on the same group and require identical value sets.
 """
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,17 +24,22 @@ from hkr.charmap import (
     MAX_POWER_OP_DEGREE,
     CharacterTable,
     _abelian_rows,
+    _base_index,
     _canonical_order,
     _charpoly_mod,
+    _divide_by_root,
     _dixon_rows,
     _eigenspaces_mod,
     _eigenvalue_multiplicities,
     _find_modular_prime,
     _nullspace_mod,
     _orthogonality_certificate,
+    _pack,
+    _poly_roots_mod,
     _rational_classes,
     _roots_of_unity,
     _tally_coords,
+    _unpack,
     adams_psi,
     char_matrix_rank,
     character_map,
@@ -777,6 +784,209 @@ def test_certificate_prime_search_has_no_ceiling(monkeypatch):
         asked.clear()
         assert orthogonality_report(character_table(G)) == (True, True, ()), spec
         assert max(asked) > 10**7 and all(is_prime(q) for q in asked)
+
+
+# the groups the packed and base-keyed kernels are pinned on: every
+# nonabelian group of order <= 100, the dihedral groups of order 102 to 200,
+# direct products, and Perm groups with fixed points
+KERNEL_GROUPS = [g.name for g in named_suite(100) if not g.is_abelian()] + [
+    f"Dih({n})" for n in range(51, 101)
+] + ["Cyc(2)*Sym(3)*Q8", "Dih(12)*Sym(3)", "Perm(7; (0 1 2), (0 1)(3 4))", "Perm(9; (2 3 4 5), (2 3), (7 8))"]
+
+
+def dixon_run(G, monkeypatch):
+    """_dixon_rows on G, and every restricted class matrix it split."""
+    split = []
+    monkeypatch.setattr(charmap, "_eigenspaces_mod", lambda M, q: split.append((M, q)) or _eigenspaces_mod(M, q))
+    rows = _dixon_rows(G, conjugacy_classes(G), G.exponent())
+    monkeypatch.undo()
+    return rows, split
+
+
+@functools.cache
+def kernel_runs():
+    """(G, rows, split) per group of KERNEL_GROUPS, through the base-keyed
+    class matrices."""
+    with pytest.MonkeyPatch.context() as mp:
+        return [(G, *dixon_run(G, mp)) for G in map(named_group, KERNEL_GROUPS)]
+
+
+def test_base_keyed_class_matrices_match_the_image_keyed_ones(monkeypatch):
+    # the image-keyed route: every point is a base point and the class index
+    # keyed by full image tuples is the lookup
+    for G, rows, split in kernel_runs():
+        base, at = _base_index(G)
+        loc, key = groupcore.class_index(G), operator.itemgetter(*base)
+        assert len(base) < G.degree and len(at) == G.order, G.name
+        assert all(at[key(g.images)] == loc[g.images] for g in G.elements), G.name
+        monkeypatch.setattr(charmap, "_base_index", lambda H: (list(range(H.degree)), groupcore.class_index(H)))
+        assert dixon_run(G, monkeypatch) == (rows, split), G.name
+
+
+def test_base_points_are_taken_greedily_and_checked():
+    # Q8 acts regularly, so one point tells its elements apart; a Perm group
+    # never takes a fixed point; Cyc(2)*Sym(3)*Q8 needs a point in each factor
+    assert _base_index(named_group("Q8"))[0] == [0]
+    assert _base_index(named_group("Perm(9; (2 3 4 5), (2 3), (7 8))"))[0] == [2, 3, 4, 7]
+    assert _base_index(named_group("Cyc(2)*Sym(3)*Q8"))[0] == [0, 2, 3, 5]
+    # with the Cyc(2) factor's points out of reach, no base separates
+    G = named_group("Sym(3)*Cyc(2)")
+    with pytest.raises(HkrError, match="base images do not tell the elements apart"):
+        _base_index(groupcore.FiniteGroup(3, G.generators, G.elements))
+
+
+def list_eigenspaces(M, q):
+    """_eigenspaces_mod with Krylov vectors, mu(M) e_0 and the eigenlines as
+    lists, one dot product per coordinate."""
+    roots = _poly_roots_mod(_charpoly_mod(M, q), q, range(q))
+    mu = [1]
+    for lam, _ in roots:
+        mu = [(a - lam * b) % q for a, b in zip([0] + mu, mu + [0])]
+    krylov = [[1] + [0] * (len(M) - 1)]
+    while len(krylov) < len(mu):
+        krylov.append([sum(map(operator.mul, row, krylov[-1])) % q for row in M])
+    cols = list(zip(*krylov))
+    if any(sum(map(operator.mul, mu, col)) % q for col in cols):
+        raise HkrError("class matrix is not semisimple over F_q")
+    spaces = []
+    for lam, mult in roots:
+        if mult == 1:
+            coeffs = _divide_by_root(mu, lam, q)
+            u = [sum(map(operator.mul, coeffs, col)) % q for col in cols]
+            if any(u):
+                spaces.append([u])
+                continue
+        null = _nullspace_mod([[a - lam * (s == t) for t, a in enumerate(row)] for s, row in enumerate(M)], q)
+        if len(null) != mult:
+            raise HkrError("class matrix is not semisimple over F_q")
+        spaces.append(null)
+    return spaces
+
+
+def test_packed_krylov_eigenspaces_match_the_list_products():
+    count = 0
+    for G, _, split in kernel_runs():
+        for M, q in split:
+            assert _eigenspaces_mod(M, q) == list_eigenspaces(M, q), G.name
+            count += 1
+    assert count > 300
+
+
+def test_slot_width_follows_the_bound():
+    # sums of products of residues mod a 61-bit prime pass 2^64 at once
+    q = (1 << 61) - 1
+    rng = random.Random(29)
+    for terms, count in ((1, 1), (2, 5), (7, 40)):
+        bound = terms * q * q
+        vectors = [[rng.randrange(q) for _ in range(count)] for _ in range(terms)]
+        coeffs = [rng.randrange(q) for _ in range(terms)]
+        packed = sum(c * _pack(v, bound) for c, v in zip(coeffs, vectors))
+        want = [sum(c * v[s] for c, v in zip(coeffs, vectors)) % q for s in range(count)]
+        assert _unpack(packed, count, bound, q) == want
+        if terms > 1:  # one word per slot would carry into the next slot
+            assert _unpack(packed % (1 << 64 * count), count, 1, q) != want
+    for bound, words in ((1, 1), ((1 << 64) - 1, 1), (1 << 64, 2), (1 << 128, 3)):
+        assert _pack([1, 1], bound) == 1 + (1 << 64 * words)
+    # Krylov vectors at that prime: eigenvalues 1..4 in a 4 x 4 matrix
+    M = conjugated_diagonal([(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 1)], [4, 1, 3, 2], q)
+    assert _eigenspaces_mod(M, q) == list_eigenspaces(M, q)
+
+
+def pairwise_gram_failures(table, walks):
+    """The certificate's Gram decision with one sum per pair of rows, at the
+    certificate's prime."""
+    m, order, rows = table.conductor, table.group.order, table.rows
+    sizes = [len(cls.members) for cls in table.classes]
+    distinct = {id(t): t for row in rows for t in row}
+    bound = max(sum(map(abs, t.values())) for t in distinct.values())
+    lifted_with = charmap._find_modular_prime(m, order)
+    q = charmap._find_modular_prime(m, order, above=max(2 * order * (bound * bound + 1), lifted_with))
+    zp = _roots_of_unity(q, m)
+    at = {key: sum(c * zp[e % m] for e, c in t.items()) % q for key, t in distinct.items()}
+    values = [list(map(at.__getitem__, map(id, row))) for row in rows]
+    weighted = [[s * x % q for s, x in zip(sizes, row)] for row in values]
+    inverse = [walk[-1 % len(walk)] for walk in walks]
+    conj = [list(map(row.__getitem__, inverse)) for row in values]
+    return tuple(("row", i, j) for i, wi in enumerate(weighted) for j in range(i, len(rows))
+                 if (sum(map(operator.mul, wi, conj[j])) - (order if i == j else 0)) % q)
+
+
+def negated_at_order_two(table):
+    """The table with one entry at a class of order 2 negated, which the
+    Galois check passes; None without such a class."""
+    m = table.conductor
+    k = next((k for k, cls in enumerate(table.classes) if cls.representative.order() == 2), None)
+    if k is None or m % 2:
+        return None
+    i = max(range(table.size), key=lambda i: (table.rows[i][k] != {(e + m // 2) % m: c for e, c in table.rows[i][k].items()}, i))
+    return with_entries(table, {(i, k): {(e + m // 2) % m: c for e, c in table.rows[i][k].items()}})
+
+
+def gram_cases(specs):
+    for spec in specs:
+        table = character_table(named_group(spec))
+        walks = power_map(table.group)
+        yield spec, table, walks
+        bad = negated_at_order_two(table)
+        if bad is not None:
+            yield spec, bad, walks
+
+
+def test_packed_gram_rows_match_the_pairwise_sums():
+    failing = 0
+    for spec, table, walks in gram_cases(KERNEL_GROUPS):
+        report = _orthogonality_certificate(table, walks)
+        assert report.failures == pairwise_gram_failures(table, walks), spec
+        failing += bool(report.failures)
+    assert failing > 100
+
+
+def test_packed_gram_rows_take_wide_slots_at_a_large_prime(monkeypatch):
+    # a certificate prime above 2^33 puts every Gram slot past 2^64
+    asked = []
+
+    def large(m, order, *, above=0):
+        if not above:  # the lifting prime
+            return _find_modular_prime(m, order)
+        q = max(above, 1 << 33) // m * m + 1  # the search itself would step from m + 1
+        while not is_prime(q):
+            q += m
+        asked.append(q)
+        return q
+
+    monkeypatch.setattr(charmap, "_find_modular_prime", large)
+    specs = ["Sym(4)", "Dih(5)", "Q8", "Cyc(2)*Sym(3)", "Perm(7; (0 1 2), (0 1)(3 4))", "Dih(97)"]
+    for spec, table, walks in gram_cases(specs):
+        asked.clear()
+        report = _orthogonality_certificate(table, walks)
+        assert report.failures == pairwise_gram_failures(table, walks), spec
+        assert (len(table.classes) * asked[-1] ** 2).bit_length() > 64
+        assert report.ok == (table is character_table(named_group(spec)))
+
+
+def full_scan_unit_generators(units, n):
+    """Generators of the group the units span mod n, scanning every unit."""
+    gens, span = [], {1 % n}
+    for u in units:
+        if u % n not in span:
+            gens.append(u)
+            power, grown = u % n, set(span)
+            while power not in span:  # the cosets of span in span * <u>
+                grown |= {x * power % n for x in span}
+                power = power * u % n
+            span = grown
+    return gens
+
+
+def test_unit_search_stops_once_it_spans():
+    primes = [t for t in range(2, 2001) if is_prime(t)]
+    for n in range(1, 2001):
+        units = [t for t in primes if t < n and n % t]
+        drawn = []
+        gens = commuting._unit_generators((drawn.append(u) or u for u in units), n)
+        assert gens == full_scan_unit_generators(units, n), n
+        # a lazy iterable is drawn one unit past the last generator at most
+        assert len(drawn) <= (units.index(gens[-1]) + 2 if gens else 1), n
 
 
 def test_class_function_algebra():

@@ -606,6 +606,22 @@ def test_cache_hit_loads_no_layer_module(tmp_path):
     assert not loaded & (LAZY_MODULES | ARGUMENT_MODULES | {"hkr.commuting", "hkr.groupcore"})
 
 
+def test_tuple_and_fixed_point_commands_load_no_rational_arithmetic():
+    # commuting and inertia take their integer helpers from hkr.primality
+    calls = [["rank", "--group", "Sym(4)", "--p", "2", "--n", "2"],
+             ["tuples", "--group", "Sym(3)", "--p", "3", "--n", "1"],
+             ["gl-orbits", "--group", "Cyc(4)", "--p", "2", "--n", "1", "--k", "2"],
+             ["zpn-sets", "--p", "2", "--n", "2", "--k", "2"],
+             ["subgroups", "--p", "3", "--n", "2", "--k", "1"],
+             ["fix", "points", "--group", "Cyc(2)", "--p", "2", "--n", "1"],
+             ["fix", "loops-check", "--group", "Dih(4)", "--n", "2"]]
+    script = "import contextlib, io, hkr.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n" + "".join(
+        f"    assert hkr.cli.run({argv + ['--no-cache']!r}) == 0\n" for argv in calls)
+    loaded = loaded_modules(script)
+    assert {"hkr.commuting", "hkr.inertia"} <= loaded
+    assert not loaded & ARGUMENT_MODULES
+
+
 # one valid call of every command and action, the command and action first
 VALID_CALLS = [
     ["rank", "--group", "Q8", "--p", "2", "--n", "2"],

@@ -1,6 +1,7 @@
 """Commuting tuples, the rank prediction, and the level-k lattice counts."""
 
 import functools
+import math
 from itertools import product
 
 import pytest
@@ -20,7 +21,7 @@ from hkr.commuting import (
     zpn_set_count,
 )
 from hkr.errors import CapExceeded
-from hkr.groupcore import named_group, sym_group
+from hkr.groupcore import Permutation, make_group, named_group, sym_group
 from hkr.rings import is_prime, rref_mod
 
 
@@ -310,3 +311,57 @@ def test_subgroup_count_matches_hnf_for_small_primes():
             while (p**k) ** n <= 5000:
                 assert subgroup_count(p, n, k) == hnf_open_subgroup_count(p, n, k), (p, n, k)
                 k += 1
+
+
+def wreath(G, k):
+    """G wr Sym(k) on k blocks of G's points: G's generators on the first
+    block, a swap of the first two blocks and a k-cycle of the blocks."""
+    m = G.degree
+
+    def on_blocks(f):  # point b*m + i goes to f(b)*m + i
+        return Permutation([f(b) * m + i for b in range(k) for i in range(m)])
+
+    gens = [Permutation(g.images + tuple(range(m, k * m))) for g in G.generators]
+    if k > 1:
+        gens += [on_blocks(lambda b: {0: 1, 1: 0}.get(b, b)), on_blocks(lambda b: (b + 1) % k)]
+    return make_group(k * m, gens)
+
+
+def wreath_ranks(c, p, n, kmax):
+    """The coefficients of t^k, k <= kmax, in prod_d (1 - t^(p^d))^(-a_d c),
+    a_d the number of index-p^d open subgroups of Z_p^n."""
+    coeffs = [1] + [0] * kmax
+    d = 0
+    while p**d <= kmax:
+        for _ in range(hnf_open_subgroup_count(p, n, d) * c):  # times 1/(1 - t^(p^d))
+            for i in range(p**d, kmax + 1):
+                coeffs[i] += coeffs[i - p**d]
+        d += 1
+    return coeffs
+
+
+def test_wreath_product_ranks_follow_the_generating_function():
+    # a commuting p-power n-tuple of G wr Sym(k), up to conjugacy, is a
+    # Z_p^n-set of size k whose transitive pieces Z_p^n/L each carry a class
+    # of Hom(L, G)/G, and each open L is again Z_p^n: so c_n(G wr Sym(k)) is
+    # the t^k coefficient of prod_d (1 - t^(p^d))^(-a_d c_n(G)); with G
+    # trivial it is zpn_set_count
+    assert wreath_ranks(1, 2, 2, 8)[8] == zpn_set_count(2, 2, 3)
+    checked = listed = 0
+    for spec in ("Cyc(2)", "Cyc(3)", "Cyc(4)", "Sym(3)", "Dih(4)", "Q8"):
+        G = named_group(spec)
+        for k in range(1, 7):
+            if G.order**k * math.factorial(k) > 384:
+                break
+            W = wreath(G, k)
+            assert W.order == G.order**k * math.factorial(k)
+            for p, n in product((2, 3), (1, 2, 3)):
+                if n == 3 and W.order > 200:  # 0.2-1.3 s each
+                    continue
+                want = wreath_ranks(rank_prediction(G, p, n), p, n, k)[k]
+                assert rank_prediction(W, p, n) == want, (spec, k, p, n)
+                checked += 1
+                if n <= 2:
+                    assert len(tuple_classes(W, p, n)) == want, (spec, k, p, n)
+                    listed += 1
+    assert (checked, listed) == (92, 64)
