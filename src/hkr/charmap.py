@@ -39,14 +39,14 @@ import struct
 import sys
 from array import array
 from collections import Counter, namedtuple
-from fractions import Fraction
 
-from .commuting import _p_power_class_indices, _unit_generators
 from .errors import CapExceeded, HkrError
 from .groupcore import (
     FiniteGroup,
     Permutation,
     _compose,
+    _p_power_class_indices,
+    _unit_generators,
     class_index,
     conjugacy_classes,
     named_group,
@@ -207,10 +207,11 @@ def _abelian_rows(G: FiniteGroup, m: int):
 
 def _find_modular_prime(m: int, order: int, *, above: int = 0) -> int:
     """The least prime q = 1 mod m above 2 * sqrt(order) + 1 and above `above`:
-    there are infinitely many (Dirichlet), and is_prime decides each exactly."""
+    there are infinitely many (Dirichlet), and is_prime decides each exactly.
+    The search starts at the least q = 1 mod m past the bound, and past m."""
     bound = max(2 * math.isqrt(order) + 1, above)
-    q = m + 1
-    while q <= bound or not is_prime(q):
+    q = max(m + 1, bound + 1 + -bound % m)
+    while not is_prime(q):
         q += m
     return q
 
@@ -895,7 +896,7 @@ class ClassFunction:
         return ClassFunction(self.group, self.classes, [-v for v in self.values], self.conductor)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, ClassFunction):  # a scalar; the ring refuses a non-rational
             return ClassFunction(
                 self.group, self.classes, [v * other for v in self.values], self.conductor
             )

@@ -18,13 +18,11 @@ import argparse
 import functools
 import gc
 import io
-import json
 import math
 import os
 import sys
 import time
 from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import HkrError, ParseError
@@ -34,6 +32,11 @@ try:  # the interpreter's own BLAKE2; hashlib would load OpenSSL to key the cach
     from _blake2 import blake2b as _hash
 except ImportError:
     from hashlib import sha256 as _hash
+
+try:  # json's C string encoder; the json package is loaded only to decode
+    from _json import encode_basestring_ascii as _json_string
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _json_string
 
 __all__ = ["CacheEntry", "run", "main", "GROUP_GRAMMAR", "SCHEMA_VERSION"]
 
@@ -81,8 +84,10 @@ def _code_digest() -> str:
     """A hash of the package's own sources, so that a change to the code
     never serves bytes cached by an earlier version."""
     digest = _hash()
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    here = os.path.dirname(os.path.realpath(__file__))
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as source:
+            digest.update(name.encode("utf-8") + b"\0" + source.read())
     return digest.hexdigest()
 
 
@@ -106,22 +111,31 @@ def _cache_file(cache_path: str, key: str) -> Path:
 
 
 def _cache_load(cache_path: str, key: str) -> str | None:
+    """The cached report, or None for a miss: no file, or one that does not
+    hold an entry for this key and schema with a string value."""
     path = _cache_file(cache_path, key)
     try:
-        entry = CacheEntry.from_json(json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError):
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError):
         return None
-    if entry.key != key or entry.version != SCHEMA_VERSION:
+    import json  # only a file that exists is decoded
+    try:
+        entry = CacheEntry.from_json(json.loads(text))
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return None
+    if entry.key != key or entry.version != SCHEMA_VERSION or not isinstance(entry.value, str):
         return None
     return entry.value
 
 
 def _cache_store(cache_path: str, key: str, value: str):
+    """Write the entry as json.dumps(entry.to_json(), sort_keys=True) would."""
     path = _cache_file(cache_path, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    entry = CacheEntry(key, value, SCHEMA_VERSION)
+    fields = sorted(CacheEntry(key, value, SCHEMA_VERSION).to_json().items())
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(entry.to_json(), sort_keys=True), encoding="utf-8")
+    tmp.write_text("{" + ", ".join(f"{_json_string(k)}: {_json_string(v)}" for k, v in fields) + "}",
+                   encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -141,14 +155,20 @@ def _render_json(payload: dict) -> str:
     return _json_lines(payload, "\n", {}) + "\n"
 
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _json_lines(value, newline: str, laid_out: dict) -> str:
     """json.dumps(value, indent=2, sort_keys=True), newline in place of each
-    line break.  Lists and dicts with string keys are laid out here, so that a
-    list of strings is one join in C, not one pure-Python step per item; a
-    list the payload shares (a table's coordinate lists) is laid out once per
-    depth, keyed by (id, newline) in laid_out while the payload holds it."""
+    line break.  Lists, dicts with string keys, strings, ints, bools and None
+    are laid out here, so that a list of strings is one join in C, not one
+    pure-Python step per item, and a report loads no json; a list the payload
+    shares (a table's coordinate lists) is laid out once per depth, keyed by
+    (id, newline) in laid_out while the payload holds it."""
     inner = newline + "  "
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
         key = (id(value), newline)
         got = laid_out.get(key)
         if got is None:
@@ -158,10 +178,19 @@ def _json_lines(value, newline: str, laid_out: dict) -> str:
                 items = (_json_lines(v, inner, laid_out) for v in value)
             got = laid_out[key] = "[" + inner + ("," + inner).join(items) + newline + "]"
         return got
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
         return "{" + inner + ("," + inner).join(
             f"{_json_string(k)}: {_json_lines(value[k], inner, laid_out)}" for k in sorted(value)
         ) + newline + "}"
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    import json  # floats and dicts with keys other than strings
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
@@ -395,6 +424,7 @@ def _fix_gset(args):
     if args.gset:
         if args.group is not None:
             raise ValueError(f"fix {args.action} takes --group or --gset, not both")
+        import json
         doc = json.loads(Path(args.gset).read_text(encoding="utf-8"))
         return gset_from_json(doc)
     if not args.group:

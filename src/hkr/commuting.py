@@ -13,19 +13,21 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import product as iter_product, takewhile
+from itertools import product as iter_product
 
 from .errors import CapExceeded
 from .groupcore import (
     FiniteGroup,
     Permutation,
+    _p_power_class_indices,
+    _unit_generators,
     centralizer,
     class_index,
     class_orders,
     conjugacy_classes,
     orbit_search,
 )
-from .primality import capped_power, euler_phi, p_part, rref_mod
+from .primality import capped_power, p_part, rref_mod
 
 __all__ = [
     "TupleClass",
@@ -55,11 +57,6 @@ def is_p_power_order(g: Permutation, p: int) -> bool:
     """True if the order of g is a power of p."""
     order = g.order()
     return p_part(order, p) == order
-
-
-def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
-    """The classes of p-power order."""
-    return [k for k, o in enumerate(class_orders(G)) if p_part(o, p) == o]
 
 
 def p_power_elements(G: FiniteGroup, p: int) -> list[Permutation]:
@@ -231,19 +228,6 @@ def apply_matrix(t: tuple, sigma: tuple, identity: Permutation) -> tuple:
     if len(t) != len(sigma):
         raise ValueError("matrix size does not match tuple length")
     return tuple(evaluate(t, column, identity) for column in zip(*sigma))
-
-
-def _unit_generators(units, n: int) -> list[int]:
-    """Units mod n taken greedily from the given ones, each outside the group
-    the earlier ones generate: together they generate the same group.  A lazy
-    iterable is drawn only until they generate all of (Z/n)^*, one unit past."""
-    gens, span, full = [], {1 % n}, euler_phi(n)
-    for u in takewhile(lambda _: len(span) < full, units):
-        if u % n not in span:
-            gens.append(u)
-            (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)
-            span = set(orbit)
-    return gens
 
 
 def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleClass]]:

@@ -13,8 +13,10 @@ import math
 import operator
 import re
 from collections import namedtuple
+from itertools import takewhile
 
 from .errors import CapExceeded, HkrError, ParseError
+from .primality import euler_phi, p_part
 
 __all__ = [
     "Permutation",
@@ -349,6 +351,19 @@ def orbit_search(items, gens, move) -> list[list]:
     return orbits
 
 
+def _unit_generators(units, n: int) -> list[int]:
+    """Units mod n taken greedily from the given ones, each outside the group
+    the earlier ones generate: together they generate the same group.  A lazy
+    iterable is drawn only until they generate all of (Z/n)^*, one unit past."""
+    gens, span, full = [], {1 % n}, euler_phi(n)
+    for u in takewhile(lambda _: len(span) < full, units):
+        if u % n not in span:
+            gens.append(u)
+            (orbit,) = orbit_search([1 % n], gens, lambda x, s: x * s % n)
+            span = set(orbit)
+    return gens
+
+
 def extend_to_group(G: FiniteGroup, gens, images, compose, one) -> dict:
     """{element: image} grown breadth first along the Cayley graph of gens:
     the identity maps to one, and g * s to compose(image of g, image of s).
@@ -432,6 +447,11 @@ def _power_roots(G: FiniteGroup) -> list[tuple[list[int], int]]:
 def class_orders(G: FiniteGroup) -> list[int]:
     """The order of each class's elements, read off its root walk."""
     return [len(walk) // math.gcd(d, len(walk)) for walk, d in _power_roots(G)]
+
+
+def _p_power_class_indices(G: FiniteGroup, p: int) -> list[int]:
+    """The classes of p-power order."""
+    return [k for k, o in enumerate(class_orders(G)) if p_part(o, p) == o]
 
 
 def power_walk(G: FiniteGroup, k: int) -> list[int]:

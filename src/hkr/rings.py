@@ -4,12 +4,13 @@ helpers of hkr.primality (row reduction over F_q among them) are re-exported.
 
 Everything here is a small, self-contained building block used by the series,
 level-ring, and character modules.  All arithmetic is exact; there is no
-floating point anywhere in the package.
+floating point anywhere in the package.  `fractions` is imported only where a
+Fraction is made or met, so integer work (character tables, power operations,
+Galois dimensions) never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import mul
@@ -45,7 +46,13 @@ __all__ = [
     "zeta",
 ]
 
-ONE = Fraction(1)
+
+def _is_rational(x) -> bool:
+    """Whether x is an int or a Fraction; only a non-int loads fractions."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+    return isinstance(x, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +97,7 @@ def poly_mul(a, b):
 
 def poly_divmod(a, b):
     """Quotient and remainder; requires an invertible leading coefficient."""
+    from fractions import Fraction
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -115,6 +123,7 @@ def poly_mod(a, b):
 
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, u, v) monic with u*a + v*b = g."""
+    from fractions import Fraction
     r0, r1 = poly_trim(a), poly_trim(b)
     s0, s1 = [Fraction(1)], []
     t0, t1 = [], [Fraction(1)]
@@ -238,9 +247,10 @@ class QuotientRing:
     def _make(self, coords) -> RingElement:
         out = object.__new__(self.element_type)
         out.ring = self
-        if Fraction in map(type, coords):  # one scan in C; ints need no normalizing
-            coords = [c.numerator if type(c) is Fraction and c.denominator == 1 else c
-                      for c in coords]
+        if type(sum(coords)) is not int:  # one sum in C: ints alone need no normalizing
+            if not all(map(_is_rational, coords)):
+                raise TypeError("coordinates must be rational numbers")
+            coords = [c.numerator if c.denominator == 1 else c for c in coords]
         out.coeffs = tuple(coords)
         return out
 
@@ -249,7 +259,7 @@ class QuotientRing:
         coeffs, d = list(coeffs), self.dimension
         head = coeffs[:d] + [0] * (d - len(coeffs))
         out = self._make(self.add_terms(head, enumerate(coeffs[d:], d)))
-        if self.integral and any(type(c) is Fraction for c in out.coeffs):
+        if self.integral and type(sum(out.coeffs)) is not int:
             raise ValueError("element does not reduce integrally")
         return out
 
@@ -289,7 +299,7 @@ class RingElement:
     __slots__ = ("ring", "coeffs")
 
     def _check(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RingElement):  # a scalar; _make refuses a non-rational
             return self.ring.element([other])
         if other.ring is not self.ring and other.ring != self.ring:
             raise ValueError(f"elements live in different rings: {self.ring!r} and {other.ring!r}")
@@ -354,7 +364,7 @@ class RingElement:
     def inverse(self) -> RingElement:
         """The multiplicative inverse; raises ZeroDivisionError on a non-unit."""
         g, u, _ = poly_xgcd(list(self.coeffs), list(self.ring.modulus))
-        if g != [ONE]:
+        if g != [1]:
             raise ZeroDivisionError(f"{self.to_text()} is not a unit in {self.ring.label}")
         return self.ring.element(u)
 
@@ -365,13 +375,9 @@ class RingElement:
         return poly_to_text(list(self.coeffs))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
-        return (
-            isinstance(other, RingElement)
-            and (self.ring is other.ring or self.ring == other.ring)
-            and self.coeffs == other.coeffs
-        )
+        if isinstance(other, RingElement):
+            return (self.ring is other.ring or self.ring == other.ring) and self.coeffs == other.coeffs
+        return _is_rational(other) and self.coeffs[0] == other and not any(self.coeffs[1:])
 
     def __hash__(self):
         # a constant equals its rational (see __eq__), so it hashes as one
@@ -460,6 +466,7 @@ class CyclotomicNumber(RingElement):
             raise ValueError(f"{m2} does not divide {m}")
         if m2 == m:
             return self
+        from fractions import Fraction
         rows, inv, den = _descent(m, m2)
         b = [self.coeffs[r] for r in rows]
         sums = [sum(map(mul, row, b)) for row in inv]
@@ -500,19 +507,21 @@ def _rref(rows, *, upward=True):
     """Reduced row echelon form by the entries' own arithmetic.
 
     Entries may be ints, Fractions, CyclotomicNumbers, or elements of a
-    quotient ring that is a field; pivots are inverted as ONE / lead, so int
-    input yields Fractions.  Returns (rows, pivot columns, determinant); the
-    determinant is the signed product of the pivots and means the
-    determinant of a square input only when every column has a pivot.  A
-    pivot row is zero left of its pivot, so only the columns from the pivot
-    on are rewritten.  With upward=False the rows above each pivot are left
-    alone (row echelon form), which is all the rank and determinant need.
+    quotient ring that is a field; pivots are inverted as Fraction(1) / lead,
+    so int input yields Fractions.  Returns (rows, pivot columns,
+    determinant); the determinant is the signed product of the pivots and
+    means the determinant of a square input only when every column has a
+    pivot.  A pivot row is zero left of its pivot, so only the columns from
+    the pivot on are rewritten.  With upward=False the rows above each pivot
+    are left alone (row echelon form), which is all the rank and determinant
+    need.
     """
+    from fractions import Fraction
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
-    det = ONE
+    det = one = Fraction(1)
     rank = 0
     for col in range(ncols):
         piv = None
@@ -528,7 +537,7 @@ def _rref(rows, *, upward=True):
         prow = rows[rank]
         lead = prow[col]
         det = det * lead
-        inv = ONE / lead
+        inv = one / lead
         tail = prow[col:] = [inv * x for x in prow[col:]]
         for r in range(0 if upward else rank + 1, nrows):
             row = rows[r]
@@ -550,13 +559,45 @@ def mat_nullspace_dim(rows) -> int:
     return len(rows[0]) - mat_rank(rows) if rows else 0
 
 
+def _int_rank(rows) -> int:
+    """Rank of a matrix of ints by fraction-free elimination: below each pivot
+    row p with pivot entry a, a row r with entry f in the pivot column becomes
+    a*r - f*p, divided by the gcd of its entries, so no Fraction is made and
+    the entries stay small.  Only the columns right of the pivot are
+    rewritten, as the ones left of it are never read again; zero rows go."""
+    rows = [list(r) for r in rows if any(r)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i, r in enumerate(rows) if r[col]), None)
+        if at is None:
+            continue
+        pivot = rows.pop(at)
+        rank += 1
+        a, tail, keep = pivot[col], pivot[col + 1:], []
+        for row in rows:
+            f = row[col]
+            if f:
+                new = [a * x - f * y for x, y in zip(row[col + 1:], tail)]
+                g = gcd(*new)
+                if not g:
+                    continue
+                row[col + 1:] = new if g == 1 else [x // g for x in new]
+            keep.append(row)
+        rows = keep
+    return rank
+
+
 def fixed_space_dim(maps, dim: int) -> int:
     """Dimension of the subspace of a dim-dimensional space fixed by every
     linear map in maps, each given by its columns (the coordinates of the
     images of the basis vectors): the nullspace of the stacked blocks M - I,
-    or dim when there are no maps."""
+    or dim when there are no maps.  Integer blocks are ranked by _int_rank."""
     stacked = [[col[s] - (s == t) for t, col in enumerate(cols)] for cols in maps for s in range(dim)]
-    return mat_nullspace_dim(stacked) if stacked else dim
+    if not stacked:
+        return dim
+    if type(sum(map(sum, stacked))) is int:  # ints alone sum to an int
+        return dim - _int_rank(stacked)
+    return mat_nullspace_dim(stacked)
 
 
 def mat_det(rows):

@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -764,6 +765,35 @@ def test_find_modular_prime_properties():
         assert all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
+def stepping_modular_prime(m, order, *, above=0):
+    """The search as it stepped q = m + 1, 2m + 1, ... from the start."""
+    bound = max(2 * math.isqrt(order) + 1, above)
+    q = m + 1
+    while q <= bound or not is_prime(q):
+        q += m
+    return q
+
+
+def test_modular_prime_search_starts_past_its_bound():
+    # the lifting prime at orders m, 2m, 4m and the certificate prime above
+    # 2 |G| (B^2 + 1) for tally sums B up to sqrt(|G|): the primes found by
+    # stepping from m + 1 at every conductor m <= 200
+    for m in range(1, 201):
+        for order in (m, 2 * m, 4 * m):
+            assert _find_modular_prime(m, order) == stepping_modular_prime(m, order), (m, order)
+            for b in (1, 2, math.isqrt(order)):
+                above = 2 * order * (b * b + 1)
+                got = _find_modular_prime(m, order, above=above)
+                assert got == stepping_modular_prime(m, order, above=above), (m, order, above)
+    # stepping from m + 1 took about 44 million steps to pass 2^33 at m = 194
+    start = time.perf_counter()
+    bound = (1 << 33) - 3
+    q = _find_modular_prime(194, 1, above=bound)
+    assert time.perf_counter() - start < 1
+    assert q > bound and q % 194 == 1 and is_prime(q)
+    assert not any(map(is_prime, range(q - 194, bound, -194)))
+
+
 def test_certificate_prime_search_has_no_ceiling(monkeypatch):
     # above the table cap the certificate needs q = 1 mod 420 (Sym(7)) and
     # mod 840 (Sym(8)) past 10^7, where the prime search used to give up
@@ -948,9 +978,7 @@ def test_packed_gram_rows_take_wide_slots_at_a_large_prime(monkeypatch):
     def large(m, order, *, above=0):
         if not above:  # the lifting prime
             return _find_modular_prime(m, order)
-        q = max(above, 1 << 33) // m * m + 1  # the search itself would step from m + 1
-        while not is_prime(q):
-            q += m
+        q = _find_modular_prime(m, order, above=max(above, 1 << 33))
         asked.append(q)
         return q
 
@@ -997,6 +1025,17 @@ def test_class_function_algebra():
     assert int_values(a * b) == (2, -1, 0)
     assert int_values(-a) == (-1, -1, 1)
     assert (a - a).values[0].is_zero()
+
+
+def test_class_function_scalars_must_be_rational():
+    b = irreducible_characters(named_group("Sym(3)"))[2]
+    assert int_values(3 * b) == int_values(b + b + b) == (6, -3, 0)
+    assert int_values(b * Fraction(1, 2) + b * Fraction(1, 2)) == (2, -1, 0)
+    for bad in (0.5, 1j, "2", None):
+        with pytest.raises(TypeError):
+            b * bad
+        with pytest.raises(TypeError):
+            bad * b
 
 
 def test_character_map_frozen_values():

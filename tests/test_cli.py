@@ -5,6 +5,7 @@ test, so most assertions are on captured bytes.
 """
 
 import argparse
+import ast
 import gc
 import hashlib
 import json
@@ -169,6 +170,15 @@ def test_corrupted_cache_recomputes(tmp_path, capsys, monkeypatch):
     code, again, _ = invoke(capsys, argv)
     assert code == 0
     assert again == cold
+    # valid JSON that is no entry, or an entry whose value is no string,
+    # once made every later call with the key exit 1 with a traceback
+    doc = json.loads(cachefile.read_text())
+    for text in ["[]", "1", "null", '"x"', "{}", "[" * 100_000,
+                 *(json.dumps(dict(doc, value=value)) for value in (5, None, ["x"], {"a": "b"}))]:
+        cachefile.write_text(text)
+        code, again, err = invoke(capsys, argv)
+        assert (code, again, err) == (0, cold, ""), text[:40]
+        assert json.loads(cachefile.read_text()) == doc
 
 
 def test_no_cache_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -575,13 +585,14 @@ ARGUMENT_MODULES = {"_hashlib", "fractions", "decimal", "hkr.rings"}
 
 
 def loaded_modules(script):
-    """Modules a fresh interpreter loads for script beyond its own start-up."""
-    report = "\nimport json, sys\nsys.stderr.write(json.dumps(sorted(sys.modules)))"
+    """Modules a fresh interpreter loads for script beyond its own start-up,
+    reported by repr, which loads nothing (json would hide itself)."""
+    report = "\nimport sys\nsys.stderr.write(repr(sorted(sys.modules)))"
     names = []
     for code in ("pass", script):
         done, _ = run_python(["-c", code + report])
         assert done.returncode == 0, done.stderr
-        names.append(set(json.loads(done.stderr)))
+        names.append(set(ast.literal_eval(done.stderr)))
     return names[1] - names[0]
 
 
@@ -620,6 +631,66 @@ def test_tuple_and_fixed_point_commands_load_no_rational_arithmetic():
     loaded = loaded_modules(script)
     assert {"hkr.commuting", "hkr.inertia"} <= loaded
     assert not loaded & ARGUMENT_MODULES
+
+
+# what a table command's miss must not load: json only decodes, a Fraction
+# is made only by division, and charmap's helpers live in groupcore
+TABLE_MISS_MODULES = {"fractions", "decimal", "numbers", "json", "hkr.commuting"}
+
+
+def test_table_miss_loads_no_json_fractions_or_commuting(tmp_path):
+    from hkr.groupcore import named_group
+    from hkr.inertia import regular_gset
+    gset = tmp_path / "gset.json"
+    gset.write_text(json.dumps(regular_gset(named_group("Cyc(2)")).to_json()))
+    cache = str(tmp_path / "cache")
+    calls = [["chartable", "--group", "Dih(23)", "--cache", cache],
+             ["chartable", "--group", "Sym(4)", "--format", "plain", "--cache", cache],
+             ["psi-level", "--group", "Dih(6)", "--p", "2", "--k", "1", "--no-cache"],
+             ["galois-dim", "--group", "Sym(4)", "--p", "2", "--k", "2", "--no-cache"]]
+    script = "import contextlib, io, hkr.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n" + "".join(
+        f"    assert hkr.cli.run({argv!r}) == 0\n" for argv in calls)
+    loaded = loaded_modules(script)
+    assert "hkr.charmap" in loaded
+    assert not loaded & TABLE_MISS_MODULES
+    # the hit decodes its file, and a --gset file is decoded: both still answer
+    hit, _ = run_python(["-m", "hkr", *calls[0], "--verbose"])
+    fresh, _ = run_python(["-m", "hkr", *calls[0][:-2], "--no-cache"])
+    assert "# cache hit" in hit.stderr and hit.stdout == fresh.stdout and hit.returncode == 0
+    fix = ["fix", "points", "--gset", str(gset), "--p", "2", "--n", "1", "--no-cache"]
+    done, _ = run_python(["-m", "hkr", *fix])
+    assert done.returncode == 0 and json.loads(done.stdout)["count"] == 2, done.stderr
+
+
+def test_library_table_and_power_operations_make_no_fraction():
+    script = (
+        "from hkr.charmap import *\nfrom hkr.groupcore import named_group\n"
+        "for spec, p, k in (('Sym(4)', 2, 3), ('Dih(12)', 3, 1), ('Cyc(2)', 11, 2), ('Cyc(3)*Q8', 2, 3)):\n"
+        "    G = named_group(spec)\n"
+        "    assert orthogonality_report(character_table(G)).ok\n"
+        "    char_matrix_rank(G, p), galois_fixed_dim(G, p, k)\n"
+        "    for chi in irreducible_characters(G)[:4]:\n"
+        "        assert psi_level(2, 2, chi) == adams_psi(4, chi)\n"
+        "        total_power(3, chi), 2 * chi - chi\n"
+    )
+    assert not loaded_modules(script) & {"fractions", "decimal", "numbers"}
+
+
+def test_cache_store_writes_the_json_dumps_bytes(tmp_path):
+    texts = ['plain', 'quote " and \\ backslash', "\n\t\x00\x1f\x7f", "é ü 𝔽 😀", "\u2028\ud800", "/</", ""]
+    for text in texts:
+        if "\ud800" in text:  # keys come from argv, encoded to UTF-8 for the file name
+            continue
+        key = "rank|" + text
+        for value in texts:
+            cli._cache_store(str(tmp_path), key, value)
+            path = cli._cache_file(str(tmp_path), key)
+            want = json.dumps(CacheEntry(key, value, SCHEMA_VERSION).to_json(), sort_keys=True)
+            assert path.read_bytes() == want.encode("ascii")
+            assert cli._cache_load(str(tmp_path), key) == value
+            path.write_text(want, encoding="utf-8")  # a file json.dumps wrote is a hit too
+            assert cli._cache_load(str(tmp_path), key) == value
+            assert cli._cache_load(str(tmp_path), key + "|other") is None
 
 
 # one valid call of every command and action, the command and action first

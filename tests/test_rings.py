@@ -33,7 +33,7 @@ from hkr.rings import (
     rref_mod,
     zeta,
 )
-from hkr.rings import _rref
+from hkr.rings import _int_rank, _rref
 
 
 def poly_eval(a, x):
@@ -311,6 +311,46 @@ def test_fixed_space_dim():
     assert fixed_space_dim([[[Fraction(-1)]]], 1) == 0
 
 
+@st.composite
+def int_matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    entries = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=7))
+    if len(rows) > 1 and draw(st.booleans()):  # a dependent row
+        c = draw(st.integers(-3, 3))
+        rows.insert(draw(st.integers(0, len(rows))), [c * a + b for a, b in zip(rows[0], rows[-1])])
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_matrices())
+def test_int_rank_matches_the_field_rank(rows):
+    copy = [list(row) for row in rows]
+    assert _int_rank(rows) == mat_rank(rows)
+    assert rows == copy  # input left alone
+
+
+def test_galois_fixed_spaces_rank_alike_in_ints_and_fractions():
+    # fixed_space_dim ranks integer blocks by _int_rank; the field route is the oracle
+    for pk in (8, 9, 16, 25, 27, 49):
+        phi = euler_phi(pk)
+        for u in range(2, pk):
+            if math.gcd(u, pk) == 1:
+                maps = [[CyclotomicNumber.root(pk, u * t).coords for t in range(phi)]]
+                stacked = [[col[s] - (s == t) for t, col in enumerate(maps[0])] for s in range(phi)]
+                assert fixed_space_dim(maps, phi) == mat_nullspace_dim(stacked), (pk, u)
+
+
+def test_scalars_must_be_rational():
+    z, one = zeta(4), CyclotomicNumber.from_rational(4, 1)
+    for bad in (0.5, 1.0, 1j, "1", None):
+        for op in (lambda: z + bad, lambda: z - bad, lambda: bad - z, lambda: z * bad, lambda: bad * z):
+            with pytest.raises(TypeError):
+                op()
+        assert one != bad and z != bad
+    assert z * Fraction(1, 2) + z * Fraction(1, 2) == z and one == Fraction(2, 2)
+
+
 def test_mat_rank_over_prime_field():
     rows = [[1, 2], [3, 6]]  # second row is 3x the first mod 5
     red, pivots = rref_mod(rows, 5)
@@ -375,7 +415,7 @@ def test_inverse_of_non_unit_keeps_fraction_coordinates():
 
 
 def test_int_matrices_eliminate_in_fractions():
-    # the pivot inverse is ONE / lead: 1 / lead on ints would be a float
+    # the pivot inverse is Fraction(1) / lead: 1 / lead on ints would be a float
     rows = [[2, 1], [1, 3]]
     x = mat_solve(rows, [5, 10])
     assert x == [Fraction(1), Fraction(3)]
