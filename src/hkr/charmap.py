@@ -54,7 +54,7 @@ from .groupcore import (
     power_walk,
 )
 from .primality import capped_power, is_prime, p_part, prime_factors, rref_mod
-from .rings import CyclotomicNumber, fixed_space_dim
+from .rings import CyclotomicNumber, RingElement, fixed_space_dim
 
 __all__ = [
     "CharacterTable",
@@ -896,6 +896,8 @@ class ClassFunction:
         return ClassFunction(self.group, self.classes, [-v for v in self.values], self.conductor)
 
     def __mul__(self, other):
+        if isinstance(other, RingElement):
+            raise TypeError("class functions are scaled by rationals only")
         if not isinstance(other, ClassFunction):  # a scalar; the ring refuses a non-rational
             return ClassFunction(
                 self.group, self.classes, [v * other for v in self.values], self.conductor

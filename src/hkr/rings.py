@@ -247,10 +247,13 @@ class QuotientRing:
     def _make(self, coords) -> RingElement:
         out = object.__new__(self.element_type)
         out.ring = self
-        if type(sum(coords)) is not int:  # one sum in C: ints alone need no normalizing
-            if not all(map(_is_rational, coords)):
-                raise TypeError("coordinates must be rational numbers")
-            coords = [c.numerator if c.denominator == 1 else c for c in coords]
+        try:
+            gcd(*coords)  # one pass in C that takes ints alone: they need no normalizing
+        except TypeError:
+            try:  # ints and Fractions alone have a denominator here
+                coords = [c.numerator if c.denominator == 1 else c for c in coords]
+            except AttributeError:
+                raise TypeError("coordinates must be rational numbers") from None
         out.coeffs = tuple(coords)
         return out
 
@@ -591,13 +594,14 @@ def fixed_space_dim(maps, dim: int) -> int:
     """Dimension of the subspace of a dim-dimensional space fixed by every
     linear map in maps, each given by its columns (the coordinates of the
     images of the basis vectors): the nullspace of the stacked blocks M - I,
-    or dim when there are no maps.  Integer blocks are ranked by _int_rank."""
+    or dim when there are no maps.  Rational rows are scaled to ints by their
+    denominators' lcm and ranked by _int_rank."""
     stacked = [[col[s] - (s == t) for t, col in enumerate(cols)] for cols in maps for s in range(dim)]
-    if not stacked:
-        return dim
-    if type(sum(map(sum, stacked))) is int:  # ints alone sum to an int
-        return dim - _int_rank(stacked)
-    return mat_nullspace_dim(stacked)
+    scaled = []
+    for row in stacked:
+        den = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (den // x.denominator) for x in row])
+    return dim - _int_rank(scaled)
 
 
 def mat_det(rows):

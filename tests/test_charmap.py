@@ -1031,7 +1031,7 @@ def test_class_function_scalars_must_be_rational():
     b = irreducible_characters(named_group("Sym(3)"))[2]
     assert int_values(3 * b) == int_values(b + b + b) == (6, -3, 0)
     assert int_values(b * Fraction(1, 2) + b * Fraction(1, 2)) == (2, -1, 0)
-    for bad in (0.5, 1j, "2", None):
+    for bad in (0.5, 1j, "2", None, CyclotomicNumber.root(3, 1), CyclotomicNumber.root(5, 1)):
         with pytest.raises(TypeError):
             b * bad
         with pytest.raises(TypeError):

@@ -309,6 +309,10 @@ def test_fixed_space_dim():
     assert fixed_space_dim([cycle], 3) == 1
     assert fixed_space_dim([swap, cycle], 3) == 1
     assert fixed_space_dim([[[Fraction(-1)]]], 1) == 0
+    half = Fraction(1, 2)
+    assert fixed_space_dim([[[half]]], 1) == 0
+    assert fixed_space_dim([[[half, half], [half, half]]], 2) == 1  # projection onto e0 + e1
+    assert fixed_space_dim([[[half, Fraction(1, 3)], [half, Fraction(2, 3)]]], 2) == 1
 
 
 @st.composite
