@@ -1,5 +1,5 @@
 """Exact arithmetic: dense rational polynomials, quotient rings Q[x]/(f) and
-the cyclotomic numbers among them, and exact Gaussian elimination; the integer
+the cyclotomic numbers among them, and exact elimination; the integer
 helpers of hkr.primality (row reduction over F_q among them) are re-exported.
 
 Everything here is a small, self-contained building block used by the series,
@@ -38,8 +38,6 @@ __all__ = [
     "poly_xgcd",
     "poly_compose",
     "poly_to_text",
-    "mat_rank",
-    "mat_nullspace_dim",
     "fixed_space_dim",
     "mat_det",
     "rref_mod",
@@ -465,15 +463,19 @@ class CyclotomicNumber(RingElement):
         """Rewrite in the conductor-m2 subfield, by integer dot products with
         _descent(m, m2); raises unless the lift back to conductor m is the value."""
         m = self.conductor
-        if m % m2 != 0:
+        if m2 < 1 or m % m2 != 0:
             raise ValueError(f"{m2} does not divide {m}")
         if m2 == m:
             return self
-        from fractions import Fraction
         rows, inv, den = _descent(m, m2)
         b = [self.coeffs[r] for r in rows]
         sums = [sum(map(mul, row, b)) for row in inv]
-        out = CyclotomicNumber.field(m2).element([Fraction(s, den) if s % den else s // den for s in sums])
+        if any(s % den for s in sums):
+            from fractions import Fraction
+            sums = [Fraction(s, den) for s in sums]
+        else:
+            sums = [s // den for s in sums]
+        out = CyclotomicNumber.field(m2).element(sums)
         if out.promote(m) != self:
             raise ValueError("value does not lie in the requested subfield")
         return out
@@ -493,89 +495,41 @@ def zeta(m: int, j: int = 1) -> CyclotomicNumber:
 def _descent(m: int, m2: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
     """(rows, inv, den): rows are phi(m2) coordinate positions at which the
     basis zeta_m2^j, promoted to conductor m, is invertible, and inv / den is
-    the inverse of that square block, over a common integer denominator."""
+    the inverse of that square block B, over a common integer denominator.
+    [B | I] is brought to upper triangular form; a second pass over its rows
+    and left columns in reverse clears the entries above each pivot, leaving
+    row i as d_i e_i | w_i, so that row i of the inverse is w_i / d_i."""
     n = CyclotomicNumber.field(m2).dimension
     cols = [CyclotomicNumber.root(m2, j).promote(m).coeffs for j in range(n)]
-    rows = tuple(_rref(cols, upward=False)[1])
-    red = _rref([[col[r] for col in cols] + [int(i == k) for k in range(n)] for i, r in enumerate(rows)])[0]
-    den = lcm(*(v.denominator for row in red for v in row[n:]))
-    return rows, tuple(tuple(v.numerator * (den // v.denominator) for v in row[n:]) for row in red), den
+    rows = tuple(_int_echelon(cols)[1])
+    upper = _int_echelon([[col[r] for col in cols] + [int(i == k) for k in range(n)] for i, r in enumerate(rows)])[0]
+    diag = _int_echelon([row[n - 1::-1] + row[n:] for row in reversed(upper)])[0][::-1]
+    den = lcm(*(row[n - 1 - i] for i, row in enumerate(diag)))
+    return rows, tuple(tuple(w * (den // row[n - 1 - i]) for w in row[n:]) for i, row in enumerate(diag)), den
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination
+# exact elimination
 
 
-def _rref(rows, *, upward=True):
-    """Reduced row echelon form by the entries' own arithmetic.
-
-    Entries may be ints, Fractions, CyclotomicNumbers, or elements of a
-    quotient ring that is a field; pivots are inverted as Fraction(1) / lead,
-    so int input yields Fractions.  Returns (rows, pivot columns,
-    determinant); the determinant is the signed product of the pivots and
-    means the determinant of a square input only when every column has a
-    pivot.  A pivot row is zero left of its pivot, so only the columns from
-    the pivot on are rewritten.  With upward=False the rows above each pivot
-    are left alone (row echelon form), which is all the rank and determinant
-    need.
-    """
-    from fractions import Fraction
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    det = one = Fraction(1)
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = -det
-        prow = rows[rank]
-        lead = prow[col]
-        det = det * lead
-        inv = one / lead
-        tail = prow[col:] = [inv * x for x in prow[col:]]
-        for r in range(0 if upward else rank + 1, nrows):
-            row = rows[r]
-            f = row[col]
-            if r != rank and f != 0:
-                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return rows, pivots, det
-
-
-def mat_rank(rows) -> int:
-    return len(_rref(rows, upward=False)[1]) if rows else 0
-
-
-def mat_nullspace_dim(rows) -> int:
-    return len(rows[0]) - mat_rank(rows) if rows else 0
-
-
-def _int_rank(rows) -> int:
-    """Rank of a matrix of ints by fraction-free elimination: below each pivot
-    row p with pivot entry a, a row r with entry f in the pivot column becomes
-    a*r - f*p, divided by the gcd of its entries, so no Fraction is made and
-    the entries stay small.  Only the columns right of the pivot are
-    rewritten, as the ones left of it are never read again; zero rows go."""
+def _int_echelon(rows) -> tuple[list[list[int]], list[int]]:
+    """Row echelon form of a matrix of ints by fraction-free elimination:
+    below each pivot row p with pivot entry a, a row r with entry f in the
+    pivot column becomes a*r - f*p, divided by the gcd of its entries, so no
+    Fraction is made and the entries stay small.  Only the columns right of
+    the pivot are rewritten, as the ones left of it are never read again;
+    zero rows go.  Returns (pivot rows, pivot columns), each pivot row zeroed
+    left of its pivot; the input is left alone."""
     rows = [list(r) for r in rows if any(r)]
-    rank = 0
+    pivots, cols = [], []
     for col in range(len(rows[0]) if rows else 0):
         at = next((i for i, r in enumerate(rows) if r[col]), None)
         if at is None:
             continue
         pivot = rows.pop(at)
-        rank += 1
+        pivot[:col] = [0] * col
+        pivots.append(pivot)
+        cols.append(col)
         a, tail, keep = pivot[col], pivot[col + 1:], []
         for row in rows:
             f = row[col]
@@ -587,7 +541,7 @@ def _int_rank(rows) -> int:
                 row[col + 1:] = new if g == 1 else [x // g for x in new]
             keep.append(row)
         rows = keep
-    return rank
+    return pivots, cols
 
 
 def fixed_space_dim(maps, dim: int) -> int:
@@ -595,16 +549,38 @@ def fixed_space_dim(maps, dim: int) -> int:
     linear map in maps, each given by its columns (the coordinates of the
     images of the basis vectors): the nullspace of the stacked blocks M - I,
     or dim when there are no maps.  Rational rows are scaled to ints by their
-    denominators' lcm and ranked by _int_rank."""
+    denominators' lcm and ranked by _int_echelon."""
     stacked = [[col[s] - (s == t) for t, col in enumerate(cols)] for cols in maps for s in range(dim)]
     scaled = []
     for row in stacked:
         den = lcm(*(x.denominator for x in row))
         scaled.append([x.numerator * (den // x.denominator) for x in row])
-    return dim - _int_rank(scaled)
+    return dim - len(_int_echelon(scaled)[1])
 
 
 def mat_det(rows):
-    """Determinant of a square matrix, in the entries' own arithmetic."""
-    _, pivots, det = _rref(rows, upward=False)
-    return det if len(pivots) == len(rows) else det * 0  # a zero of det's type
+    """Determinant of a square matrix by elimination in the entries' own
+    arithmetic, which must be a field's: ints, Fractions, CyclotomicNumbers
+    or elements of a QuotientRing that is a field.  Pivots are inverted as
+    Fraction(1) / lead, so int input yields a Fraction."""
+    from fractions import Fraction
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError(f"determinant of a non-square matrix with {n} rows")
+    det = one = Fraction(1)
+    for col in range(n):
+        at = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if at is None:
+            return det * 0  # a zero of det's type
+        if at != col:
+            rows[col], rows[at] = rows[at], rows[col]
+            det = -det
+        pivot = rows[col]
+        det = det * pivot[col]
+        inv = one / pivot[col]
+        for row in rows[col + 1:]:
+            f = row[col] * inv
+            if f != 0:
+                row[col:] = [x - f * y for x, y in zip(row[col:], pivot[col:])]
+    return det

@@ -647,7 +647,9 @@ def test_table_miss_loads_no_json_fractions_or_commuting(tmp_path):
     calls = [["chartable", "--group", "Dih(23)", "--cache", cache],
              ["chartable", "--group", "Sym(4)", "--format", "plain", "--cache", cache],
              ["psi-level", "--group", "Dih(6)", "--p", "2", "--k", "1", "--no-cache"],
-             ["galois-dim", "--group", "Sym(4)", "--p", "2", "--k", "2", "--no-cache"]]
+             ["galois-dim", "--group", "Sym(4)", "--p", "2", "--k", "2", "--no-cache"],
+             ["charmap", "--group", "Sym(4)", "--p", "2", "--no-cache"],  # values descend from conductor 12
+             ["charmap", "--group", "Dih(12)", "--p", "3", "--no-cache"]]
     script = "import contextlib, io, hkr.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n" + "".join(
         f"    assert hkr.cli.run({argv!r}) == 0\n" for argv in calls)
     loaded = loaded_modules(script)

@@ -20,8 +20,6 @@ from hkr.rings import (
     fixed_space_dim,
     is_prime,
     mat_det,
-    mat_nullspace_dim,
-    mat_rank,
     poly_add,
     poly_compose,
     poly_divmod,
@@ -33,7 +31,7 @@ from hkr.rings import (
     rref_mod,
     zeta,
 )
-from hkr.rings import _int_rank, _rref
+from hkr.rings import _int_echelon
 
 
 def poly_eval(a, x):
@@ -174,13 +172,46 @@ def test_promote_respects_arithmetic():
 def test_descend_rejects_values_outside_subfield():
     with pytest.raises(ValueError):
         zeta(4).descend(2)
+    for m2 in (0, -4):  # a conductor below 1 is refused before any division by it
+        with pytest.raises(ValueError):
+            zeta(4).descend(m2)
+
+
+def _rref(rows):
+    """Reduced row echelon form in the entries' own arithmetic, which must be
+    a field's (ints are divided as Fractions): (rows, pivot columns).  The
+    oracle of the fraction-free elimination in hkr.rings."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        at = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if at is None:
+            continue
+        rows[rank], rows[at] = rows[at], rows[rank]
+        inv = Fraction(1) / rows[rank][col]
+        pivot = rows[rank] = [inv * x for x in rows[rank]]
+        for r, row in enumerate(rows):
+            f = row[col]
+            if r != rank and f != 0:
+                rows[r] = [x - f * y for x, y in zip(row, pivot)]
+        pivots.append(col)
+    return rows, pivots
+
+
+def mat_rank(rows):
+    return len(_rref(rows)[1])
+
+
+def mat_nullspace_dim(rows):
+    return len(rows[0]) - mat_rank(rows) if rows else 0
 
 
 def mat_solve(rows, rhs):
     """Solve A x = b by one exact elimination; returns one solution or None if
     inconsistent.  The oracle of CyclotomicNumber.descend."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots, _ = _rref(aug)
+    red, pivots = _rref(aug)
     ncols = len(rows[0]) if rows else 0
     if ncols in pivots:
         return None
@@ -289,6 +320,10 @@ def test_mat_det_against_leibniz():
     for rows in mats:
         rows = [[Fraction(c) for c in row] for row in rows]
         assert mat_det(rows) == leibniz_det(rows)
+    assert mat_det([]) == Fraction(1)
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[]]):
+        with pytest.raises(ValueError):
+            mat_det(rows)
 
 
 def test_mat_rank_and_nullspace():
@@ -330,12 +365,16 @@ def int_matrices(draw):
 @given(int_matrices())
 def test_int_rank_matches_the_field_rank(rows):
     copy = [list(row) for row in rows]
-    assert _int_rank(rows) == mat_rank(rows)
+    pivot_rows, cols = _int_echelon(rows)
+    assert cols == _rref(rows)[1]
+    for row, col in zip(pivot_rows, cols):
+        assert row[col] and not any(row[:col])  # zero left of its pivot
+    assert mat_rank(rows + pivot_rows) == len(cols)  # in the row space of the input
     assert rows == copy  # input left alone
 
 
 def test_galois_fixed_spaces_rank_alike_in_ints_and_fractions():
-    # fixed_space_dim ranks integer blocks by _int_rank; the field route is the oracle
+    # fixed_space_dim ranks integer blocks by _int_echelon; the field route is the oracle
     for pk in (8, 9, 16, 25, 27, 49):
         phi = euler_phi(pk)
         for u in range(2, pk):
