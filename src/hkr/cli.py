@@ -244,35 +244,22 @@ def _cmd_rank(args):
 
 
 def _cmd_tuples(args):
-    from .commuting import hom_tuples, tuple_classes
+    from .commuting import tuple_classes
     G = _group(args)
-    homs = hom_tuples(G, args.p, args.n)
     classes = tuple_classes(G, args.p, args.n)
-    payload = _echo(
-        args, G, tuple_count=len(homs), class_count=len(classes),
-        classes=[
-            {"entries": _tuple_entry_strings(c.representative), "size": c.size}
-            for c in classes
-        ],
-    )
-    plain = f"{len(homs)} commuting tuples in {len(classes)} classes"
-    return payload, plain, None
+    count = sum(c.size for c in classes)
+    payload = _echo(args, G, tuple_count=count, class_count=len(classes), classes=[
+        {"entries": _tuple_entry_strings(c.representative), "size": c.size} for c in classes])
+    return payload, f"{count} commuting tuples in {len(classes)} classes", None
 
 
 def _cmd_gl_orbits(args):
     from .commuting import gl_action_orbits
     G = _group(args)
     orbits = gl_action_orbits(G, args.p, args.n, args.k)
-    payload = _echo(
-        args, G, orbit_count=len(orbits),
-        orbits=[
-            {
-                "class_count": len(orbit),
-                "classes": [_tuple_entry_strings(c.representative) for c in orbit],
-            }
-            for orbit in orbits
-        ],
-    )
+    payload = _echo(args, G, orbit_count=len(orbits), orbits=[
+        {"class_count": len(orbit), "classes": [_tuple_entry_strings(c.representative) for c in orbit]}
+        for orbit in orbits])
     return payload, str(len(orbits)), None
 
 
@@ -450,11 +437,8 @@ def _cmd_fix(args):
     if args.action == "census":
         census = orbit_census(X, args.p, args.n)
         payload = _echo(args, X.group, **census.to_json())
-        plain = (
-            f"{census.count} orbits, {census.total_points} points, "
-            f"predicted {census.predicted}, "
-            + ("consistent" if census.consistent else "inconsistent")
-        )
+        plain = (f"{census.count} orbits, {census.total_points} points, predicted {census.predicted}, "
+                 + ("consistent" if census.consistent else "inconsistent"))
         return payload, plain, None
     result = iterate_fix_check(X, args.p, args.n)
     return _echo(args, X.group, ok=result.ok), "ok" if result.ok else "mismatch", None
@@ -717,7 +701,8 @@ def run(argv=None) -> int:
         print(f"hkr: group grammar: {GROUP_GRAMMAR}", file=sys.stderr)
         return 2
     except (HkrError, ArithmeticError, RecursionError) as exc:
-        # a RecursionError is a too-deep --n: rank and tuples recurse once per entry
+        # a RecursionError is input nested too deep: a group expression for the
+        # parser, or --gset JSON for the decoder
         print(f"hkr: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

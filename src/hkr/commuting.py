@@ -4,9 +4,10 @@ For a finite group G, a prime p, and n >= 0, the basic object is the set of
 n-tuples of pairwise commuting elements whose orders are powers of p, each a
 plain tuple of Permutations.  The group acts by simultaneous conjugation; the
 number of orbits is the rank prediction attached to (G, p, n).  The same
-number is computed along several independent routes (explicit orbits,
-centralizer recursion, and for symmetric groups a purely combinatorial count),
-which the test suite plays against each other.
+number is computed along several independent routes (explicit orbits, the
+centralizer descent, and for symmetric groups a purely combinatorial count),
+which the test suite plays against each other.  The descent also counts the
+tuples, so a listing is refused by its size before it starts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "DEFAULT_WORK_CAP",
 ]
 
-DEFAULT_WORK_CAP = 100_000_000
+DEFAULT_WORK_CAP = 4_000_000  # tuple entries
 DEFAULT_SUBGROUP_CAP = 1_000_000
 DEFAULT_GL_CAP = 1_000_000
 _RANK_CAP = 10**4300
@@ -83,38 +84,93 @@ class TupleClass(namedtuple("TupleClass", "representative size")):
     __slots__ = ()
 
 
-def _extend_tuples(prefix, candidates, n, out, budget):
-    if len(prefix) == n:
-        out.append(prefix)
-        return
-    last = len(prefix) + 1 == n
-    for g in candidates:
-        budget[0] -= len(candidates)
-        if budget[0] < 0:
-            raise CapExceeded(f"tuple enumeration exceeds work cap {budget[1]}")
-        if last:
-            # the final entry needs no further narrowing
-            out.append(prefix + (g,))
-        else:
-            narrowed = [h for h in candidates if h * g == g * h]
-            _extend_tuples(prefix + (g,), narrowed, n, out, budget)
+def _edges(descent, i: int, p: int) -> list[tuple[int, int, int]]:
+    """Edges of node H = descent[0][i] of a centralizer descent, whose nodes
+    are distinct subgroups keyed by their element images: (node, number of
+    the p-power classes [g] of H with C_H(g) there, sum of their sizes),
+    built on first use.  An abelian H is a leaf with the one edge
+    (H, |H_p|, |H_p|)."""
+    groups, index, edges = descent
+    if edges[i] is None:
+        H = groups[i]
+        classes, idx = conjugacy_classes(H), _p_power_class_indices(H, p)
+        weights = {i: (len(idx), len(idx))} if H.is_abelian() else {}  # a leaf: each C_H(g) is H
+        for k in () if weights else idx:
+            C = centralizer(H, [classes[k].representative])
+            j = index.setdefault(tuple(g.images for g in C.elements), len(groups))
+            if j == len(groups):
+                groups.append(C)
+                edges.append(None)
+            count, size = weights.get(j, (0, 0))
+            weights[j] = (count + 1, size + classes[k].size)
+        edges[i] = [(j, count, size) for j, (count, size) in weights.items()]
+    return edges[i]
+
+
+def _descend(G: FiniteGroup, p: int, n: int, tuples: bool, limit: int) -> int:
+    """v_n(G) for n >= 1, where v_0 = 1 and v_j(H) sums w * v_{j-1}(C_H(g))
+    over the p-power classes [g] of H: w = |[g]| counts tuples, w = 1 classes.
+
+    G's centralizer descent at p is kept on G; its nodes within n - 1 steps
+    of G are built breadth first.  Level j is taken at the nodes within
+    n - j steps, where v_j is at most v_n(G), so the first value to reach
+    limit is returned at once, as a lower bound.
+    """
+    if len(_p_power_class_indices(G, p)) == 1:
+        return 1  # G_p is trivial: one tuple, one class, at every n
+    descent = G._cache.setdefault(("descent", p), ([G], {tuple(g.images for g in G.elements): 0}, [None]))
+    groups, edges, w = descent[0], descent[2], 2 if tuples else 1  # w: the weight's place in an edge
+    order, depth = [0], {0: 0}
+    for i in order:  # order grows as it is walked
+        if depth[i] >= n - 1:
+            break
+        for j, _, _ in _edges(descent, i, p):
+            if j not in depth:
+                depth[j] = depth[i] + 1
+                order.append(j)
+    values = {}
+    for i in order:
+        classes, idx = conjugacy_classes(groups[i]), _p_power_class_indices(groups[i], p)
+        values[i] = sum(classes[k].size for k in idx) if tuples else len(idx)
+    for level in range(2, n + 1):
+        if max(values.values()) >= limit:
+            return max(values.values())
+        values = {i: sum(e[w] * values[e[0]] for e in edges[i]) for i in order if depth[i] <= n - level}
+    return values[0]
 
 
 def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[tuple]:
     """All commuting n-tuples of p-power-order elements, lexicographically ordered.
 
-    Tuples are grown one entry at a time; the candidate pool for the next entry
-    is the p-power part of the centralizer of the prefix, so the work stays
-    proportional to the answer for groups whose p-elements are sparse.
+    Their number N_n is read off the centralizer descent first, and the call
+    is refused when its N_n * n entries would pass work_cap.  The tuples then
+    grow one entry per level; the pool for the next entry is the p-power part
+    of the prefix's centralizer, and each distinct pool is narrowed by each
+    of its members once.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return [()]
-    out: list[tuple] = []
-    budget = [work_cap, work_cap]
-    _extend_tuples((), p_power_elements(G, p), n, out, budget)
-    return out
+    if _descend(G, p, n, True, work_cap // n + 1) > work_cap // n:
+        raise CapExceeded(f"commuting {n}-tuples hold more than {work_cap} entries, past the work cap")
+    pool = tuple(p_power_elements(G, p))
+    if len(pool) == 1:
+        return [pool * n]
+    pools = {pool: pool}  # each distinct pool, once
+    narrowed = {}  # (id of a pool, g) -> the pool after a prefix ending in g
+    level = [((), pool)]
+    for _ in range(n - 1):
+        grown = []
+        for prefix, pool in level:
+            for g in pool:
+                sub = narrowed.get((id(pool), g))
+                if sub is None:
+                    sub = tuple(h for h in pool if h * g == g * h)
+                    sub = narrowed[id(pool), g] = pools.setdefault(sub, sub)
+                grown.append((prefix + (g,), sub))
+        level = grown
+    return [prefix + (g,) for prefix, pool in level for g in pool]
 
 
 def _conjugate_entries(entries: tuple, s: Permutation) -> tuple:
@@ -153,10 +209,11 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
 
     Computed by peeling one entry at a time: classes of n-tuples correspond to
     pairs (conjugacy class of a p-power element g, class of an (n-1)-tuple in
-    the centralizer of g).  This agrees with len(tuple_classes(G, p, n)) but
-    stays cheap when the tuple set itself would be large.  An abelian G has
-    |G_p|^n classes, refused before it reaches 10^4300, past which its
-    digits would not print.
+    the centralizer of g), which the centralizer descent iterates level by
+    level.  This agrees with len(tuple_classes(G, p, n)) but stays cheap when
+    the tuple set itself would be large.  An abelian G has |G_p|^n classes;
+    every rank is refused before it reaches 10^4300, past which its digits
+    would not print.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -171,8 +228,10 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
     idx = _p_power_class_indices(G, p)
     if n == 1:
         return len(idx)
-    classes = conjugacy_classes(G)
-    return sum(rank_prediction(centralizer(G, [classes[k].representative]), p, n - 1) for k in idx)
+    rank = _descend(G, p, n, False, _RANK_CAP)
+    if rank >= _RANK_CAP:
+        raise CapExceeded(f"rank at n = {n} exceeds cap 10^4300")
+    return rank
 
 
 def _gl_level(p: int, n: int, k: int, cap: int) -> int:
@@ -318,20 +377,12 @@ def hnf_open_subgroup_count(p: int, n: int, k: int) -> int:
     taken mod d_i; the number of forms with a fixed diagonal is
     prod_i d_i^(i-1).
     """
-    total = 0
-
-    def walk(i, remaining, weight):
-        nonlocal total
-        if i == n - 1:
-            total += weight * (p**remaining) ** (n - 1)
-            return
-        for a in range(remaining + 1):
-            walk(i + 1, remaining - a, weight * (p**a) ** i)
-
-    if n == 0:
-        return 1 if k == 0 else 0
-    walk(0, k, 1)
-    return total
+    if n == 0 or k < 0:
+        return int(k == 0)
+    ways = [1] + [0] * k  # ways[r]: weighted diagonals of the first i rows with prod d = p^r
+    for i in range(n):
+        ways = [sum(ways[r - a] * (p**a) ** i for a in range(r + 1)) for r in range(k + 1)]
+    return ways[k]
 
 
 def zpn_set_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:

@@ -50,12 +50,13 @@ class GSet:
     and points, so an inconsistent action cannot produce a GSet.
     """
 
-    __slots__ = ("group", "points", "index", "maps", "name")
+    __slots__ = ("group", "points", "index", "maps", "name", "_cache", "__weakref__")
 
     def __init__(self, group: FiniteGroup, points, gen_images, *, name: str = ""):
         self.group = group
         self.points = tuple(points)
         self.name = name
+        self._cache: dict = {}  # fix_n results and the entry orders of a Fix_n
         self.index = {x: i for i, x in enumerate(self.points)}
         if len(self.index) != len(self.points):
             raise ValueError("point labels must be distinct")
@@ -149,9 +150,7 @@ def coset_gset(G: FiniteGroup, H: FiniteGroup, *, name: str = "") -> GSet:
         members.setdefault(key, frozenset(g * h for h in H.elements))
     keys = sorted(members)
     label_of = {key: key.cycle_string() + "H" for key in keys}
-    images = []
-    for s in G.generators:
-        images.append([label_of[min(s * x for x in members[key])] for key in keys])
+    images = [[label_of[min(s * x for x in members[key])] for key in keys] for s in G.generators]
     return GSet(G, [label_of[key] for key in keys], images, name=name or "cosets")
 
 
@@ -159,13 +158,8 @@ def disjoint_union(X: GSet, Y: GSet) -> GSet:
     if X.group is not Y.group and X.group.elements != Y.group.elements:
         raise ValueError("both G-sets must share the same group")
     pts = [(0, x) for x in X.points] + [(1, y) for y in Y.points]
-    images = []
-    for s in X.group.generators:
-        mx, my = X.maps[s], Y.maps[s]
-        images.append(
-            [(0, X.points[mx[i]]) for i in range(X.size)]
-            + [(1, Y.points[my[i]]) for i in range(Y.size)]
-        )
+    images = [[(0, X.act(s, x)) for x in X.points] + [(1, Y.act(s, y)) for y in Y.points]
+              for s in X.group.generators]
     return GSet(X.group, pts, images, name=f"{X.name or 'X'}+{Y.name or 'Y'}")
 
 
@@ -188,20 +182,15 @@ def gset_from_json(doc) -> GSet:
 # ---------------------------------------------------------------------------
 # Fix_n
 
-_fix_cache: dict = {}
-_entry_orders: dict = {}  # by Fix_n G-set: its entries' distinct orders, first met first
-
-
 def fix_n(X: GSet, p: int, n: int) -> GSet:
     """The G-set of pairs (alpha, x): alpha a commuting n-tuple of p-power
     order, x a point of X fixed by every entry of alpha.
 
     Points are ordered by (alpha, point index); the action is
     g.(alpha, x) = (g alpha g^-1, g.x), re-verified by the GSet constructor.
-    Results are memoized per GSet instance.
+    Results are memoized on X.
     """
-    cache_key = (X, p, n)
-    got = _fix_cache.get(cache_key)
+    got = X._cache.get(("fix", p, n))
     if got is not None:
         return got
     G = X.group
@@ -212,18 +201,10 @@ def fix_n(X: GSet, p: int, n: int) -> GSet:
         for i in range(X.size):
             if all(mp[i] == i for mp in entry_maps):
                 pts.append(FixPoint(t, X.points[i]))
-    images = []
-    for s in G.generators:
-        smap = X.maps[s]
-        row = []
-        for fp in pts:
-            row.append(
-                FixPoint(_conjugate_entries(fp.alpha, s), X.points[smap[X.index[fp.point]]])
-            )
-        images.append(row)
+    images = [[FixPoint(_conjugate_entries(fp.alpha, s), X.act(s, fp.point)) for fp in pts] for s in G.generators]
     label = X.name or "X"
     F = GSet(G, pts, images, name=f"Fix_{n}({label}; p={p})")
-    _fix_cache[cache_key] = F
+    X._cache[("fix", p, n)] = F
     return F
 
 
@@ -243,14 +224,8 @@ class OrbitCensus(namedtuple("OrbitCensus", "orbits total_points predicted consi
 
     def to_json(self) -> dict:
         return {
-            "orbits": [
-                {
-                    "size": size,
-                    "stabilizer_order": stab,
-                    "alpha_rep": list(alpha_rep),
-                }
-                for size, stab, alpha_rep in self.orbits
-            ],
+            "orbits": [{"size": size, "stabilizer_order": stab, "alpha_rep": list(alpha_rep)}
+                       for size, stab, alpha_rep in self.orbits],
             "total_points": self.total_points,
             "predicted": self.predicted,
             "consistent": self.consistent,
@@ -302,20 +277,10 @@ def iterate_fix_check(X: GSet, p: int, n: int) -> IterateFixResult:
     direct = fix_n(X, p, n)
 
     forward = {q: FixPoint(q.point.alpha + q.alpha, q.point.point) for q in outer.points}
-
-    ok = set(forward.values()) == set(direct.points) and len(
-        set(forward.values())
-    ) == len(forward)
-    if ok:
-        for s in G.generators:
-            omap, dmap = outer.maps[s], direct.maps[s]
-            for q in outer.points:
-                moved = outer.points[omap[outer.index[q]]]
-                if forward[moved] != direct.points[dmap[direct.index[forward[q]]]]:
-                    ok = False
-                    break
-            if not ok:
-                break
+    image = set(forward.values())
+    ok = image == set(direct.points) and len(image) == len(forward) and all(
+        forward[outer.act(s, q)] == direct.act(s, forward[q]) for s in G.generators for q in outer.points
+    )
     return IterateFixResult(ok, forward)
 
 
@@ -331,10 +296,10 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: tuple) -> dict:
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError(f"expected a {n} x {n} matrix")
     F = fix_n(X, p, n)
-    orders = _entry_orders.get(F)
+    orders = F._cache.get("entry orders")  # distinct, first met first
     if orders is None:
         entries = dict.fromkeys(e for fp in F.points for e in fp.alpha)
-        orders = _entry_orders[F] = list(dict.fromkeys(e.order() for e in entries))
+        orders = F._cache["entry orders"] = list(dict.fromkeys(e.order() for e in entries))
     mod = p**k
     for o in orders:
         if mod % o:
@@ -355,9 +320,7 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: tuple) -> dict:
     return mapping
 
 
-LoopsCheck = namedtuple(
-    "LoopsCheck", ["ok", "hom_count", "all_count", "hom_classes", "all_classes"]
-)
+LoopsCheck = namedtuple("LoopsCheck", ["ok", "hom_count", "all_count", "hom_classes", "all_classes"])
 
 
 def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:
@@ -365,11 +328,12 @@ def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:
     p-power-order ones; two routes must agree on their count and on their
     number of conjugation classes.
 
-    The hom side enumerates the tuples and searches their orbits.  The other
-    side lists no tuple: rank_prediction's centralizer recursion counts the
-    classes, and Burnside's lemma the tuples.  A commuting n-tuple (t, g) is
-    an (n-1)-tuple t and an element g of its stabilizer under conjugation,
-    so there are |G| times as many as there are (n-1)-tuple classes.
+    The hom side lists the tuples, once hom_tuples' count admits them, and
+    searches their orbits.  The other side lists no tuple: rank_prediction's
+    centralizer descent counts the classes, and Burnside's lemma the tuples.
+    A commuting n-tuple (t, g) is an (n-1)-tuple t and an element g of its
+    stabilizer under conjugation, so there are |G| times as many as there
+    are (n-1)-tuple classes.
     The trivial group counts as a p-group at p = 2 (any prime works).
     """
     factors = prime_factors(G.order) or [2]

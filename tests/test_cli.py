@@ -327,19 +327,45 @@ def test_zpn_sets_refuses_huge_level_quickly():
 @pytest.mark.parametrize("argv, needle", [
     # the GL cap used to run only after every 30-tuple was built (SystemError)
     (["gl-orbits", "--group", "Cyc(2)", "--p", "2", "--n", "30", "--k", "1"], "cap"),
-    # rank and tuples recurse once per entry (RecursionError traceback)
-    (["rank", "--group", "Sym(3)", "--p", "2", "--n", "2000"], "recursion"),
-    (["tuples", "--group", "Sym(3)", "--p", "2", "--n", "3000"], "recursion"),
+    # tuples used to recurse once per entry (RecursionError); 3 * 2^3000 - 2
+    # tuples are now refused by their count before any is listed
+    (["tuples", "--group", "Sym(3)", "--p", "2", "--n", "3000"], "cap"),
     # an abelian rank |G_p|^n was computed whatever its size: 3^300000000 ran
     # past 120 s, and past 4300 digits the answer exited 2 on printing
     (["rank", "--group", "Cyc(3)", "--p", "3", "--n", "300000000"], "cap"),
     (["rank", "--group", "Cyc(2)", "--p", "2", "--n", "20000"], "cap"),
     (["rank", "--group", "Cyc(4)", "--p", "2", "--n", "8000"], "cap"),
-], ids=["gl-orbits-n30", "rank-n2000", "tuples-n3000", "rank-3^300000000", "rank-2^20000", "rank-4^8000"])
+    # a nonabelian rank is capped too: c_n(Sym(3), 2) = 2^n
+    (["rank", "--group", "Sym(3)", "--p", "2", "--n", "20000"], "cap"),
+    (["tuples", "--group", "Dih(6)", "--p", "2", "--n", "16"], "cap"),  # 12,884,770,816 tuples
+    (["fix", "loops-check", "--group", "Q8*Q8", "--n", "8"], "cap"),  # 38,453,641,216 tuples
+], ids=["gl-orbits-n30", "tuples-n3000", "rank-3^300000000", "rank-2^20000", "rank-4^8000",
+        "rank-sym3-n20000", "tuples-dih6-n16", "loops-q8q8-n8"])
 def test_deep_n_fails_in_one_line_quickly(argv, needle):
     done, seconds = run_python(["-m", "hkr", *argv, "--no-cache"])
     assert seconds < 5
     assert_one_line_failure(done, needle)
+
+
+@pytest.mark.parametrize("argv, out", [
+    # these recursed once per entry and failed with Python's recursion message
+    (["rank", "--group", "Sym(3)", "--p", "2", "--n", "2000"], f"{2**2000}\n"),
+    (["rank", "--group", "Sym(3)", "--p", "5", "--n", "1000000000"], "1\n"),
+    (["tuples", "--group", "Sym(3)", "--p", "5", "--n", "5000"], "1 commuting tuples in 1 classes\n"),
+    # the recursion rebuilt the same centralizers on every path, past 20 s
+    (["rank", "--group", "Q8*Q8", "--p", "2", "--n", "31"], "47852207833401690954265412375909761024\n"),
+], ids=["rank-n2000", "rank-trivial-n1e9", "tuples-trivial-n5000", "rank-q8q8-n31"])
+def test_deep_n_answers_quickly(argv, out):
+    done, seconds = run_python(["-m", "hkr", *argv, "--no-cache", "--format", "plain"])
+    assert seconds < 5
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
+def test_deeply_nested_group_expression_fails_in_one_line():
+    # the group-expression parser is the one recursion left on a CLI path
+    nested = "(" * 1500 + "Sym(3)" + ")" * 1500
+    done, _ = run_python(["-m", "hkr", "rank", "--group", nested, "--p", "2", "--n", "2", "--no-cache"])
+    assert_one_line_failure(done, "recursion")
 
 
 def test_abelian_rank_below_the_cap_prints_in_full(capsys):

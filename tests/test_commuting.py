@@ -6,7 +6,9 @@ from itertools import product
 
 import pytest
 
+from hkr.acceptance import named_suite
 from hkr.commuting import (
+    _descend,
     apply_matrix,
     gl_action_orbits,
     gl_matrices,
@@ -22,7 +24,7 @@ from hkr.commuting import (
 )
 from hkr.errors import CapExceeded
 from hkr.groupcore import Permutation, make_group, named_group, sym_group
-from hkr.rings import is_prime, rref_mod
+from hkr.rings import is_prime, prime_factors, rref_mod
 
 
 def naive_p_power(g, p):
@@ -90,6 +92,51 @@ def test_rank_prediction_frozen_values():
     assert rank_prediction(named_group("Q8"), 2, 2) == 22
     assert rank_prediction(named_group("Dih(4)"), 2, 2) == 22
     assert rank_prediction(named_group("Cyc(1)"), 2, 1) == 1
+
+
+def q8_rank(n):
+    """c_n(Q8) = 2 c_{n-1}(Q8) + 3 * 4^(n-1): the two central classes keep Q8,
+    and the three classes of size 2 have the cyclic centralizer Cyc(4)."""
+    c = 1
+    for j in range(1, n + 1):
+        c = 2 * c + 3 * 4 ** (j - 1)
+    return c
+
+
+def test_rank_prediction_from_the_descent_at_large_n():
+    S3, Q8Q8 = named_group("Sym(3)"), named_group("Q8*Q8")
+    assert [rank_prediction(S3, 2, n) for n in (2, 3, 50, 2000)] == [4, 8, 2**50, 2**2000]
+    assert [rank_prediction(S3, 3, n) for n in (2, 3, 50)] == [(3**n + 1) // 2 for n in (2, 3, 50)]
+    assert [rank_prediction(Q8Q8, 2, n) for n in range(1, 32)] == [q8_rank(n) ** 2 for n in range(1, 32)]
+    assert rank_prediction(S3, 5, 10**9) == 1  # the 5-part is trivial
+    assert rank_prediction(S3, 2, 14284) == 2**14284  # 4300 digits
+    with pytest.raises(CapExceeded):
+        rank_prediction(S3, 2, 14285)
+
+
+def test_tuple_counts_from_the_descent():
+    # counted here without listing; each was also found by listing or by
+    # Burnside's lemma (Q8*Q8: 64 * c_7(Q8)^2)
+    for spec, p, n, count in (("Sym(7)", 2, 3, 203_008), ("Sym(7)", 2, 5, 16_080_352), ("Sym(7)", 3, 4, 450_801),
+                              ("Dih(6)", 2, 16, 12_884_770_816), ("Q8*Q8", 2, 8, 38_453_641_216)):
+        assert _descend(named_group(spec), p, n, True, count + 1) == count
+    assert 64 * q8_rank(7) ** 2 == 38_453_641_216
+
+
+def test_work_cap_counts_entries_before_listing():
+    # hom_tuples refuses past work_cap entries by the descent's count N_n, so
+    # a cap of exactly N_n * n admits the listing and one less refuses it
+    cases = 0
+    for G in named_suite(24):
+        for p in prime_factors(G.order):
+            for n in (1, 2, 3):
+                N = len(hom_tuples(G, p, n))
+                assert len(hom_tuples(G, p, n, work_cap=N * n)) == N
+                with pytest.raises(CapExceeded):
+                    hom_tuples(G, p, n, work_cap=N * n - 1)
+                cases += 1
+    assert cases == 210
+    assert hom_tuples(named_group("Sym(3)"), 5, 5000) == [(named_group("Sym(3)").identity,) * 5000]
 
 
 def test_rank_prediction_counts_p_power_classes_at_n1():

@@ -4,13 +4,18 @@ fix_n sizes are cross-checked against hom_tuples counts on the point and
 against freeness on the regular action, so the two modules audit each other.
 """
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from hkr.acceptance import named_suite
+from hkr.charmap import ClassFunction, character_map, character_table
 from hkr.commuting import evaluate, gl_matrices, gl_mul, hom_tuples, rank_prediction
 from hkr.errors import CapExceeded, HkrError
-from hkr.groupcore import Permutation, make_group, named_group
+from hkr.groupcore import Permutation, _p_power_class_indices, centralizer, class_index, make_group, named_group
+from hkr.rings import CyclotomicNumber, prime_factors
 from hkr.inertia import (
     GSet,
     coset_gset,
@@ -180,6 +185,65 @@ def test_fix_results_are_memoized():
     assert fix_n(X, 2, 1) is fix_n(X, 2, 1)
 
 
+def test_fix_memo_dies_with_its_gset():
+    # the memo lives on the G-set, so a dropped G-set is collected with it
+    X = coset_gset(named_group("Dih(4)"), make_group(4, [Permutation([1, 0, 3, 2])]))
+    F = fix_n(X, 2, 2)
+    gl_on_fix(X, 2, 2, 1, ((1, 0), (0, 1)))
+    gone = weakref.ref(X), weakref.ref(F)
+    del X, F
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
+
+
+def permutation_character_groups():
+    """Every nonabelian named group of order at most 48, Sym(5) and Dih(60)
+    (order 120), and the abelian ones of order at most 12."""
+    return [G for G in named_suite(120)
+            if G.order <= (48 if not G.is_abelian() else 12) or G.name in ("Sym(5)", "Dih(60)")]
+
+
+def test_permutation_characters_meet_the_table_fix_and_character_map():
+    # A G-set X has the permutation character pi(g) = |X^g|.  Against the
+    # exact table, every <pi, chi> is a non-negative integer and
+    # sum <pi, chi> chi = pi; fix_n(X, p, 1) has sum |[g]| pi(g) points over
+    # the p-power classes; and character_map is additive on pi.
+    cases = 0
+    for G in permutation_character_groups():
+        table = character_table(G)
+        reps = [cls.representative for cls in table.classes]
+        sizes = [cls.size for cls in table.classes]
+        inverse = [class_index(G)[r.inverse().images] for r in reps]
+        rows = [[table.value(i, k).coords for k in range(len(reps))] for i in range(table.size)]
+        dim = len(rows[0][0])
+        maps = {p: [[v.coords for v in character_map(G, p, table.irreducible(i)).values] for i in range(table.size)]
+                for p in prime_factors(G.order)}
+        subgroups = {}
+        for r in reps:
+            for H in (make_group(G.degree, [r]), centralizer(G, [r])):
+                subgroups.setdefault(tuple(H.elements), H)
+        for H in subgroups.values():
+            X = coset_gset(G, H)
+            pi = [sum(i == j for i, j in enumerate(X.maps[r])) for r in reps]
+            mult = []  # <pi, chi> = sum_k |C_k| pi(k) chi(k^-1) / |G|
+            for row in rows:
+                s = [sum(sizes[k] * pi[k] * row[inverse[k]][t] for k in range(len(reps))) for t in range(dim)]
+                assert not any(s[1:]) and s[0] >= 0 and s[0] % G.order == 0, (G.name, H.order)
+                mult.append(s[0] // G.order)
+            for k in range(len(reps)):
+                combined = [sum(m * row[k][t] for m, row in zip(mult, rows)) for t in range(dim)]
+                assert combined == [pi[k]] + [0] * (dim - 1)
+            perm = ClassFunction(G, table.classes, [CyclotomicNumber.from_rational(1, v) for v in pi], 1)
+            for p, images in maps.items():
+                idx = _p_power_class_indices(G, p)
+                assert fix_n(X, p, 1).size == sum(sizes[k] * pi[k] for k in idx), (G.name, H.order, p)
+                got = [v.coords for v in character_map(G, p, perm).values]
+                assert got == [tuple(sum(m * image[j][t] for m, image in zip(mult, images)) for t in range(len(got[j])))
+                               for j in range(len(idx))], (G.name, H.order, p)
+            cases += 1
+    assert cases == 336
+
+
 def test_orbit_census_on_point_matches_rank():
     for spec, p in (("Q8", 2), ("Dih(4)", 2), ("Sym(3)", 3)):
         G = named_group(spec)
@@ -285,9 +349,6 @@ def test_loops_counts_on_p_groups():
 def loops_cases():
     """The p-groups among the named groups of order <= 32, n from 0 to 3,
     n <= 2 above order 16."""
-    from hkr.acceptance import named_suite
-    from hkr.rings import prime_factors
-
     return [
         (G, n)
         for G in named_suite(32)
