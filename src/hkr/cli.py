@@ -248,18 +248,31 @@ def _cmd_tuples(args):
     G = _group(args)
     classes = tuple_classes(G, args.p, args.n)
     count = sum(c.size for c in classes)
-    payload = _echo(args, G, tuple_count=count, class_count=len(classes), classes=[
-        {"entries": _tuple_entry_strings(c.representative), "size": c.size} for c in classes])
-    return payload, f"{count} commuting tuples in {len(classes)} classes", None
+    payload = _echo(
+        args, G, tuple_count=count, class_count=len(classes),
+        classes=[
+            {"entries": _tuple_entry_strings(c.representative), "size": c.size}
+            for c in classes
+        ],
+    )
+    plain = f"{count} commuting tuples in {len(classes)} classes"
+    return payload, plain, None
 
 
 def _cmd_gl_orbits(args):
     from .commuting import gl_action_orbits
     G = _group(args)
     orbits = gl_action_orbits(G, args.p, args.n, args.k)
-    payload = _echo(args, G, orbit_count=len(orbits), orbits=[
-        {"class_count": len(orbit), "classes": [_tuple_entry_strings(c.representative) for c in orbit]}
-        for orbit in orbits])
+    payload = _echo(
+        args, G, orbit_count=len(orbits),
+        orbits=[
+            {
+                "class_count": len(orbit),
+                "classes": [_tuple_entry_strings(c.representative) for c in orbit],
+            }
+            for orbit in orbits
+        ],
+    )
     return payload, str(len(orbits)), None
 
 
@@ -437,8 +450,11 @@ def _cmd_fix(args):
     if args.action == "census":
         census = orbit_census(X, args.p, args.n)
         payload = _echo(args, X.group, **census.to_json())
-        plain = (f"{census.count} orbits, {census.total_points} points, predicted {census.predicted}, "
-                 + ("consistent" if census.consistent else "inconsistent"))
+        plain = (
+            f"{census.count} orbits, {census.total_points} points, "
+            f"predicted {census.predicted}, "
+            + ("consistent" if census.consistent else "inconsistent")
+        )
         return payload, plain, None
     result = iterate_fix_check(X, args.p, args.n)
     return _echo(args, X.group, ok=result.ok), "ok" if result.ok else "mismatch", None

@@ -84,58 +84,49 @@ class TupleClass(namedtuple("TupleClass", "representative size")):
     __slots__ = ()
 
 
-def _edges(descent, i: int, p: int) -> list[tuple[int, int, int]]:
-    """Edges of node H = descent[0][i] of a centralizer descent, whose nodes
-    are distinct subgroups keyed by their element images: (node, number of
-    the p-power classes [g] of H with C_H(g) there, sum of their sizes),
-    built on first use.  An abelian H is a leaf with the one edge
-    (H, |H_p|, |H_p|)."""
-    groups, index, edges = descent
-    if edges[i] is None:
-        H = groups[i]
-        classes, idx = conjugacy_classes(H), _p_power_class_indices(H, p)
-        weights = {i: (len(idx), len(idx))} if H.is_abelian() else {}  # a leaf: each C_H(g) is H
-        for k in () if weights else idx:
-            C = centralizer(H, [classes[k].representative])
-            j = index.setdefault(tuple(g.images for g in C.elements), len(groups))
-            if j == len(groups):
-                groups.append(C)
-                edges.append(None)
-            count, size = weights.get(j, (0, 0))
-            weights[j] = (count + 1, size + classes[k].size)
-        edges[i] = [(j, count, size) for j, (count, size) in weights.items()]
-    return edges[i]
-
-
 def _descend(G: FiniteGroup, p: int, n: int, tuples: bool, limit: int) -> int:
     """v_n(G) for n >= 1, where v_0 = 1 and v_j(H) sums w * v_{j-1}(C_H(g))
     over the p-power classes [g] of H: w = |[g]| counts tuples, w = 1 classes.
 
-    G's centralizer descent at p is kept on G; its nodes within n - 1 steps
-    of G are built breadth first.  Level j is taken at the nodes within
-    n - j steps, where v_j is at most v_n(G), so the first value to reach
-    limit is returned at once, as a lower bound.
+    G's centralizer descent at p is kept on G.  Its nodes are the distinct
+    subgroups C_H(g), keyed by their element images; a node's edges map each
+    node it reaches to [number of classes [g] leading there, sum of their
+    sizes], and an abelian node is a leaf whose one edge is a loop.  Nodes
+    within n - 1 steps of G are built breadth first.  Level j is taken at the
+    nodes within n - j steps, where v_j is at most v_n(G), so the first value
+    to reach limit is returned at once, as a lower bound.
     """
     if len(_p_power_class_indices(G, p)) == 1:
         return 1  # G_p is trivial: one tuple, one class, at every n
-    descent = G._cache.setdefault(("descent", p), ([G], {tuple(g.images for g in G.elements): 0}, [None]))
-    groups, edges, w = descent[0], descent[2], 2 if tuples else 1  # w: the weight's place in an edge
-    order, depth = [0], {0: 0}
+    descent = G._cache.get(("descent", p))
+    if descent is None:
+        descent = G._cache["descent", p] = ([G], {tuple(g.images for g in G.elements): 0}, [None])
+    groups, index, edges = descent
+    order, depth, values, w = [0], {0: 0}, {}, 1 if tuples else 0  # w: the weight's place in an edge
     for i in order:  # order grows as it is walked
+        H = groups[i]
+        classes, idx = conjugacy_classes(H), _p_power_class_indices(H, p)
+        values[i] = sum(classes[k].size for k in idx) if tuples else len(idx)
         if depth[i] >= n - 1:
-            break
-        for j, _, _ in _edges(descent, i, p):
+            continue
+        if edges[i] is None:
+            edges[i] = {i: [len(idx), len(idx)]} if H.is_abelian() else {}
+            for k in () if edges[i] else idx:
+                C = centralizer(H, [classes[k].representative])
+                j = index.setdefault(tuple(g.images for g in C.elements), len(groups))
+                if j == len(groups):
+                    groups.append(C)
+                    edges.append(None)
+                edge = edges[i].setdefault(j, [0, 0])
+                edge[0], edge[1] = edge[0] + 1, edge[1] + classes[k].size
+        for j in edges[i]:
             if j not in depth:
                 depth[j] = depth[i] + 1
                 order.append(j)
-    values = {}
-    for i in order:
-        classes, idx = conjugacy_classes(groups[i]), _p_power_class_indices(groups[i], p)
-        values[i] = sum(classes[k].size for k in idx) if tuples else len(idx)
     for level in range(2, n + 1):
         if max(values.values()) >= limit:
             return max(values.values())
-        values = {i: sum(e[w] * values[e[0]] for e in edges[i]) for i in order if depth[i] <= n - level}
+        values = {i: sum(e[w] * values[j] for j, e in edges[i].items()) for i in order if depth[i] <= n - level}
     return values[0]
 
 
@@ -155,7 +146,7 @@ def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> 
     if _descend(G, p, n, True, work_cap // n + 1) > work_cap // n:
         raise CapExceeded(f"commuting {n}-tuples hold more than {work_cap} entries, past the work cap")
     pool = tuple(p_power_elements(G, p))
-    if len(pool) == 1:
+    if len(pool) == 1:  # the one tuple, without n growing copies of its prefix
         return [pool * n]
     pools = {pool: pool}  # each distinct pool, once
     narrowed = {}  # (id of a pool, g) -> the pool after a prefix ending in g
@@ -225,9 +216,8 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
         if rank >= _RANK_CAP:  # more digits than Python prints
             raise CapExceeded(f"rank {size}^{n} exceeds cap 10^4300")
         return rank
-    idx = _p_power_class_indices(G, p)
     if n == 1:
-        return len(idx)
+        return len(_p_power_class_indices(G, p))
     rank = _descend(G, p, n, False, _RANK_CAP)
     if rank >= _RANK_CAP:
         raise CapExceeded(f"rank at n = {n} exceeds cap 10^4300")
@@ -377,12 +367,20 @@ def hnf_open_subgroup_count(p: int, n: int, k: int) -> int:
     taken mod d_i; the number of forms with a fixed diagonal is
     prod_i d_i^(i-1).
     """
-    if n == 0 or k < 0:
-        return int(k == 0)
-    ways = [1] + [0] * k  # ways[r]: weighted diagonals of the first i rows with prod d = p^r
-    for i in range(n):
-        ways = [sum(ways[r - a] * (p**a) ** i for a in range(r + 1)) for r in range(k + 1)]
-    return ways[k]
+    total = 0
+
+    def walk(i, remaining, weight):
+        nonlocal total
+        if i == n - 1:
+            total += weight * (p**remaining) ** (n - 1)
+            return
+        for a in range(remaining + 1):
+            walk(i + 1, remaining - a, weight * (p**a) ** i)
+
+    if n == 0:
+        return 1 if k == 0 else 0
+    walk(0, k, 1)
+    return total
 
 
 def zpn_set_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:

@@ -150,7 +150,9 @@ def coset_gset(G: FiniteGroup, H: FiniteGroup, *, name: str = "") -> GSet:
         members.setdefault(key, frozenset(g * h for h in H.elements))
     keys = sorted(members)
     label_of = {key: key.cycle_string() + "H" for key in keys}
-    images = [[label_of[min(s * x for x in members[key])] for key in keys] for s in G.generators]
+    images = []
+    for s in G.generators:
+        images.append([label_of[min(s * x for x in members[key])] for key in keys])
     return GSet(G, [label_of[key] for key in keys], images, name=name or "cosets")
 
 
@@ -158,8 +160,13 @@ def disjoint_union(X: GSet, Y: GSet) -> GSet:
     if X.group is not Y.group and X.group.elements != Y.group.elements:
         raise ValueError("both G-sets must share the same group")
     pts = [(0, x) for x in X.points] + [(1, y) for y in Y.points]
-    images = [[(0, X.act(s, x)) for x in X.points] + [(1, Y.act(s, y)) for y in Y.points]
-              for s in X.group.generators]
+    images = []
+    for s in X.group.generators:
+        mx, my = X.maps[s], Y.maps[s]
+        images.append(
+            [(0, X.points[mx[i]]) for i in range(X.size)]
+            + [(1, Y.points[my[i]]) for i in range(Y.size)]
+        )
     return GSet(X.group, pts, images, name=f"{X.name or 'X'}+{Y.name or 'Y'}")
 
 
@@ -201,7 +208,15 @@ def fix_n(X: GSet, p: int, n: int) -> GSet:
         for i in range(X.size):
             if all(mp[i] == i for mp in entry_maps):
                 pts.append(FixPoint(t, X.points[i]))
-    images = [[FixPoint(_conjugate_entries(fp.alpha, s), X.act(s, fp.point)) for fp in pts] for s in G.generators]
+    images = []
+    for s in G.generators:
+        smap = X.maps[s]
+        row = []
+        for fp in pts:
+            row.append(
+                FixPoint(_conjugate_entries(fp.alpha, s), X.points[smap[X.index[fp.point]]])
+            )
+        images.append(row)
     label = X.name or "X"
     F = GSet(G, pts, images, name=f"Fix_{n}({label}; p={p})")
     X._cache[("fix", p, n)] = F
@@ -224,8 +239,14 @@ class OrbitCensus(namedtuple("OrbitCensus", "orbits total_points predicted consi
 
     def to_json(self) -> dict:
         return {
-            "orbits": [{"size": size, "stabilizer_order": stab, "alpha_rep": list(alpha_rep)}
-                       for size, stab, alpha_rep in self.orbits],
+            "orbits": [
+                {
+                    "size": size,
+                    "stabilizer_order": stab,
+                    "alpha_rep": list(alpha_rep),
+                }
+                for size, stab, alpha_rep in self.orbits
+            ],
             "total_points": self.total_points,
             "predicted": self.predicted,
             "consistent": self.consistent,
@@ -277,10 +298,20 @@ def iterate_fix_check(X: GSet, p: int, n: int) -> IterateFixResult:
     direct = fix_n(X, p, n)
 
     forward = {q: FixPoint(q.point.alpha + q.alpha, q.point.point) for q in outer.points}
-    image = set(forward.values())
-    ok = image == set(direct.points) and len(image) == len(forward) and all(
-        forward[outer.act(s, q)] == direct.act(s, forward[q]) for s in G.generators for q in outer.points
-    )
+
+    ok = set(forward.values()) == set(direct.points) and len(
+        set(forward.values())
+    ) == len(forward)
+    if ok:
+        for s in G.generators:
+            omap, dmap = outer.maps[s], direct.maps[s]
+            for q in outer.points:
+                moved = outer.points[omap[outer.index[q]]]
+                if forward[moved] != direct.points[dmap[direct.index[forward[q]]]]:
+                    ok = False
+                    break
+            if not ok:
+                break
     return IterateFixResult(ok, forward)
 
 
@@ -320,7 +351,9 @@ def gl_on_fix(X: GSet, p: int, n: int, k: int, sigma: tuple) -> dict:
     return mapping
 
 
-LoopsCheck = namedtuple("LoopsCheck", ["ok", "hom_count", "all_count", "hom_classes", "all_classes"])
+LoopsCheck = namedtuple(
+    "LoopsCheck", ["ok", "hom_count", "all_count", "hom_classes", "all_classes"]
+)
 
 
 def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:

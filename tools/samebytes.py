@@ -1,7 +1,7 @@
 """Same-bytes harness: run a fixed corpus of hkr calls on a source tree, and
 compare two such runs call by call.
 
-    python3 tools/samebytes.py run TREE [--out FILE] [--limit N] [--probes] [--timeout S]
+    python3 tools/samebytes.py run TREE [--out FILE] [--limit N] [--probes]
     python3 tools/samebytes.py compare A.jsonl B.jsonl
 
 `run` imports hkr from TREE/src and runs every call of the corpus in this
@@ -9,8 +9,10 @@ process through hkr.cli.run: once with --no-cache, then twice with --cache in
 a fresh temporary directory (a miss, then a hit).  It writes one JSON line per
 run: argv (without the cache flags), mode, exit code, the sha256 of stdout,
 stderr and seconds.  --limit N keeps N calls spread evenly over the corpus.
---probes adds the slow calls, each in a child process under --timeout seconds;
-a timeout is recorded as the exit "timeout".  Every run, in this process or a
+--probes adds the slow calls, each in a child process under PROBE_TIMEOUT
+seconds; a timeout is recorded as the exit "timeout".  The probes stay opt-in
+because several of them run out their timeout at some tree, so they take
+minutes, where the corpus takes seconds.  Every run, in this process or a
 child, is held to a 2 GiB address space.
 
 `compare` lists the runs whose exit code, stdout or stderr differ, then prints
@@ -73,7 +75,8 @@ EDGE_CALLS = (
     "fix loops-check --group Cyc(6) --n 1",
 )
 
-# slow or huge calls, each in a child process under the timeout
+# slow or huge calls, each in a child process under PROBE_TIMEOUT seconds
+PROBE_TIMEOUT = 20
 PROBES = (
     "rank --group Sym(3) --p 2 --n 2000",
     "rank --group Sym(3) --p 5 --n 1000000000",
@@ -139,13 +142,13 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def _probe(src: str, argv: list[str], timeout: float) -> dict:
+def _probe(src: str, argv: list[str]) -> dict:
     code = "import sys; from hkr.cli import run; sys.exit(run(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
     try:
         done = subprocess.run([sys.executable, "-c", code, *argv, "--no-cache"], env=env, capture_output=True,
-                              text=True, timeout=timeout, preexec_fn=_limit_memory)
+                              text=True, timeout=PROBE_TIMEOUT, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return _record(argv, "probe", "timeout", "", "", time.perf_counter() - start)
     return _record(argv, "probe", done.returncode, done.stdout, done.stderr, time.perf_counter() - start)
@@ -175,7 +178,7 @@ def cmd_run(args) -> int:
                 sink.write(json.dumps(line, sort_keys=True) + "\n")
         if args.probes:
             for argv in PROBES:
-                sink.write(json.dumps(_probe(src, argv.split(), args.timeout), sort_keys=True) + "\n")
+                sink.write(json.dumps(_probe(src, argv.split()), sort_keys=True) + "\n")
     return 0
 
 
@@ -217,7 +220,6 @@ def main(argv=None) -> int:
     run.add_argument("--out", help="JSON lines file (default: stdout)")
     run.add_argument("--limit", type=int, help="keep this many calls, spread over the corpus")
     run.add_argument("--probes", action="store_true", help="add the slow calls, each in a child process")
-    run.add_argument("--timeout", type=float, default=20.0, help="seconds per probe")
     compare = sub.add_parser("compare", help="compare two runs")
     compare.add_argument("a")
     compare.add_argument("b")
