@@ -1039,18 +1039,16 @@ def total_power(k: int, chi: ClassFunction) -> ClassFunction:
     return ClassFunction(None, pairs, values, chi.conductor, label)
 
 
-def psi_level(p: int, k: int, chi: ClassFunction, *, j: int = 1) -> ClassFunction:
+def psi_level(p: int, k: int, chi: ClassFunction) -> ClassFunction:
     """Total power operation at p^k, restricted along the translation
-    embedding of Z/p^k into Sym(p^k), evaluated at the image of a unit j.
+    embedding of Z/p^k into Sym(p^k), evaluated at the image of 1.
 
-    Only the row of P_{p^k}(chi) at the class of the translation x -> x + j
-    is needed, and that row depends only on its cycle type, one p^k-cycle as
-    j is a unit, so neither Sym(p^k) nor the rest of P_{p^k}(chi) is built.
+    Only the row of P_{p^k}(chi) at the class of the translation x -> x + 1
+    is needed, and that row depends only on its cycle type, one p^k-cycle,
+    so neither Sym(p^k) nor the rest of P_{p^k}(chi) is built.
     The contract (checked by the acceptance suite, not assumed here) is that
     the composite equals adams_psi(p^k, chi).
     """
-    if math.gcd(j, p) != 1:
-        raise ValueError("evaluation point must be a unit at p")
     size = capped_power(p, k, MAX_POWER_OP_DEGREE)
     _check_power_degree(size)
     (values,) = _cycle_products(chi, [[size]])

@@ -130,11 +130,11 @@ def _descend(G: FiniteGroup, p: int, n: int, tuples: bool, limit: int) -> int:
     return values[0]
 
 
-def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> list[tuple]:
+def hom_tuples(G: FiniteGroup, p: int, n: int) -> list[tuple]:
     """All commuting n-tuples of p-power-order elements, lexicographically ordered.
 
     Their number N_n is read off the centralizer descent first, and the call
-    is refused when its N_n * n entries would pass work_cap.  The tuples then
+    is refused when its N_n * n entries would pass the work cap.  The tuples then
     grow one entry per level; the pool for the next entry is the p-power part
     of the prefix's centralizer, and each distinct pool is narrowed by each
     of its members once.
@@ -143,8 +143,8 @@ def hom_tuples(G: FiniteGroup, p: int, n: int, *, work_cap=DEFAULT_WORK_CAP) -> 
         raise ValueError("n must be >= 0")
     if n == 0:
         return [()]
-    if _descend(G, p, n, True, work_cap // n + 1) > work_cap // n:
-        raise CapExceeded(f"commuting {n}-tuples hold more than {work_cap} entries, past the work cap")
+    if _descend(G, p, n, True, DEFAULT_WORK_CAP // n + 1) > DEFAULT_WORK_CAP // n:
+        raise CapExceeded(f"commuting {n}-tuples hold more than {DEFAULT_WORK_CAP} entries, past the work cap")
     pool = tuple(p_power_elements(G, p))
     if len(pool) == 1:  # the one tuple, without n growing copies of its prefix
         return [pool * n]
@@ -224,24 +224,18 @@ def rank_prediction(G: FiniteGroup, p: int, n: int) -> int:
     return rank
 
 
-def _gl_level(p: int, n: int, k: int, cap: int) -> int:
-    """p^k, after checking that the (p^k)^(n^2) n x n matrices over Z/p^k
-    number at most cap.  At n = 0 a level past cap passes, and is returned
-    only partly built."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    mod = capped_power(p, k, cap)
-    if capped_power(mod, n * n, cap) > cap:
-        raise CapExceeded(f"GL enumeration size ({p}^{k})^{n * n} exceeds cap {cap}")
-    return mod
-
-
-def gl_matrices(p: int, n: int, k: int, *, cap=DEFAULT_GL_CAP) -> list[tuple]:
+def gl_matrices(p: int, n: int, k: int) -> list[tuple]:
     """All of GL_n(Z/p^k) as tuples of rows, lexicographic in the flattened
     entries; a matrix over Z/p^k is invertible when it is invertible mod p,
     and over Z/1 (k = 0) the one matrix, zero, is the identity.  Each matrix
-    mod p is decided once, by its flat residues."""
-    mod = _gl_level(p, n, k, cap)
+    mod p is decided once, by its flat residues.  The (p^k)^(n^2) candidates
+    are checked against DEFAULT_GL_CAP first; at n = 0 a level past the cap
+    passes, only partly built, and lists the one empty matrix."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    mod = capped_power(p, k, DEFAULT_GL_CAP)
+    if capped_power(mod, n * n, DEFAULT_GL_CAP) > DEFAULT_GL_CAP:
+        raise CapExceeded(f"GL enumeration size ({p}^{k})^{n * n} exceeds cap {DEFAULT_GL_CAP}")
     residue = [x % p for x in range(mod)].__getitem__
     invertible: dict[tuple[int, ...], bool] = {}
     out = []
@@ -283,12 +277,14 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleC
     """Orbits of GL_n(Z/p^k) on the conjugation classes of commuting tuples.
 
     Requires p^k to annihilate every tuple entry (the exponents live in Z/p^k).
-    An orbit of a group is an orbit of its generators, searched by
-    orbit_search: the transvections I + E_ij, which generate SL_n over the
-    local ring Z/p^k, and diag(u, 1, ..., 1) for generators u of the units mod
-    p^k.  The GL cap, (p^k)^(n^2) matrices, runs before any tuple is built and
-    bounds the units scanned.  Orbits are lists of TupleClass values; both
-    layers are canonically ordered.
+    Every entry's order divides e, the largest order of a p-power element, so
+    the action factors through GL_n(Z/e), onto which GL_n(Z/p^k) maps.  Over
+    the local ring Z/e that group is generated by the entry permutations (the
+    swap of t_0 and t_1, and the rotation), the transvection t_0 -> t_0 t_1,
+    and t_0 -> t_0^u for generators u of the units mod e.  Each moves a tuple
+    in O(n), with no matrix; orbit_search runs them over class indices, at
+    most 3 + #units moves per class, so the tuple work cap bounds the call.
+    Orbits are lists of TupleClass values; both layers are canonically ordered.
     """
     worst = max(map(class_orders(G).__getitem__, _p_power_class_indices(G, p)))
     mod = capped_power(p, k, worst)  # exact up to worst, a power of p
@@ -296,24 +292,18 @@ def gl_action_orbits(G: FiniteGroup, p: int, n: int, k: int) -> list[list[TupleC
         raise ValueError(
             f"p^k = {mod} does not annihilate all p-power elements (max order {worst})"
         )
-    mod = _gl_level(p, n, k, DEFAULT_GL_CAP)
-
-    def elementary(i, j, a):  # the identity matrix with entry (i, j) set to a
-        return tuple(tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n))
-
-    gens = [elementary(i, j, 1) for i in range(n) for j in range(n) if i != j]
-    if n:
-        gens += [elementary(0, 0, u) for u in _unit_generators((u for u in range(2, mod) if u % p), mod)]
+    units = _unit_generators((u for u in range(2, worst) if u % p), worst) if n >= 1 else []
+    moves = [lambda t, u=u: (t[0] ** u, *t[1:]) for u in units]
+    if n >= 2:
+        moves += [lambda t: (t[1], t[0], *t[2:]), lambda t: (*t[1:], t[0]), lambda t: (t[0] * t[1], *t[1:])]
     classes, member_class = _indexed_tuple_classes(G, p, n)
-    ident = G.identity
     orbits = orbit_search(
-        range(len(classes)), gens,
-        lambda c, s: member_class[apply_matrix(classes[c].representative, s, ident)],
+        range(len(classes)), moves, lambda c, move: member_class[move(classes[c].representative)]
     )
     return [[classes[c] for c in orbit] for orbit in orbits]
 
 
-def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
+def subgroup_count(p: int, n: int, k: int) -> int:
     """Number of subgroups of order p^k in (Z/p^k)^n, by exhaustive enumeration.
 
     Subgroups are grown one index-p layer at a time: every subgroup of order
@@ -321,25 +311,25 @@ def subgroup_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
     p*x inside it.  Each extension is built once: an x inside an extension of
     H found earlier generates that same extension over H, because the index
     is the prime p.  Each scanned pair (H, x) is charged to a work budget of
-    cap, which is checked before each subgroup's scan.
+    DEFAULT_SUBGROUP_CAP, which is checked before each subgroup's scan.
     """
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
     if k == 0 or n == 0:
         return 1 if k == 0 else 0
-    mod = capped_power(p, k, cap)
-    if capped_power(mod, n, cap) > cap:
-        raise CapExceeded(f"ambient group size ({p}^{k})^{n} exceeds cap {cap}")
+    mod = capped_power(p, k, DEFAULT_SUBGROUP_CAP)
+    if capped_power(mod, n, DEFAULT_SUBGROUP_CAP) > DEFAULT_SUBGROUP_CAP:
+        raise CapExceeded(f"ambient group size ({p}^{k})^{n} exceeds cap {DEFAULT_SUBGROUP_CAP}")
     ambient = list(iter_product(range(mod), repeat=n))
     zero = (0,) * n
     level = {frozenset([zero])}
-    budget = cap
+    budget = DEFAULT_SUBGROUP_CAP
     for _ in range(k):
         nxt = set()
         for H in level:
             budget -= len(ambient)
             if budget < 0:
-                raise CapExceeded(f"subgroup enumeration exceeds work cap {cap}")
+                raise CapExceeded(f"subgroup enumeration exceeds work cap {DEFAULT_SUBGROUP_CAP}")
             covered = set(H)
             for x in ambient:
                 if x in covered:
@@ -383,7 +373,7 @@ def hnf_open_subgroup_count(p: int, n: int, k: int) -> int:
     return total
 
 
-def zpn_set_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
+def zpn_set_count(p: int, n: int, k: int) -> int:
     """Number of isomorphism classes of p^k-element sets with an action of the
     n-fold product of the p-adic integers.
 
@@ -394,17 +384,17 @@ def zpn_set_count(p: int, n: int, k: int, *, cap=DEFAULT_SUBGROUP_CAP) -> int:
     if k < 0 or n < 0:
         raise ValueError("n and k must be >= 0")
     # the pass below takes (p^k + 2)/2 * sum_d (p^(k-d) + 1) steps
-    size = capped_power(p, k, cap)
-    if size > cap:
-        raise CapExceeded(f"set size {p}^{k} exceeds cap {cap}")
+    size = capped_power(p, k, DEFAULT_SUBGROUP_CAP)
+    if size > DEFAULT_SUBGROUP_CAP:
+        raise CapExceeded(f"set size {p}^{k} exceeds cap {DEFAULT_SUBGROUP_CAP}")
     steps = (size + 2) * sum(size // p**d + 1 for d in range(k + 1)) // 2
-    if steps > cap:
-        raise CapExceeded(f"generating-function pass of {steps} steps exceeds cap {cap}")
+    if steps > DEFAULT_SUBGROUP_CAP:
+        raise CapExceeded(f"generating-function pass of {steps} steps exceeds cap {DEFAULT_SUBGROUP_CAP}")
     ways = [0] * (size + 1)
     ways[0] = 1
     for d in range(k + 1):
         part = p**d
-        types = subgroup_count(p, n, d, cap=cap)
+        types = subgroup_count(p, n, d)
         nxt = [0] * (size + 1)
         for used in range(size // part + 1):
             cnt = math.comb(types + used - 1, used)

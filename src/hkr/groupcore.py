@@ -250,14 +250,12 @@ class ConjugacyClass(namedtuple("ConjugacyClass", "representative members centra
         return len(self.members)
 
 
-def make_group(
-    degree, generators, *, order_cap=DEFAULT_ORDER_CAP, cell_cap=DEFAULT_CELL_CAP, name=None
-) -> FiniteGroup:
+def make_group(degree, generators, *, order_cap=DEFAULT_ORDER_CAP, name=None) -> FiniteGroup:
     """Close a generating set under multiplication.
 
     Breadth-first closure; raises CapExceeded as soon as the element count
     passes order_cap (default 100000), or the element count times the degree
-    would pass cell_cap (default 2^24), before the element is stored.
+    would pass DEFAULT_CELL_CAP (2^24), before the element is stored.
     """
     gens = []
     for g in generators:
@@ -267,7 +265,7 @@ def make_group(
             raise ValueError(f"generator degree {g.degree} does not match {degree}")
         if not g.is_identity():
             gens.append(g)
-    elems = _closure(degree, gens, order_cap, cell_cap)
+    elems = _closure(degree, gens, order_cap, DEFAULT_CELL_CAP)
     return FiniteGroup(degree, gens or [Permutation.identity(degree)], sorted(elems), name=name)
 
 

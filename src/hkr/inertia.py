@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .commuting import _conjugate_entries, evaluate, hom_tuples, rank_prediction, tuple_classes
-from .errors import HkrError
+from .errors import CapExceeded, HkrError
 from .groupcore import FiniteGroup, Permutation, _compose, extend_to_group, make_group, named_group, orbit_search
 from .primality import prime_factors
 
@@ -39,6 +39,12 @@ __all__ = [
     "disjoint_union",
     "gset_from_json",
 ]
+
+# A G-set's table holds |G| * |X| pointers, so past 2^28 cells it cannot fit
+# in a 2 GiB address space.  Under that limit, on a 2-vCPU machine, Fix_3 of a
+# point for Sym(7) at p = 3 (243 M cells) answered in 20 s, and some tables
+# from 205 M cells up ran out of memory.
+FIX_CELL_CAP = 1 << 28
 
 
 class GSet:
@@ -195,7 +201,8 @@ def fix_n(X: GSet, p: int, n: int) -> GSet:
 
     Points are ordered by (alpha, point index); the action is
     g.(alpha, x) = (g alpha g^-1, g.x), re-verified by the GSet constructor.
-    Results are memoized on X.
+    Its table of |G| * |Fix_n| cells is checked against FIX_CELL_CAP once
+    the points are found.  Results are memoized on X.
     """
     got = X._cache.get(("fix", p, n))
     if got is not None:
@@ -208,6 +215,8 @@ def fix_n(X: GSet, p: int, n: int) -> GSet:
         for i in range(X.size):
             if all(mp[i] == i for mp in entry_maps):
                 pts.append(FixPoint(t, X.points[i]))
+    if G.order * len(pts) > FIX_CELL_CAP:
+        raise CapExceeded(f"group order {G.order} times {len(pts)} fixed points exceeds cell cap {FIX_CELL_CAP}")
     images = []
     for s in G.generators:
         smap = X.maps[s]
@@ -361,8 +370,8 @@ def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:
     p-power-order ones; two routes must agree on their count and on their
     number of conjugation classes.
 
-    The hom side lists the tuples, once hom_tuples' count admits them, and
-    searches their orbits.  The other side lists no tuple: rank_prediction's
+    The hom side lists the tuples once, in tuple_classes' orbit search, and
+    sums the class sizes.  The other side lists no tuple: rank_prediction's
     centralizer descent counts the classes, and Burnside's lemma the tuples.
     A commuting n-tuple (t, g) is an (n-1)-tuple t and an element g of its
     stabilizer under conjugation, so there are |G| times as many as there
@@ -373,8 +382,8 @@ def loops_pgroup_check(G: FiniteGroup, n: int) -> LoopsCheck:
     if len(factors) != 1:
         raise HkrError(f"group of order {G.order} is not a p-group")
     (p,) = factors
-    hom_count = len(hom_tuples(G, p, n))
-    hom_classes = len(tuple_classes(G, p, n))
+    classes = tuple_classes(G, p, n)
+    hom_count, hom_classes = sum(c.size for c in classes), len(classes)
     all_count = G.order * rank_prediction(G, p, n - 1) if n >= 1 else 1
     all_classes = rank_prediction(G, p, n)
     ok = hom_count == all_count and hom_classes == all_classes

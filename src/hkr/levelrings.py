@@ -139,7 +139,7 @@ class VandermondeReport(namedtuple("VandermondeReport", "p k components")):
         return all(c[3] in ("both_zero", "unit") for c in self.components)
 
 
-def vandermonde_det(p: int, k: int, *, cap=VANDERMONDE_CAP):
+def vandermonde_det(p: int, k: int):
     """Determinant of the matrix with rows (1, [j], [j]^2, ..., [j]^(p^k - 1)).
 
     Returns (determinant, report).  The determinant is computed per CRT
@@ -148,10 +148,10 @@ def vandermonde_det(p: int, k: int, *, cap=VANDERMONDE_CAP):
     components where both sides vanish nothing more is claimed, elsewhere the
     quotient must be a unit and is recorded.
     """
-    size = capped_power(p, k, cap)
+    size = capped_power(p, k, VANDERMONDE_CAP)
     # the CRT factors Phi_{p^i}(1+x) have degrees 1 and p^i - p^(i-1)
-    if size > cap or size**3 * (1 + sum((p**i - p ** (i - 1)) ** 2 for i in range(1, k + 1))) > cap:
-        raise CapExceeded(f"Vandermonde work at p^k = {p}^{k} exceeds the cap {cap}")
+    if size > VANDERMONDE_CAP or size**3 * (1 + sum((p**i - p ** (i - 1)) ** 2 for i in range(1, k + 1))) > VANDERMONDE_CAP:
+        raise CapExceeded(f"Vandermonde work at p^k = {p}^{k} exceeds the cap {VANDERMONDE_CAP}")
     ring = cpk_ring(p, k)
     images = [ring.zero] + z_image(p, k)
     prod = ring.one

@@ -325,8 +325,11 @@ def test_zpn_sets_refuses_huge_level_quickly():
 
 
 @pytest.mark.parametrize("argv, needle", [
-    # the GL cap used to run only after every 30-tuple was built (SystemError)
+    # a cap used to run only after every 30-tuple was built (SystemError);
+    # the tuple work cap refuses them by their count
     (["gl-orbits", "--group", "Cyc(2)", "--p", "2", "--n", "30", "--k", "1"], "cap"),
+    # 5,040 x 450,801 action cells of Fix_4 ran out of memory
+    (["fix", "points", "--group", "Sym(7)", "--p", "3", "--n", "4"], "cell cap"),
     # tuples used to recurse once per entry (RecursionError); 3 * 2^3000 - 2
     # tuples are now refused by their count before any is listed
     (["tuples", "--group", "Sym(3)", "--p", "2", "--n", "3000"], "cap"),
@@ -339,7 +342,7 @@ def test_zpn_sets_refuses_huge_level_quickly():
     (["rank", "--group", "Sym(3)", "--p", "2", "--n", "20000"], "cap"),
     (["tuples", "--group", "Dih(6)", "--p", "2", "--n", "16"], "cap"),  # 12,884,770,816 tuples
     (["fix", "loops-check", "--group", "Q8*Q8", "--n", "8"], "cap"),  # 38,453,641,216 tuples
-], ids=["gl-orbits-n30", "tuples-n3000", "rank-3^300000000", "rank-2^20000", "rank-4^8000",
+], ids=["gl-orbits-n30", "fix-sym7-n4", "tuples-n3000", "rank-3^300000000", "rank-2^20000", "rank-4^8000",
         "rank-sym3-n20000", "tuples-dih6-n16", "loops-q8q8-n8"])
 def test_deep_n_fails_in_one_line_quickly(argv, needle):
     done, seconds = run_python(["-m", "hkr", *argv, "--no-cache"])
@@ -381,6 +384,27 @@ def test_gl_orbits_from_generators_is_quick():
     done, seconds = run_python(["-m", "hkr", *argv])
     assert done.returncode == 0 and done.stderr == ""
     assert seconds < 5
+
+
+def test_gl_orbits_at_a_huge_level_are_those_of_the_least(capsys):
+    # the action factors through GL_n(Z/e), e the largest p-power order, so
+    # a level 3^30000000 answers as 3^1 does; it used to be refused by a cap
+    argv = ["gl-orbits", "--group", "Cyc(3)", "--p", "3", "--n", "1", "--no-cache"]
+    done, seconds = run_python(["-m", "hkr", *argv, "--k", "30000000"])
+    assert seconds < 5
+    assert done.returncode == 0 and done.stderr == ""
+    code, out, _ = invoke(capsys, argv + ["--k", "1"])
+    assert code == 0 and json.loads(done.stdout)["orbits"] == json.loads(out)["orbits"]
+
+
+def test_gl_orbits_past_the_old_gl_cap_answer_quickly():
+    # GL_160(Z/1) and GL_4(Z/4) were counted as matrices: the first call ran
+    # out of memory, the second was refused with 256 tuples in 3 orbits
+    for argv, out in ((["--group", "Cyc(1)", "--p", "2", "--n", "160", "--k", "0"], "1\n"),
+                      (["--group", "Cyc(4)", "--p", "2", "--n", "4", "--k", "2"], "3\n")):
+        done, seconds = run_python(["-m", "hkr", "gl-orbits", *argv, "--no-cache", "--format", "plain"])
+        assert seconds < 5
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
 def test_gl_orbits_at_level_zero(capsys):
@@ -585,12 +609,11 @@ def test_subgroups_refuses_large_enumerations_quickly(p, n, k):
     (["c0-demo", "localize", "--p", "3", "--k", "30000000"], "3^30000000 exceeds level cap"),
     (["c0-demo", "drinfeld", "--p", "3", "--k", "30000000"], "3^30000000 exceeds level cap"),
     (["c0-demo", "ring", "--p", "3", "--k", "2000"], "p^k = 3^2000 exceeds level cap"),
-    (["gl-orbits", "--group", "Cyc(3)", "--p", "3", "--n", "1", "--k", "30000000"], "cap"),
     (["subgroups", "--p", "3", "--n", "1", "--k", "30000000"], "cap"),
     (["c0-demo", "localize", "--p", "2", "--k", "10"], "localization work at p^k = 2^10 exceeds the cap"),
     (["c0-demo", "drinfeld", "--p", "97", "--k", "2"], "localization work at p^k = 97^2 exceeds the cap"),
 ], ids=[
-    "psi-level", "c0-ring", "c0-localize", "c0-drinfeld", "c0-ring-3^2000", "gl-orbits", "subgroups",
+    "psi-level", "c0-ring", "c0-localize", "c0-drinfeld", "c0-ring-3^2000", "subgroups",
     "c0-localize-2^10", "c0-drinfeld-97^2",
 ])
 def test_huge_levels_are_refused_before_they_are_built(argv, needle):

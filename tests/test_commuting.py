@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from hkr import commuting
 from hkr.acceptance import named_suite
 from hkr.commuting import (
     _descend,
@@ -123,17 +124,20 @@ def test_tuple_counts_from_the_descent():
     assert 64 * q8_rank(7) ** 2 == 38_453_641_216
 
 
-def test_work_cap_counts_entries_before_listing():
-    # hom_tuples refuses past work_cap entries by the descent's count N_n, so
-    # a cap of exactly N_n * n admits the listing and one less refuses it
+def test_work_cap_counts_entries_before_listing(monkeypatch):
+    # hom_tuples refuses past DEFAULT_WORK_CAP entries by the descent's count
+    # N_n, so a cap of exactly N_n * n admits the listing and one less refuses it
     cases = 0
     for G in named_suite(24):
         for p in prime_factors(G.order):
             for n in (1, 2, 3):
                 N = len(hom_tuples(G, p, n))
-                assert len(hom_tuples(G, p, n, work_cap=N * n)) == N
+                monkeypatch.setattr(commuting, "DEFAULT_WORK_CAP", N * n)
+                assert len(hom_tuples(G, p, n)) == N
+                monkeypatch.setattr(commuting, "DEFAULT_WORK_CAP", N * n - 1)
                 with pytest.raises(CapExceeded):
-                    hom_tuples(G, p, n, work_cap=N * n - 1)
+                    hom_tuples(G, p, n)
+                monkeypatch.undo()
                 cases += 1
     assert cases == 210
     assert hom_tuples(named_group("Sym(3)"), 5, 5000) == [(named_group("Sym(3)").identity,) * 5000]
@@ -258,11 +262,47 @@ def test_gl_action_orbits_match_the_whole_group(spec):
     for p in (2, 3):
         e = max(g.order() for g in p_power_elements(G, p))
         for n, k in product(range(4), range(4)):
-            if p**k % e or (p**k) ** (n * n) > 1_000_000:  # not annihilated, or past the GL cap
+            if p**k % e or (p**k) ** (n * n) > 1_000_000:  # not annihilated, or past gl_matrices' own cap on its enumeration
                 continue
             assert gl_action_orbits(G, p, n, k) == whole_group_orbits(G, p, n, k, e), (p, n, k)
             checked += 1
     assert checked >= 12
+
+
+def abelian_span(G, entries, span=None):
+    """The subgroup of an abelian G that entries generate, with span if given."""
+    span = span or {G.identity}
+    for x in entries:
+        span = {h * x**i for h in span for i in range(x.order())}
+    return frozenset(span)
+
+
+def test_gl_orbits_of_an_abelian_group_are_its_subgroups():
+    # For abelian G a class is one tuple, a map Z_p^n -> G_p, and GL_n(Z_p)
+    # moves it to every other map onto the same image: the orbits are the
+    # subgroups H of G_p with at most n generators, d(H) = log_p |H / H^p|.
+    # Most cases lie past the cap on (p^k)^(n^2) matrices.
+    cases = 0
+    for G in named_suite(16):
+        if not G.is_abelian():
+            continue
+        for p in prime_factors(G.order) or [2]:
+            elems = p_power_elements(G, p)
+            subgroups = [abelian_span(G, [])]
+            for H in subgroups:  # the list grows while it is walked
+                subgroups += {abelian_span(G, [x], H) for x in elems} - set(subgroups)
+            e, k = max(x.order() for x in elems), 0
+            while p**k % e:
+                k += 1
+            for n in range(6):
+                if len(elems) ** n > 10_000:  # tuples listed
+                    continue
+                orbits = gl_action_orbits(G, p, n, k + n % 2)  # the least level, or one above
+                spans = {abelian_span(G, orbit[0].representative) for orbit in orbits}
+                assert len(spans) == len(orbits)
+                assert spans == {H for H in subgroups if len(H) <= p ** n * len({h**p for h in H})}, (G.name, p, n)
+                cases += 1
+    assert cases == 165
 
 
 def test_gl_action_orbit_partition():
@@ -325,30 +365,36 @@ def test_zpn_set_count_against_partition_oracle():
     assert zpn_set_count(2, 2, 2) == 17
 
 
-def test_work_caps_raise():
-    G = named_group("Sym(4)")
+def test_work_caps_raise(monkeypatch):
+    monkeypatch.setattr(commuting, "DEFAULT_WORK_CAP", 10)
+    monkeypatch.setattr(commuting, "DEFAULT_GL_CAP", 10)
     with pytest.raises(CapExceeded):
-        hom_tuples(G, 2, 2, work_cap=10)
+        hom_tuples(named_group("Sym(4)"), 2, 2)
     with pytest.raises(CapExceeded):
-        gl_matrices(2, 3, 3, cap=10)
+        gl_matrices(2, 2, 1)  # 16 candidate matrices
 
 
-def test_zpn_set_count_checks_its_work_before_allocating():
+def test_zpn_set_count_checks_its_work_before_allocating(monkeypatch):
     with pytest.raises(CapExceeded):
         zpn_set_count(2, 1, 40)
+    want = zpn_set_count(2, 1, 6)
+    monkeypatch.setattr(commuting, "DEFAULT_SUBGROUP_CAP", 200)
     with pytest.raises(CapExceeded):
-        zpn_set_count(2, 1, 6, cap=200)  # p^k = 64 fits, the 4 422-step pass does not
-    assert zpn_set_count(2, 1, 6, cap=4422) == zpn_set_count(2, 1, 6)
+        zpn_set_count(2, 1, 6)  # p^k = 64 fits, the 4 422-step pass does not
+    monkeypatch.setattr(commuting, "DEFAULT_SUBGROUP_CAP", 4422)
+    assert zpn_set_count(2, 1, 6) == want
     with pytest.raises(ValueError):
         zpn_set_count(2, 1, -1)
 
 
-def test_subgroup_count_charges_every_scanned_pair():
+def test_subgroup_count_charges_every_scanned_pair(monkeypatch):
     # (Z/8)^2: 1 + 3 + 7 subgroups of order 1, 2, 4 are each scanned against
     # all 64 elements, 704 pairs in all
-    assert subgroup_count(2, 2, 3, cap=704) == hnf_open_subgroup_count(2, 2, 3)
+    monkeypatch.setattr(commuting, "DEFAULT_SUBGROUP_CAP", 704)
+    assert subgroup_count(2, 2, 3) == hnf_open_subgroup_count(2, 2, 3)
+    monkeypatch.setattr(commuting, "DEFAULT_SUBGROUP_CAP", 703)
     with pytest.raises(CapExceeded):
-        subgroup_count(2, 2, 3, cap=703)
+        subgroup_count(2, 2, 3)
 
 
 def test_subgroup_count_matches_hnf_for_small_primes():

@@ -260,11 +260,15 @@ def test_class_dataclass_is_hashable():
     assert hash(c) == hash(c)
 
 
-def test_closure_refuses_past_the_cell_cap():
+def test_closure_refuses_past_the_cell_cap(monkeypatch):
+    from hkr import groupcore
+
     gen = Permutation.from_cycles(10, [tuple(range(10))])
-    assert make_group(10, [gen], cell_cap=100).order == 10  # 10 elements * degree 10
+    monkeypatch.setattr(groupcore, "DEFAULT_CELL_CAP", 100)
+    assert make_group(10, [gen]).order == 10  # 10 elements * degree 10
+    monkeypatch.setattr(groupcore, "DEFAULT_CELL_CAP", 99)
     with pytest.raises(CapExceeded, match="cell cap"):
-        make_group(10, [gen], cell_cap=99)
+        make_group(10, [gen])
 
 
 def test_parser_refuses_oversized_atoms_before_their_points_exist(monkeypatch):
@@ -300,11 +304,12 @@ def test_parser_refuses_atoms_as_the_closure_would(monkeypatch):
     # parser's answer from the known order must be the closure's, message included
     from hkr import groupcore
 
+    specs = [f"{name}({m})" for name in ("Cyc", "Dih") for m in range(1, 25)] + [f"Sym({m})" for m in range(7)]
+    # each atom's generators, built before the caps shrink
+    groups = {spec: {"C": cyc_group, "D": dih_group, "S": sym_group}[spec[0]](int(spec[4:-1])) for spec in specs}
     monkeypatch.setattr(groupcore, "DEFAULT_ORDER_CAP", 20)
     monkeypatch.setattr(groupcore, "DEFAULT_CELL_CAP", 200)
-    specs = [f"{name}({m})" for name in ("Cyc", "Dih") for m in range(1, 25)]
-    for spec in specs + [f"Sym({m})" for m in range(7)]:
-        G = {"C": cyc_group, "D": dih_group, "S": sym_group}[spec[0]](int(spec[4:-1]))
+    for spec, G in groups.items():
         try:
             want = len(groupcore._closure(G.degree, G.generators, 20, 200))
         except CapExceeded as exc:

@@ -179,6 +179,19 @@ def test_fix_is_additive_over_disjoint_union():
     assert both.size == fix_n(X, 2, 2).size + fix_n(Y, 2, 2).size
 
 
+def test_fix_refuses_a_table_past_the_cell_cap(monkeypatch):
+    # a G-set's table holds |G| * |X| cells, refused once the points are found
+    from hkr import inertia
+
+    G = named_group("Q8")
+    cells = G.order * fix_n(regular_gset(G), 2, 1).size
+    monkeypatch.setattr(inertia, "FIX_CELL_CAP", cells)
+    assert fix_n(regular_gset(G), 2, 1).size * G.order == cells
+    monkeypatch.setattr(inertia, "FIX_CELL_CAP", cells - 1)
+    with pytest.raises(CapExceeded, match="cell cap"):
+        fix_n(regular_gset(G), 2, 1)
+
+
 def test_fix_results_are_memoized():
     G = named_group("Sym(3)")
     X = trivial_gset(G)
@@ -367,13 +380,15 @@ def test_loops_routes_agree_on_named_p_groups():
 
 @pytest.mark.parametrize("route", ["rank_prediction", "hom_tuples"])
 def test_loops_check_fails_when_one_route_is_off(monkeypatch, route):
+    import hkr.commuting as commuting
     import hkr.inertia as inertia
 
-    good = getattr(inertia, route)
+    module = inertia if route == "rank_prediction" else commuting  # tuple_classes lists the tuples
+    good = getattr(module, route)
     if route == "rank_prediction":
-        monkeypatch.setattr(inertia, route, lambda G, p, n: good(G, p, n) + 1)
+        monkeypatch.setattr(module, route, lambda G, p, n: good(G, p, n) + 1)
     else:
-        monkeypatch.setattr(inertia, route, lambda G, p, n: good(G, p, n)[1:])
+        monkeypatch.setattr(module, route, lambda G, p, n: good(G, p, n)[1:])
     for spec in ("Cyc(1)", "Cyc(4)", "Q8", "Dih(4)"):
         for n in range(3):
             assert not loops_pgroup_check(named_group(spec), n).ok, (spec, n)

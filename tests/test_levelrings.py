@@ -117,12 +117,17 @@ def test_vandermonde_cap():
         vandermonde_det(2, 7)  # 128 points > default cap
 
 
-def test_vandermonde_cap_counts_work():
+def test_vandermonde_cap_counts_work(monkeypatch):
     # p^k = 4: 4^3 * (1 + 1 + 2^2) = 384 over the factors of degree 1, 1, 2
-    det, _ = vandermonde_det(2, 2, cap=384)
-    assert det == vandermonde_det(2, 2)[0]
+    from hkr import levelrings
+
+    want = vandermonde_det(2, 2)[0]
+    monkeypatch.setattr(levelrings, "VANDERMONDE_CAP", 384)
+    assert vandermonde_det(2, 2)[0] == want
+    monkeypatch.setattr(levelrings, "VANDERMONDE_CAP", 383)
     with pytest.raises(CapExceeded):
-        vandermonde_det(2, 2, cap=383)
+        vandermonde_det(2, 2)
+    monkeypatch.undo()
     with pytest.raises(CapExceeded):
         vandermonde_det(2, 5)  # 32^3 * 342, under the old cap on p^k alone
 

@@ -94,6 +94,11 @@ PROBES = (
     "fix census --group Dih(200) --p 5 --n 31",
     "tuples --group Cyc(2) --p 2 --n 30",
     "fix census --group Cyc(2) --p 2 --n 40",
+    "gl-orbits --group Cyc(1) --p 2 --n 160 --k 0",
+    "fix points --group Sym(5) --p 2 --n 4",
+    "fix points --group Sym(6) --p 2 --n 3",
+    "fix census --group Sym(6) --p 2 --n 3",
+    "fix points --group Sym(7) --p 2 --n 2",
 )
 
 
@@ -105,7 +110,7 @@ def corpus() -> list[list[str]]:
                 base = ["--group", group, "--p", str(p), "--n", str(n)]
                 calls += [["rank", *base], ["tuples", *base], ["fix", "points", *base], ["fix", "census", *base]]
                 calls += [["fix", "iterate-check", *base]] if n >= 2 else []
-                calls += [["gl-orbits", *base, "--k", str(k)] for k in (1, 2) if n <= 2]
+                calls += [["gl-orbits", *base, "--k", str(k)] for k in range(4)]
             calls += [["rank", "--group", group, "--p", str(p), "--n", str(n)] for n in (6, 9, 12)]
             calls.append(["rank", "--group", group, "--p", str(p), "--n", "2", "--format", "plain"])
             calls.append(["tuples", "--group", group, "--p", str(p), "--n", "2", "--format", "plain"])
